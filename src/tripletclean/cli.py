@@ -15,12 +15,12 @@ import sys
 from tripletclean.core import (
     DatasetError,
     atomic_write_text,
-    dataset_to_text,
     load_dataset,
+    save_dataset,
     save_vocab,
 )
-from tripletclean.correction import correct, ledger_to_text
-from tripletclean.density import density_report_to_text, detect_noisy_positives
+from tripletclean.correction import correct, save_ledger
+from tripletclean.density import detect_noisy_positives, save_density_report
 from tripletclean.negatives import (
     TrainingError,
     detect_noisy_negatives,
@@ -30,17 +30,23 @@ from tripletclean.negatives import (
 )
 from tripletclean.pipeline import (
     CLEANED_FILE,
+    DATA_FILE,
     DENSITY_FILE,
+    FLAT_KEYS,
     LEDGER_FILE,
     MINED_FILE,
+    MODEL_FILE,
+    TRUTH_FILE,
     VOCAB_FILE,
     PipelineConfig,
     PipelineError,
+    config_from_dict,
     load_config,
     load_flagged,
     load_ledger,
     load_mined,
     export_embeddings,
+    mined_to_text,
     run,
     write_outputs,
 )
@@ -118,14 +124,14 @@ def _load_cli_config(args) -> PipelineConfig:
     if args.config:
         config = load_config(args.config, seed_override=args.seed)
     else:
-        config = PipelineConfig() if args.seed is None else PipelineConfig(seed=args.seed)
+        config = config_from_dict({}, seed_override=args.seed)
     if args.out:
         config = dataclasses.replace(config, out_dir=args.out)
     return config
 
 
 def _apply_toggles(config: PipelineConfig, toggles) -> PipelineConfig:
-    mapping = {"neg_nsd": "enable_neg", "pos_nsd": "enable_pos", "nsc": "enable_nsc"}
+    mapping = FLAT_KEYS["stages"]
     updates = {}
     for item in toggles:
         if "=" not in item:
@@ -164,8 +170,7 @@ def cmd_train(args) -> int:
     dataset = _dataset_from(args, config)
     positives = dataset.positives()
     model = train(positives, len(dataset.vocab), config.miner)
-    os.makedirs(config.out_dir, exist_ok=True)
-    out_path = os.path.join(config.out_dir, "model.json")
+    out_path = os.path.join(config.out_dir, MODEL_FILE)
     save_model(model, out_path)
     print(f"trained on {len(positives)} positives; model: {out_path}")
     return 0
@@ -178,20 +183,10 @@ def cmd_detect_neg(args) -> int:
     mined, kept = detect_noisy_negatives(
         model, dataset.negatives(), config.miner, dataset.partition
     )
-    os.makedirs(config.out_dir, exist_ok=True)
-    lines = [
-        json.dumps(
-            {
-                "id": r.id,
-                "predicate": dataset.vocab.names[r.label],
-                "confidence": r.confidence,
-            }
-        )
-        for r in mined
-    ]
+    names = {r.id: dataset.vocab.names[r.label] for r in mined}
     atomic_write_text(
         os.path.join(config.out_dir, MINED_FILE),
-        "\n".join(lines) + "\n" if lines else "",
+        mined_to_text(names, {r.id: r for r in mined}),
     )
     print(f"promoted {len(mined)} of {len(mined) + len(kept)} negatives")
     return 0
@@ -201,10 +196,7 @@ def cmd_detect_pos(args) -> int:
     config = _load_cli_config(args)
     dataset = _dataset_from(args, config)
     report = detect_noisy_positives(dataset.labeled(), config.density, dataset.partition)
-    os.makedirs(config.out_dir, exist_ok=True)
-    atomic_write_text(
-        os.path.join(config.out_dir, DENSITY_FILE), density_report_to_text(report)
-    )
+    save_density_report(report, os.path.join(config.out_dir, DENSITY_FILE))
     print(f"flagged {len(report.noisy_ids)} of {len(dataset.labeled())} labeled records")
     return 0
 
@@ -216,9 +208,8 @@ def cmd_correct(args) -> int:
     labeled_ids = {r.id for r in dataset.labeled()}
     clean_ids = sorted(labeled_ids - flagged)
     fixed, ledger = correct(sorted(flagged), dataset, clean_ids, config.corrector)
-    os.makedirs(config.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(config.out_dir, CLEANED_FILE), dataset_to_text(fixed))
-    atomic_write_text(os.path.join(config.out_dir, LEDGER_FILE), ledger_to_text(ledger))
+    save_dataset(fixed, os.path.join(config.out_dir, CLEANED_FILE))
+    save_ledger(ledger, os.path.join(config.out_dir, LEDGER_FILE))
     changed = sum(1 for e in ledger if e.changed)
     print(f"relabeled {changed} of {len(ledger)} flagged records")
     return 0
@@ -230,10 +221,9 @@ def cmd_synth(args) -> int:
     if synth_config is None:
         raise DatasetError("config has no synth section")
     dataset, truth = generate(synth_config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(config.out_dir, "data.jsonl"), dataset_to_text(dataset))
+    save_dataset(dataset, os.path.join(config.out_dir, DATA_FILE))
     save_vocab(dataset.vocab.names, os.path.join(config.out_dir, VOCAB_FILE))
-    save_truth(truth, dataset, os.path.join(config.out_dir, "truth.jsonl"))
+    save_truth(truth, dataset, os.path.join(config.out_dir, TRUTH_FILE))
     print(f"generated {len(dataset)} records into {config.out_dir}")
     return 0
 
@@ -253,7 +243,6 @@ def cmd_eval(args) -> int:
     ledger = load_ledger(os.path.join(run_dir, LEDGER_FILE))
     metrics = score(cleaned, truth, mined, flagged, ledger)
     out_dir = args.out or run_dir
-    os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(
         os.path.join(out_dir, "metrics.json"),
         json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n",
@@ -273,7 +262,6 @@ def cmd_export_embed(args) -> int:
         head_min=config.head_min,
         tail_max=config.tail_max,
     )
-    os.makedirs(config.out_dir, exist_ok=True)
     out_path = os.path.join(config.out_dir, "embed.jsonl")
     atomic_write_text(out_path, export_embeddings(dataset))
     print(f"exported {len(dataset)} rows: {out_path}")

@@ -236,8 +236,11 @@ def atomic_write_text(path: str, text: str) -> None:
 def load_vocab(path: str) -> tuple[str, ...]:
     """Read a vocabulary sidecar: ``{"predicates": [name, ...]}``."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    names = data.get("predicates")
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: malformed vocabulary ({exc.msg})") from None
+    names = data.get("predicates") if isinstance(data, dict) else None
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise DatasetError(f"{path}: expected a 'predicates' list of strings")
     return tuple(names)
@@ -275,6 +278,9 @@ def _parse_line(line: str, lineno: int) -> dict:
         raise DatasetError(f"line {lineno}: feature must be a list of finite numbers")
     if obj["predicate"] is not None and not isinstance(obj["predicate"], str):
         raise DatasetError(f"line {lineno}: predicate must be a string or null")
+    for key in ("subject_class", "object_class"):
+        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
+            raise DatasetError(f"line {lineno}: {key} must be an integer")
     return obj
 
 

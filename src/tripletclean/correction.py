@@ -76,15 +76,6 @@ class CorrectionRecord:
     weights: tuple[float, ...]
 
 
-def candidate_pool(
-    record: TripletRecord, clean_set: Sequence[TripletRecord]
-) -> tuple[TripletRecord, ...]:
-    """Clean records sharing the record's subject-object pair, minus itself."""
-    return tuple(
-        r for r in clean_set if r.pair == record.pair and r.id != record.id
-    )
-
-
 def _kernel_scale(pool_features: np.ndarray, config: CorrectionConfig) -> float:
     if config.kernel_c is not None:
         return config.kernel_c
@@ -156,7 +147,7 @@ def correct(
     if dangling:
         raise DatasetError(f"unknown record ids: {sorted(dangling)[:5]}")
 
-    clean_records = [by_id[i] for i in dataset.by_id() if i in clean_set]
+    clean_records = [r for r in dataset.records if r.id in clean_set]
     for rec in clean_records:
         if rec.label is None:
             raise DatasetError(f"clean record {rec.id!r} has no label")
@@ -171,8 +162,7 @@ def correct(
         rec = by_id[rid]
         if rec.label is None:
             raise DatasetError(f"flagged record {rid!r} has no label")
-        pool = [r for r in pools.get(rec.pair, []) if r.id != rid]
-        vote = knn_vote(rec.feature, pool, config)
+        vote = knn_vote(rec.feature, pools.get(rec.pair, []), config)
         if vote.label is None or vote.label == rec.label:
             updates[rid] = replace(rec, label_state=LabelState.CLEAN_KEPT)
             new_label, changed = rec.label, False

@@ -47,7 +47,6 @@ class DensityConfig:
     n_subsets: int = 3
     min_class_size: int = 5
     exclude_self: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         for part in Part:
@@ -130,14 +129,13 @@ def kmeans_1d(values: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarr
 
 
 def split_subsets(
-    densities: Sequence[int], n_subsets: int, seed: int = 0
+    densities: Sequence[int], n_subsets: int
 ) -> tuple[np.ndarray, int | None]:
     """Cluster densities and name the lowest-mean cluster.
 
     Returns (assignments, noisy_subset).  ``noisy_subset`` is None when the
     class degenerates: fewer samples than clusters, or K-means collapses to
-    a single occupied cluster (all densities equal, for instance).  The seed
-    is accepted for interface stability; initialization is deterministic.
+    a single occupied cluster (all densities equal, for instance).
     """
     vals = np.asarray(densities, dtype=np.float64)
     if n_subsets < 2:
@@ -210,7 +208,7 @@ def detect_noisy_positives(
             subset = np.full(len(members), -1, dtype=np.int64)
             noisy_subset = None
         else:
-            subset, noisy_subset = split_subsets(rho, config.n_subsets, config.seed)
+            subset, noisy_subset = split_subsets(rho, config.n_subsets)
         for m, s in zip(members, subset):
             if noisy_subset is not None and s == noisy_subset:
                 noisy_ids.append(m.id)

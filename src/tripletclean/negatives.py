@@ -268,7 +268,11 @@ def train(
     def current():
         return replace(model, **params)
 
-    history = [loss_value(*_eval(current(), X, Y))]
+    def full_loss():
+        P, C = forward(current(), X)
+        return loss_value(P, Y, C, model.class_weights, model.lam)
+
+    history = [full_loss()]
     n = len(positives)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -277,7 +281,7 @@ def train(
             _, grads = loss_and_gradients(current(), X[batch], Y[batch])
             for name in params:
                 params[name] = params[name] - config.learning_rate * grads[name]
-        epoch_loss = loss_value(*_eval(current(), X, Y))
+        epoch_loss = full_loss()
         if not np.isfinite(epoch_loss):
             raise TrainingError(
                 f"non-finite loss {epoch_loss} at epoch {epoch + 1}; "
@@ -293,11 +297,6 @@ def train(
         history[-1],
     )
     return replace(current(), loss_history=tuple(history))
-
-
-def _eval(model, X, Y):
-    P, C = forward(model, X)
-    return P, Y, C, model.class_weights, model.lam
 
 
 def detect_noisy_negatives(

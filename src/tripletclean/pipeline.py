@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from dataclasses import dataclass, field, fields, replace
+from types import UnionType
+from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 from tripletclean.core import (
     DEFAULT_HEAD_MIN,
@@ -54,8 +56,6 @@ from tripletclean.synthetic import SynthConfig
 
 logger = logging.getLogger(__name__)
 
-STAGE_NAMES = ("neg_nsd", "pos_nsd", "nsc")
-
 CLEANED_FILE = "cleaned.jsonl"
 VOCAB_FILE = "vocab.json"
 REPORT_FILE = "report.json"
@@ -64,6 +64,9 @@ DENSITY_FILE = "density_report.jsonl"
 LEDGER_FILE = "correction_ledger.jsonl"
 MODEL_FILE = "model.json"
 TIMINGS_FILE = "timings.json"
+# written by the synth command
+DATA_FILE = "data.jsonl"
+TRUTH_FILE = "truth.jsonl"
 
 
 class PipelineError(Exception):
@@ -93,146 +96,119 @@ class PipelineConfig:
             logger.warning("all stages disabled; run will re-serialize the input")
 
 
-def _expect_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+# JSON path -> PipelineConfig field, for the sections of plain values
+FLAT_KEYS = {
+    "io": {"input": "input_path", "vocab": "vocab_path", "out_dir": "out_dir"},
+    "partition": {"head_min": "head_min", "tail_max": "tail_max"},
+    "stages": {"neg_nsd": "enable_neg", "pos_nsd": "enable_pos", "nsc": "enable_nsc"},
+}
+# JSON section -> (PipelineConfig field, the dataclass whose fields it holds)
+STAGE_SECTIONS = {
+    "neg_nsd": ("miner", MinerConfig),
+    "pos_nsd": ("density", DensityConfig),
+    "nsc": ("corrector", CorrectionConfig),
+    "synth": ("synth", SynthConfig),
+}
+# dataclass field -> JSON key, where the two differ
+JSON_NAMES = {"lam": "lambda"}
+# the JSON values each annotated type accepts, named as errors name them
+JSON_KINDS = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    dict: ((dict,), "an object"),
+    tuple: ((list, tuple), "a list"),
+}
+
+
+def _expect_keys(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
     if unknown:
         raise DatasetError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _part_map(section: dict, where: str, disabled_ok: bool) -> dict[Part, Any]:
-    _expect_keys(section, {"head", "body", "tail"}, where)
-    out = {}
-    for part in Part:
-        if part.value not in section:
-            raise DatasetError(f"{where} must define {part.value!r}")
-        value = section[part.value]
-        if disabled_ok and (value is None or value == "disabled"):
-            out[part] = None
-        else:
-            out[part] = float(value)
-    return out
+def _coerce(value: Any, tp: Any, where: str) -> Any:
+    """Check one JSON value against a field annotation and convert it.
+
+    A part map must name every part and reads ``"disabled"`` as null; int
+    map keys are parsed from their JSON strings; a boolean never passes as
+    a number, nor a number as a boolean.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        if value is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _coerce(value, inner, where)
+    accepted, kind = JSON_KINDS[origin or tp]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise DatasetError(f"{where} must be {kind}, got {value!r}")
+    if origin is tuple:
+        item_types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(item_types) != len(value):
+            raise DatasetError(f"{where} must have {len(args)} items, got {value!r}")
+        return tuple(
+            _coerce(v, t, f"{where}[{i}]")
+            for i, (v, t) in enumerate(zip(value, item_types))
+        )
+    if origin is dict:
+        key_tp, value_tp = args
+        if key_tp is Part:
+            if set(value) != {p.value for p in Part}:
+                parts = [p.value for p in Part]
+                raise DatasetError(f"{where} must define exactly {parts}: {sorted(value)}")
+            value = {
+                p.value: None if value[p.value] == "disabled" else value[p.value]
+                for p in Part
+            }
+        try:
+            return {
+                key_tp(k): _coerce(v, value_tp, f"{where}.{k}") for k, v in value.items()
+            }
+        except ValueError:
+            raise DatasetError(f"{where} keys must be integers: {sorted(value)}") from None
+    return tp(value)
+
+
+def _json_names(cls) -> dict[str, str]:
+    return {JSON_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
+
+
+def _read_section(raw: dict, section: str, names: dict[str, str], hints: dict) -> dict:
+    values = raw.get(section, {})
+    if not isinstance(values, dict):
+        raise DatasetError(f"{section} must be an object, got {values!r}")
+    _expect_keys(values, names, section)
+    return {
+        name: _coerce(values[key], hints[name], f"{section}.{key}")
+        for key, name in names.items()
+        if key in values
+    }
 
 
 def config_from_dict(raw: dict, seed_override: int | None = None) -> PipelineConfig:
-    """Build a validated config from nested key-value data."""
-    _expect_keys(
-        raw,
-        {"io", "partition", "seed", "stages", "neg_nsd", "pos_nsd", "nsc", "synth"},
-        "config",
-    )
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+    """Build a validated config from nested key-value data.
 
-    io = dict(raw.get("io", {}))
-    _expect_keys(io, {"input", "vocab", "out_dir"}, "io")
-    part_section = dict(raw.get("partition", {}))
-    _expect_keys(part_section, {"head_min", "tail_max"}, "partition")
-    stages = dict(raw.get("stages", {}))
-    _expect_keys(stages, set(STAGE_NAMES), "stages")
-
-    neg = dict(raw.get("neg_nsd", {}))
-    _expect_keys(
-        neg,
-        {
-            "thresholds",
-            "lambda",
-            "hidden_size",
-            "epochs",
-            "learning_rate",
-            "batch_size",
-            "seed",
-            "threshold_mode",
-        },
-        "neg_nsd",
-    )
-    miner_kwargs: dict[str, Any] = {"seed": int(neg.get("seed", seed))}
-    if "thresholds" in neg:
-        miner_kwargs["thresholds"] = _part_map(
-            dict(neg["thresholds"]), "neg_nsd.thresholds", disabled_ok=True
-        )
-    if "lambda" in neg:
-        miner_kwargs["lam"] = float(neg["lambda"])
-    for key in ("hidden_size", "epochs", "batch_size"):
-        if key in neg:
-            miner_kwargs[key] = int(neg[key])
-    if "learning_rate" in neg:
-        miner_kwargs["learning_rate"] = float(neg["learning_rate"])
-    if "threshold_mode" in neg:
-        miner_kwargs["threshold_mode"] = str(neg["threshold_mode"])
-
-    pos = dict(raw.get("pos_nsd", {}))
-    _expect_keys(
-        pos, {"alpha", "n_subsets", "min_class_size", "exclude_self", "seed"}, "pos_nsd"
-    )
-    density_kwargs: dict[str, Any] = {"seed": int(pos.get("seed", seed))}
-    if "alpha" in pos:
-        density_kwargs["alpha"] = _part_map(
-            dict(pos["alpha"]), "pos_nsd.alpha", disabled_ok=False
-        )
-    for key in ("n_subsets", "min_class_size"):
-        if key in pos:
-            density_kwargs[key] = int(pos[key])
-    if "exclude_self" in pos:
-        density_kwargs["exclude_self"] = bool(pos["exclude_self"])
-
-    nsc = dict(raw.get("nsc", {}))
-    _expect_keys(nsc, {"k", "kernel_a", "kernel_b", "kernel_c", "min_neighbors"}, "nsc")
-    nsc_kwargs: dict[str, Any] = {}
-    for key in ("k", "min_neighbors"):
-        if key in nsc:
-            nsc_kwargs[key] = int(nsc[key])
-    for key in ("kernel_a", "kernel_b"):
-        if key in nsc:
-            nsc_kwargs[key] = float(nsc[key])
-    if "kernel_c" in nsc:
-        nsc_kwargs["kernel_c"] = None if nsc["kernel_c"] is None else float(nsc["kernel_c"])
-
-    synth_config = None
-    if "synth" in raw:
-        synth = dict(raw["synth"])
-        _expect_keys(
-            synth,
-            {
-                "n_classes",
-                "n_pairs",
-                "feature_dim",
-                "samples_per_class",
-                "imbalance",
-                "cluster_spread",
-                "class_separation",
-                "eta_common",
-                "eta_syn",
-                "eta_neg",
-                "synonym_pairs",
-                "coarse_of",
-                "n_background",
-                "seed",
-            },
-            "synth",
-        )
-        synth.setdefault("seed", seed)
-        if "synonym_pairs" in synth:
-            synth["synonym_pairs"] = tuple(
-                (int(a), int(b)) for a, b in synth["synonym_pairs"]
-            )
-        if "coarse_of" in synth:
-            synth["coarse_of"] = {int(k): int(v) for k, v in synth["coarse_of"].items()}
-        synth_config = SynthConfig(**synth)
-
-    return PipelineConfig(
-        input_path=io.get("input"),
-        vocab_path=io.get("vocab"),
-        out_dir=io.get("out_dir", "out"),
-        head_min=int(part_section.get("head_min", DEFAULT_HEAD_MIN)),
-        tail_max=int(part_section.get("tail_max", DEFAULT_TAIL_MAX)),
-        seed=seed,
-        enable_neg=bool(stages.get("neg_nsd", True)),
-        enable_pos=bool(stages.get("pos_nsd", True)),
-        enable_nsc=bool(stages.get("nsc", True)),
-        miner=MinerConfig(**miner_kwargs),
-        density=DensityConfig(**density_kwargs),
-        corrector=CorrectionConfig(**nsc_kwargs),
-        synth=synth_config,
-    )
+    Keys and value types come from the fields of ``PipelineConfig`` and of
+    the stage dataclasses.  A stage seed left unset takes the global seed.
+    """
+    _expect_keys(raw, [*FLAT_KEYS, "seed", *STAGE_SECTIONS], "config")
+    seed = seed_override
+    if seed is None:
+        seed = _coerce(raw.get("seed", 0), int, "seed")
+    hints = get_type_hints(PipelineConfig)
+    kwargs: dict[str, Any] = {"seed": seed}
+    for section, names in FLAT_KEYS.items():
+        kwargs.update(_read_section(raw, section, names, hints))
+    for section, (name, cls) in STAGE_SECTIONS.items():
+        if section in raw or cls is not SynthConfig:  # synth stays None unless given
+            names = _json_names(cls)
+            values = _read_section(raw, section, names, get_type_hints(cls))
+            if "seed" in names:
+                values.setdefault("seed", seed)
+            kwargs[name] = cls(**values)
+    return PipelineConfig(**kwargs)
 
 
 def load_config(path: str, seed_override: int | None = None) -> PipelineConfig:
@@ -246,64 +222,30 @@ def load_config(path: str, seed_override: int | None = None) -> PipelineConfig:
     return config_from_dict(raw, seed_override)
 
 
+def _to_json(value: Any) -> Any:
+    if isinstance(value, dict):
+        return {
+            k.value if isinstance(k, Part) else str(k): _to_json(v)
+            for k, v in value.items()
+        }
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def config_to_dict(config: PipelineConfig) -> dict:
     """Canonical nested form, also used as the report's config echo."""
     out: dict[str, Any] = {
-        "io": {
-            "input": config.input_path,
-            "vocab": config.vocab_path,
-            "out_dir": config.out_dir,
-        },
-        "partition": {"head_min": config.head_min, "tail_max": config.tail_max},
-        "seed": config.seed,
-        "stages": {
-            "neg_nsd": config.enable_neg,
-            "pos_nsd": config.enable_pos,
-            "nsc": config.enable_nsc,
-        },
-        "neg_nsd": {
-            "thresholds": {p.value: config.miner.thresholds[p] for p in Part},
-            "lambda": config.miner.lam,
-            "hidden_size": config.miner.hidden_size,
-            "epochs": config.miner.epochs,
-            "learning_rate": config.miner.learning_rate,
-            "batch_size": config.miner.batch_size,
-            "seed": config.miner.seed,
-            "threshold_mode": config.miner.threshold_mode,
-        },
-        "pos_nsd": {
-            "alpha": {p.value: config.density.alpha[p] for p in Part},
-            "n_subsets": config.density.n_subsets,
-            "min_class_size": config.density.min_class_size,
-            "exclude_self": config.density.exclude_self,
-            "seed": config.density.seed,
-        },
-        "nsc": {
-            "k": config.corrector.k,
-            "kernel_a": config.corrector.kernel_a,
-            "kernel_b": config.corrector.kernel_b,
-            "kernel_c": config.corrector.kernel_c,
-            "min_neighbors": config.corrector.min_neighbors,
-        },
+        section: {key: getattr(config, name) for key, name in names.items()}
+        for section, names in FLAT_KEYS.items()
     }
-    if config.synth is not None:
-        s = config.synth
-        out["synth"] = {
-            "n_classes": s.n_classes,
-            "n_pairs": s.n_pairs,
-            "feature_dim": s.feature_dim,
-            "samples_per_class": s.samples_per_class,
-            "imbalance": s.imbalance,
-            "cluster_spread": s.cluster_spread,
-            "class_separation": s.class_separation,
-            "eta_common": s.eta_common,
-            "eta_syn": s.eta_syn,
-            "eta_neg": s.eta_neg,
-            "synonym_pairs": [list(p) for p in s.synonym_pairs],
-            "coarse_of": {str(k): v for k, v in s.coarse_of.items()},
-            "n_background": s.n_background,
-            "seed": s.seed,
-        }
+    out["seed"] = config.seed
+    for section, (name, cls) in STAGE_SECTIONS.items():
+        stage = getattr(config, name)
+        if stage is not None:
+            out[section] = {
+                key: _to_json(getattr(stage, f)) for key, f in _json_names(cls).items()
+            }
     return out
 
 
@@ -335,18 +277,9 @@ class CleaningReport:
             raise PipelineError(f"report identities violated: {self.counts()}")
 
     def counts(self) -> dict[str, int]:
-        return {
-            "total": self.total,
-            "positives": self.positives,
-            "negatives": self.negatives,
-            "mined_negatives": self.mined_negatives,
-            "kept_negatives": self.kept_negatives,
-            "composed": self.composed,
-            "flagged": self.flagged,
-            "unflagged": self.unflagged,
-            "relabeled": self.relabeled,
-            "kept_flagged": self.kept_flagged,
-        }
+        """Every field but the config echo and the artifacts listing."""
+        skip = ("config_echo", "artifacts")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
     def to_text(self) -> str:
         payload = {
@@ -477,33 +410,25 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
     )
 
 
-def mined_to_text(result: RunResult) -> str:
-    by_id = result.dataset.by_id()
-    lines = []
-    for rid in sorted(result.mined):
-        rec = by_id[rid]
-        lines.append(
-            json.dumps(
-                {
-                    "id": rid,
-                    "predicate": result.mined[rid],
-                    "confidence": rec.confidence,
-                }
-            )
+def mined_to_text(mined: dict[str, str], records: Mapping[str, TripletRecord]) -> str:
+    """Promoted negatives in id order: pseudo label name and the confidence
+    each carries in ``records``."""
+    lines = [
+        json.dumps(
+            {"id": rid, "predicate": mined[rid], "confidence": records[rid].confidence}
         )
+        for rid in sorted(mined)
+    ]
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def write_outputs(result: RunResult, out_dir: str) -> None:
     """Persist the run; every file lands atomically, timings separately."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
     join = lambda name: os.path.join(out_dir, name)
     atomic_write_text(join(CLEANED_FILE), dataset_to_text(result.dataset))
     save_vocab(result.dataset.vocab.names, join(VOCAB_FILE))
     atomic_write_text(join(REPORT_FILE), result.report.to_text())
-    atomic_write_text(join(MINED_FILE), mined_to_text(result))
+    atomic_write_text(join(MINED_FILE), mined_to_text(result.mined, result.dataset.by_id()))
     atomic_write_text(join(DENSITY_FILE), density_report_to_text(result.density))
     atomic_write_text(join(LEDGER_FILE), ledger_to_text(result.ledger))
     if result.model is not None:

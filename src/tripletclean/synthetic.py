@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -319,17 +319,7 @@ class Metrics:
     tag_counts: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "neg_recall": self.neg_recall,
-            "neg_precision": self.neg_precision,
-            "pseudo_label_accuracy": self.pseudo_label_accuracy,
-            "pos_recall": self.pos_recall,
-            "pos_precision": self.pos_precision,
-            "correction_accuracy": self.correction_accuracy,
-            "accuracy_before": self.accuracy_before,
-            "accuracy_after": self.accuracy_after,
-            "tag_counts": dict(self.tag_counts),
-        }
+        return asdict(self)
 
 
 def _ratio(num: int, den: int) -> float:

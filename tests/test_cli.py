@@ -153,10 +153,18 @@ class TestRunAndEval:
         assert "ids" in capsys.readouterr().err
 
 
+def same_bytes(dir_a, dir_b, names):
+    for name in names:
+        payload = (dir_a / name).read_bytes()
+        assert payload, name
+        assert payload == (dir_b / name).read_bytes(), name
+
+
 class TestStageCommands:
     def test_train_detect_flow(self, workspace, capsys):
         tmp_path, config = workspace
         run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        assert run_cli("run", "--config", config) == 0
         stage_dir = tmp_path / "stages"
         assert run_cli("train-negnsd", "--config", config, "--out", str(stage_dir)) == 0
         model_path = stage_dir / "model.json"
@@ -171,12 +179,25 @@ class TestStageCommands:
             str(stage_dir),
         )
         assert code == 0
-        assert (stage_dir / "mined.jsonl").exists()
         assert "promoted" in capsys.readouterr().out
+        # the stage commands reproduce what run writes
+        same_bytes(stage_dir, tmp_path / "out", ("model.json", "mined.jsonl"))
+
+    def test_train_seed_without_config(self, workspace):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        data = str(tmp_path / "synth" / "data.jsonl")
+        for seed in ("1", "2"):
+            out = str(tmp_path / f"seed{seed}")
+            assert run_cli("train-negnsd", "--data", data, "--seed", seed, "--out", out) == 0
+        assert (tmp_path / "seed1" / "model.json").read_bytes() != (
+            tmp_path / "seed2" / "model.json"
+        ).read_bytes()
 
     def test_detect_pos_then_correct(self, workspace, capsys):
         tmp_path, config = workspace
         run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        assert run_cli("run", "--config", config, "--stage-toggle", "neg_nsd=off") == 0
         stage_dir = tmp_path / "stages"
         assert run_cli("detect-pos", "--config", config, "--out", str(stage_dir)) == 0
         report_path = stage_dir / "density_report.jsonl"
@@ -191,8 +212,9 @@ class TestStageCommands:
             str(stage_dir),
         )
         assert code == 0
-        assert (stage_dir / "cleaned.jsonl").exists()
-        assert (stage_dir / "correction_ledger.jsonl").exists()
+        # without mining, run's stages see the same records as the stage commands
+        names = ("density_report.jsonl", "cleaned.jsonl", "correction_ledger.jsonl")
+        same_bytes(stage_dir, tmp_path / "out", names)
 
     def test_export_embed(self, workspace):
         tmp_path, config = workspace
@@ -227,6 +249,12 @@ class TestArgumentHandling:
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 1
+
+    def test_wrong_config_type_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"nsc": {"k": "abc"}}))
+        assert run_cli("run", "--config", str(config)) == 1
+        assert "error: nsc.k" in capsys.readouterr().err
 
     def test_missing_input_data_exits_1(self, tmp_path):
         config = tmp_path / "c.json"

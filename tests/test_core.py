@@ -99,11 +99,13 @@ class TestLoadDataset:
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rows = sample_rows()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(rows[0]) + "\n")
-            fh.write("{not json\n")
-        with pytest.raises(DatasetError, match="line 2"):
-            load_dataset(str(path))
+        bad_class = json.dumps({**rows[1], "subject_class": "person"})
+        for bad_line in ("{not json", bad_class):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(rows[0]) + "\n")
+                fh.write(bad_line + "\n")
+            with pytest.raises(DatasetError, match="line 2"):
+                load_dataset(str(path))
 
     def test_inconsistent_feature_dim_rejected(self, tmp_path):
         rows = sample_rows()
@@ -128,6 +130,14 @@ class TestLoadDataset:
         vocab_path = tmp_path / "vocab.json"
         save_vocab(["near"], str(vocab_path))
         with pytest.raises(DatasetError, match="on"):
+            load_dataset(str(path), vocab_path=str(vocab_path))
+
+    def test_malformed_vocab_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, sample_rows())
+        vocab_path = tmp_path / "vocab.json"
+        vocab_path.write_text('{"predicates": ["near", "on"')
+        with pytest.raises(DatasetError, match="malformed"):
             load_dataset(str(path), vocab_path=str(vocab_path))
 
 

@@ -13,7 +13,6 @@ from tripletclean.core import (
 )
 from tripletclean.correction import (
     CorrectionConfig,
-    candidate_pool,
     correct,
     knn_vote,
     ledger_to_text,
@@ -41,27 +40,6 @@ def build_dataset(records, n_classes=10):
     vocab = PredicateVocab(names, tuple(counts))
     dim = records[0].feature.shape[0]
     return Dataset(tuple(records), vocab, partition_predicates(vocab), dim)
-
-
-class TestCandidatePool:
-    def test_filters_by_pair(self):
-        target = rec("q", 0, [0.0], pair=(1, 2))
-        same = [rec(f"s{i}", 1, [float(i)], pair=(1, 2)) for i in range(12)]
-        other = [rec(f"o{i}", 1, [float(i)], pair=(9, 9)) for i in range(400)]
-        pool = candidate_pool(target, same + other)
-        assert len(pool) == 12
-        assert all(r.pair == (1, 2) for r in pool)
-
-    def test_no_matching_pair_gives_empty(self):
-        target = rec("q", 0, [0.0], pair=(1, 2))
-        pool = candidate_pool(target, [rec("a", 1, [0.0], pair=(2, 1))])
-        assert pool == ()
-
-    def test_query_id_excluded(self):
-        target = rec("q", 0, [0.0], pair=(1, 2))
-        twin = rec("q", 1, [5.0], pair=(1, 2))
-        pool = candidate_pool(target, [twin, rec("other", 1, [1.0], pair=(1, 2))])
-        assert [r.id for r in pool] == ["other"]
 
 
 class TestKnnVote:
@@ -191,6 +169,17 @@ class TestCorrect:
         assert not ledger[0].changed
         assert ledger[0].neighbor_ids == ()
         assert fixed.by_id()["lone"].label_state is LabelState.CLEAN_KEPT
+
+    def test_pool_holds_only_the_same_pair(self):
+        # the clean record nearest the query sits on another subject-object pair
+        same = [rec(f"s{i}", 6, [5.0 + i], pair=(1, 2)) for i in range(3)]
+        closer = rec("other", 4, [0.0], pair=(2, 1))
+        flagged = rec("q", 3, [0.0], pair=(1, 2))
+        ds = build_dataset(same + [closer, flagged])
+        clean_ids = [r.id for r in same + [closer]]
+        _, ledger = correct(["q"], ds, clean_ids, CorrectionConfig(k=5))
+        assert ledger[0].neighbor_ids == ("s0", "s1", "s2")
+        assert ledger[0].new_label == 6
 
     def test_only_labels_and_states_change(self):
         ds, noisy_ids, clean_ids = self.surrounded_dataset()

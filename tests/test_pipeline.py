@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,7 +228,6 @@ class TestConfigParsing:
         assert not config.enable_neg
         assert config.miner.lam == 0.5 and config.miner.epochs == 3
         assert config.miner.seed == 7
-        assert config.density.seed == 7
         assert config.corrector.k == 5 and config.corrector.kernel_c == 2.0
 
     def test_disabled_threshold_sentinel(self):
@@ -246,6 +246,30 @@ class TestConfigParsing:
             config_from_dict({"negnsd": {}})
         with pytest.raises(DatasetError, match="unknown keys"):
             config_from_dict({"nsc": {"K": 3}})
+        with pytest.raises(DatasetError, match="unknown keys"):
+            config_from_dict({"pos_nsd": {"seed": 0}})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"nsc": {"k": "abc"}},
+            {"nsc": {"k": 2.5}},
+            {"io": "x"},
+            {"io": {"out_dir": None}},
+            {"neg_nsd": {"thresholds": [1, 2]}},
+            {"neg_nsd": {"thresholds": {"head": 0.9, "body": 0.9}}},
+            {"neg_nsd": {"epochs": True}},
+            {"pos_nsd": {"alpha": {"head": "disabled", "body": 1.0, "tail": 1.0}}},
+            {"synth": {"n_classes": "x"}},
+            {"synth": {"synonym_pairs": [[0, 1, 2]]}},
+            {"synth": {"coarse_of": {"a": 1}}},
+            {"stages": {"nsc": "off"}},
+            {"seed": "7"},
+        ],
+    )
+    def test_wrong_value_type_rejected(self, raw):
+        with pytest.raises(DatasetError):
+            config_from_dict(raw)
 
     def test_seed_override_wins(self):
         config = config_from_dict({"seed": 3}, seed_override=11)
@@ -255,7 +279,6 @@ class TestConfigParsing:
     def test_explicit_stage_seed_survives_override(self):
         config = config_from_dict({"seed": 3, "neg_nsd": {"seed": 5}}, seed_override=11)
         assert config.miner.seed == 5
-        assert config.density.seed == 11
 
     def test_file_roundtrip(self, tmp_path):
         raw = {
@@ -273,6 +296,12 @@ class TestConfigParsing:
         echoed = config_to_dict(config)
         reparsed = config_from_dict(echoed)
         assert reparsed == config
+
+    def test_readme_lists_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == config_to_dict(PipelineConfig(synth=SynthConfig()))
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -24,6 +24,7 @@ from tripletclean.core import (
     TripletRecord,
     atomic_write_text,
 )
+from tripletclean.density import distance_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -35,8 +36,9 @@ class CorrectionConfig:
     """Neighbor count and Gaussian kernel for the voting stage.
 
     ``kernel_c`` may be left as None to use the median pairwise distance
-    within each query's candidate pool (floored at 1e-6), which keeps the
-    kernel scaled to the data.
+    within the clean pool of the record's subject-object pair, computed
+    once per pair (floored at 1e-6), which keeps the kernel scaled to the
+    data.
     """
 
     k: int = 3
@@ -82,43 +84,60 @@ def _kernel_scale(pool_features: np.ndarray, config: CorrectionConfig) -> float:
     m = pool_features.shape[0]
     if m < 2:
         return KERNEL_SCALE_FLOOR
-    diff = pool_features[:, None, :] - pool_features[None, :, :]
-    dmat = np.sum(diff * diff, axis=-1)
-    pairwise = dmat[np.triu_indices(m, k=1)]
+    pairwise = distance_matrix(pool_features)[np.triu_indices(m, k=1)]
     return max(float(np.median(pairwise)), KERNEL_SCALE_FLOOR)
+
+
+@dataclass(frozen=True, eq=False)
+class Pool:
+    """Clean records of one subject-object pair, stacked once for all votes."""
+
+    records: tuple[TripletRecord, ...]
+    features: np.ndarray
+    scale: float
+
+    @classmethod
+    def build(cls, records: Sequence[TripletRecord], config: CorrectionConfig) -> Pool:
+        feats = np.stack([r.feature for r in records])
+        return cls(tuple(records), feats, _kernel_scale(feats, config))
+
+    def __len__(self) -> int:
+        return len(self.records)
 
 
 def knn_vote(
     query_feature: np.ndarray,
-    pool: Sequence[TripletRecord],
+    pool: Pool | Sequence[TripletRecord],
     config: CorrectionConfig,
 ) -> VoteResult:
     """Weighted vote of the nearest pool members; None if the pool is short.
 
-    Ties between classes are resolved toward the class whose voting
-    neighbors lie closer in total, then toward the lower predicate index.
+    A plain record list is stacked into a :class:`Pool` first.  Ties
+    between classes are resolved toward the class whose voting neighbors
+    lie closer in total, then toward the lower predicate index.
     """
     if len(pool) < config.min_neighbors:
         return VoteResult(label=None)
-    feats = np.stack([r.feature for r in pool])
-    diff = feats - np.asarray(query_feature, dtype=np.float64)[None, :]
+    if not isinstance(pool, Pool):
+        pool = Pool.build(pool, config)
+    diff = pool.features - np.asarray(query_feature, dtype=np.float64)[None, :]
     dists = np.sum(diff * diff, axis=1)
     order = np.argsort(dists, kind="stable")[: config.k]
 
-    c = _kernel_scale(feats, config)
+    c = pool.scale
     d = dists[order]
     weights = config.kernel_a * np.exp(-((d - config.kernel_b) ** 2) / (2.0 * c * c))
 
     score: dict[int, float] = {}
     total_dist: dict[int, float] = {}
     for idx, w, dist in zip(order, weights, d):
-        label = pool[idx].label
+        label = pool.records[idx].label
         score[label] = score.get(label, 0.0) + float(w)
         total_dist[label] = total_dist.get(label, 0.0) + float(dist)
     winner = min(score, key=lambda v: (-score[v], total_dist[v], v))
     return VoteResult(
         label=winner,
-        neighbor_ids=tuple(pool[i].id for i in order),
+        neighbor_ids=tuple(pool.records[i].id for i in order),
         weights=tuple(float(w) for w in weights),
         distances=tuple(float(x) for x in d),
     )
@@ -152,9 +171,14 @@ def correct(
         if rec.label is None:
             raise DatasetError(f"clean record {rec.id!r} has no label")
 
-    pools: dict[tuple[int, int], list[TripletRecord]] = {}
+    members: dict[tuple[int, int], list[TripletRecord]] = {}
     for rec in clean_records:
-        pools.setdefault(rec.pair, []).append(rec)
+        members.setdefault(rec.pair, []).append(rec)
+    # A flagged id is never clean, so every query of a pair sees one pool.
+    pools = {
+        pair: Pool.build(members[pair], config)
+        for pair in {by_id[rid].pair for rid in noisy_set} & members.keys()
+    }
 
     updates: dict[str, TripletRecord] = {}
     ledger: list[CorrectionRecord] = []
@@ -162,7 +186,7 @@ def correct(
         rec = by_id[rid]
         if rec.label is None:
             raise DatasetError(f"flagged record {rid!r} has no label")
-        vote = knn_vote(rec.feature, pools.get(rec.pair, []), config)
+        vote = knn_vote(rec.feature, pools.get(rec.pair, ()), config)
         if vote.label is None or vote.label == rec.label:
             updates[rid] = replace(rec, label_state=LabelState.CLEAN_KEPT)
             new_label, changed = rec.label, False

@@ -31,6 +31,9 @@ logger = logging.getLogger(__name__)
 
 KMEANS_MAX_ITER = 200
 
+# Element budget of distance_matrix's per-block difference temporary (8 MB).
+BLOCK_ELEMENTS = 1 << 20
+
 DEFAULT_ALPHA = {Part.HEAD: 12.5, Part.BODY: 25.0, Part.TAIL: 50.0}
 
 
@@ -62,14 +65,26 @@ class DensityConfig:
 
 
 def distance_matrix(features: np.ndarray) -> np.ndarray:
-    """All-pairs squared Euclidean distances, N x N with zero diagonal."""
+    """All-pairs squared Euclidean distances, N x N with zero diagonal.
+
+    Rows are filled one block at a time, so beyond the N x N float64
+    output the only temporary holds at most ``max(BLOCK_ELEMENTS, N * d)``
+    float64 values (one row of differences when a single row exceeds the
+    budget).
+    """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise DatasetError(f"expected a 2-D feature array, got shape {feats.shape}")
-    # Squared differences are reduced with np.sum's pairwise order so the
-    # result is bit-identical to summing each pair's 1-D slice directly.
-    diff = feats[:, None, :] - feats[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    n, d = feats.shape
+    out = np.empty((n, n), dtype=np.float64)
+    rows = max(1, BLOCK_ELEMENTS // max(1, n * d))
+    for lo in range(0, n, rows):
+        # Squared differences are reduced with np.sum's pairwise order so the
+        # result is bit-identical to summing each pair's 1-D slice directly.
+        diff = feats[lo : lo + rows, None, :] - feats[None, :, :]
+        diff *= diff
+        out[lo : lo + rows] = np.sum(diff, axis=-1)
+    return out
 
 
 def cutoff_distance(matrix: np.ndarray, alpha: float, include_diagonal: bool = True) -> float:

@@ -393,26 +393,33 @@ def save_model(model: ConfidenceModel, path: str) -> None:
 
 def load_model(path: str) -> ConfidenceModel:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: malformed model file ({exc.msg})") from None
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DatasetError(f"{path}: not a confidence model file")
     if payload.get("version") != MODEL_VERSION:
         raise DatasetError(f"{path}: unsupported model version {payload.get('version')}")
+    missing = [key for key in ("dims", "params", "lambda", "class_weights") if key not in payload]
+    if missing:
+        raise DatasetError(f"{path}: model file lacks {missing}")
     params = payload["params"]
     dims = payload["dims"]
-    model = ConfidenceModel(
-        W1=np.asarray(params["W1"], dtype=np.float64),
-        b1=np.asarray(params["b1"], dtype=np.float64),
-        W2=np.asarray(params["W2"], dtype=np.float64),
-        b2=np.asarray(params["b2"], dtype=np.float64),
-        w3=np.asarray(params["w3"], dtype=np.float64),
-        b3=float(params["b3"]),
-        class_weights=np.asarray(payload["class_weights"], dtype=np.float64),
-        lam=float(payload["lambda"]),
-    )
-    if model.W1.shape != (dims["input"], dims["hidden"]) or model.W2.shape != (
-        dims["hidden"],
-        dims["classes"],
-    ):
+    try:
+        model = ConfidenceModel(
+            W1=np.asarray(params["W1"], dtype=np.float64),
+            b1=np.asarray(params["b1"], dtype=np.float64),
+            W2=np.asarray(params["W2"], dtype=np.float64),
+            b2=np.asarray(params["b2"], dtype=np.float64),
+            w3=np.asarray(params["w3"], dtype=np.float64),
+            b3=float(params["b3"]),
+            class_weights=np.asarray(payload["class_weights"], dtype=np.float64),
+            lam=float(payload["lambda"]),
+        )
+        expected = ((dims["input"], dims["hidden"]), (dims["hidden"], dims["classes"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: malformed model parameters ({exc!r})") from None
+    if (model.W1.shape, model.W2.shape) != expected:
         raise DatasetError(f"{path}: dimensions header does not match parameters")
     return model

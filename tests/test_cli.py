@@ -256,6 +256,19 @@ class TestArgumentHandling:
         assert run_cli("run", "--config", str(config)) == 1
         assert "error: nsc.k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text", ["not json {", '{"format": "confidence-model", "version": 1}']
+    )
+    def test_bad_model_file_exits_1(self, workspace, capsys, text):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        model = tmp_path / "bad.json"
+        model.write_text(text)
+        argv = ("detect-neg", "--config", config, "--model", str(model), "--out", str(tmp_path))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err
+
     def test_missing_input_data_exits_1(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"io": {"out_dir": str(tmp_path)}}))

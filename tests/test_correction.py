@@ -11,8 +11,11 @@ from tripletclean.core import (
     TripletRecord,
     partition_predicates,
 )
+from tripletclean import correction
 from tripletclean.correction import (
+    KERNEL_SCALE_FLOOR,
     CorrectionConfig,
+    Pool,
     correct,
     knn_vote,
     ledger_to_text,
@@ -29,6 +32,39 @@ def rec(rid, label, feature, pair=(3, 4), state=LabelState.ANNOTATED):
         label=label,
         label_state=state,
     )
+
+
+def oracle_ledger(noisy_ids, dataset, clean_ids, config):
+    """(id, old, new, neighbor ids, weights) per flagged id, by explicit loops."""
+    by_id = dataset.by_id()
+    clean = set(clean_ids)
+    rows = []
+    for rid in sorted(noisy_ids):
+        query = by_id[rid]
+        pool = [r for r in dataset.records if r.id in clean and r.pair == query.pair]
+        if len(pool) < config.min_neighbors:
+            rows.append((rid, query.label, query.label, (), ()))
+            continue
+        feats = np.stack([r.feature for r in pool])
+        upper = [
+            np.sum((feats[i] - feats[j]) ** 2)
+            for i in range(len(pool))
+            for j in range(i + 1, len(pool))
+        ]
+        c = max(float(np.median(upper)), KERNEL_SCALE_FLOOR) if upper else KERNEL_SCALE_FLOOR
+        dists = np.array([np.sum((f - query.feature) ** 2) for f in feats])
+        order = np.argsort(dists, kind="stable")[: config.k]
+        d = dists[order]
+        weights = config.kernel_a * np.exp(-((d - config.kernel_b) ** 2) / (2.0 * c * c))
+        score, total = {}, {}
+        for i, w, dist in zip(order, weights, d):
+            label = pool[i].label
+            score[label] = score.get(label, 0.0) + float(w)
+            total[label] = total.get(label, 0.0) + float(dist)
+        winner = min(score, key=lambda v: (-score[v], total[v], v))
+        ids = tuple(pool[i].id for i in order)
+        rows.append((rid, query.label, winner, ids, tuple(float(w) for w in weights)))
+    return rows
 
 
 def build_dataset(records, n_classes=10):
@@ -236,6 +272,70 @@ class TestCorrect:
             ["zz", "aa", "mm"], ds, [c.id for c in cleans], CorrectionConfig()
         )
         assert [e.id for e in ledger] == ["aa", "mm", "zz"]
+
+
+class TestPoolReuse:
+    def seeded_set(self):
+        """Four pairs of clean and flagged records, plus a pair with no clean pool."""
+        rng = np.random.default_rng(21)
+        records, noisy_ids, clean_ids = [], [], []
+        for p, pair in enumerate([(0, 1), (1, 0), (2, 5), (4, 4)]):
+            for i in range(12 + 3 * p):
+                r = rec(f"c{p}_{i:02d}", int(rng.integers(5)), rng.normal(size=4), pair=pair)
+                records.append(r)
+                clean_ids.append(r.id)
+            for i in range(4):
+                r = rec(f"n{p}_{i}", int(rng.integers(5)), rng.normal(size=4), pair=pair)
+                records.append(r)
+                noisy_ids.append(r.id)
+        records.append(rec("n_lone", 2, rng.normal(size=4), pair=(9, 9)))
+        noisy_ids.append("n_lone")
+        return build_dataset(records), noisy_ids, clean_ids
+
+    def test_ledger_matches_loop_oracle(self):
+        ds, noisy_ids, clean_ids = self.seeded_set()
+        config = CorrectionConfig(k=4)
+        _, ledger = correct(noisy_ids, ds, clean_ids, config)
+        got = [(e.id, e.old_label, e.new_label, e.neighbor_ids, e.weights) for e in ledger]
+        assert got == oracle_ledger(noisy_ids, ds, clean_ids, config)
+        assert any(e.changed for e in ledger)
+
+    def test_scale_once_per_pair_and_one_vote_per_record(self, monkeypatch):
+        ds, noisy_ids, clean_ids = self.seeded_set()
+        scales, votes = [], []
+        kernel_scale, vote = correction._kernel_scale, correction.knn_vote
+        monkeypatch.setattr(
+            correction, "_kernel_scale", lambda f, c: scales.append(len(f)) or kernel_scale(f, c)
+        )
+        monkeypatch.setattr(
+            correction, "knn_vote", lambda q, p, c: votes.append(p) or vote(q, p, c)
+        )
+        correct(noisy_ids, ds, clean_ids, CorrectionConfig())
+        assert sorted(scales) == [12, 15, 18, 21]
+        assert len(votes) == len(noisy_ids)
+        assert sum(isinstance(p, Pool) for p in votes) == len(noisy_ids) - 1  # n_lone
+        assert len(votes[-1]) == 0
+
+    def test_one_member_pool_uses_the_floor(self):
+        cleans = [rec("c0", 6, [1.0, 0.0], pair=(1, 2))]
+        flagged = rec("q", 3, [1.0, 1e-7], pair=(1, 2))
+        ds = build_dataset(cleans + [flagged])
+        assert Pool.build(cleans, CorrectionConfig()).scale == KERNEL_SCALE_FLOOR
+        _, ledger = correct(["q"], ds, ["c0"], CorrectionConfig())
+        assert ledger[0].neighbor_ids == ("c0",)
+        assert ledger[0].new_label == 6
+        assert all(np.isfinite(w) and w > 0 for w in ledger[0].weights)
+
+    def test_identical_feature_pool_uses_the_floor(self):
+        labels = [2, 6, 6, 2, 6]
+        cleans = [rec(f"c{i}", lab, [0.5, 0.5], pair=(1, 2)) for i, lab in enumerate(labels)]
+        flagged = rec("q", 3, [0.5, 0.5], pair=(1, 2))
+        ds = build_dataset(cleans + [flagged])
+        assert Pool.build(cleans, CorrectionConfig()).scale == KERNEL_SCALE_FLOOR
+        _, ledger = correct(["q"], ds, [c.id for c in cleans], CorrectionConfig(k=3))
+        assert ledger[0].neighbor_ids == ("c0", "c1", "c2")
+        assert ledger[0].weights == (1.0, 1.0, 1.0)
+        assert ledger[0].new_label == 6
 
 
 class TestLedgerExport:

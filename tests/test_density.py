@@ -1,9 +1,12 @@
 """Tests for the local-density stage, checked against brute-force oracles."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from tripletclean import density
 
 from tripletclean.core import (
     DatasetError,
@@ -107,6 +110,27 @@ class TestDistanceMatrix:
     def test_bad_shape_rejected(self):
         with pytest.raises(DatasetError):
             distance_matrix(np.zeros(5))
+
+    @pytest.mark.parametrize("budget", [1, 2 * 17 * 6, 5 * 17 * 6 + 1])
+    def test_row_blocks_match_loop_oracle_exactly(self, monkeypatch, budget):
+        # one-row blocks, then blocks of 2 and 5 rows leaving a short last block
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", budget)
+        feats = np.random.default_rng(13).normal(size=(17, 6))
+        np.testing.assert_array_equal(distance_matrix(feats), oracle_distance_matrix(feats))
+
+    def test_peak_memory_is_bounded_by_the_output(self):
+        # a whole N x N x d broadcast would need about 2 GB here
+        n, d = 2000, 32
+        feats = np.random.default_rng(14).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mat = distance_matrix(feats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mat.shape == (n, n)
+        assert peak < 3 * mat.nbytes
 
 
 class TestCutoffDistance:

@@ -373,6 +373,59 @@ class TestPersistence:
         with pytest.raises(DatasetError, match="version"):
             load_model(str(path))
 
+    def test_non_json_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("not json {")
+        with pytest.raises(DatasetError, match="bad.json: malformed model file"):
+            load_model(str(path))
+
+    def test_non_object_payload_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DatasetError, match="not a confidence model"):
+            load_model(str(path))
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": "confidence-model", "version": 1}')
+        with pytest.raises(DatasetError, match="bad.json: model file lacks"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key", ["dims", "params", "lambda", "class_weights"])
+    def test_missing_section_rejected(self, tmp_path, key):
+        import json
+
+        model = initialize_model(2, 2, 2, np.ones(2), 0.1, np.random.default_rng(16))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetError, match=f"model.json: model file lacks \\['{key}'\\]"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p["params"].pop("W1"),
+            lambda p: p["dims"].pop("hidden"),
+            lambda p: p.update(dims=[2, 2, 2]),
+            lambda p: p.update({"lambda": "high"}),
+        ],
+        ids=["no-W1", "no-hidden", "dims-list", "lambda-string"],
+    )
+    def test_malformed_parameters_rejected(self, tmp_path, edit):
+        import json
+
+        model = initialize_model(2, 2, 2, np.ones(2), 0.1, np.random.default_rng(17))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetError, match="model.json: malformed model parameters"):
+            load_model(str(path))
+
 
 class TestConfigValidation:
     def test_threshold_range(self):

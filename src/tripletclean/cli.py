@@ -19,8 +19,8 @@ from tripletclean.core import (
     save_dataset,
     save_vocab,
 )
-from tripletclean.correction import correct, save_ledger
-from tripletclean.density import detect_noisy_positives, save_density_report
+from tripletclean.correction import correct, load_ledger, save_ledger
+from tripletclean.density import detect_noisy_positives, load_flagged, save_density_report
 from tripletclean.negatives import (
     TrainingError,
     detect_noisy_negatives,
@@ -42,8 +42,6 @@ from tripletclean.pipeline import (
     PipelineError,
     config_from_dict,
     load_config,
-    load_flagged,
-    load_ledger,
     load_mined,
     export_embeddings,
     mined_to_text,

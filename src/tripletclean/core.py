@@ -13,16 +13,24 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 DEFAULT_HEAD_MIN = 10_000
 DEFAULT_TAIL_MAX = 500
 
-DATASET_FIELDS = ("id", "image_id", "subject_class", "object_class", "predicate", "feature")
+# key -> the JSON types its value may take on one dataset line
+DATASET_FIELDS = {
+    "id": (str, int),
+    "image_id": (str, int),
+    "subject_class": int,
+    "object_class": int,
+    "predicate": (str, type(None)),
+    "feature": list,
+}
 
 
 class DatasetError(Exception):
@@ -112,8 +120,7 @@ class TripletRecord:
 
     ``label`` is a predicate index and is present exactly when the record is
     not a negative.  ``confidence`` holds the foreground score assigned when
-    a negative is promoted; ``density`` the local-density count from the
-    positive-noise stage.
+    a negative is promoted.
     """
 
     id: str
@@ -124,7 +131,6 @@ class TripletRecord:
     label: int | None
     label_state: LabelState
     confidence: float | None = None
-    density: int | None = None
 
     def __post_init__(self):
         if (self.label is None) != (self.label_state is LabelState.NEGATIVE):
@@ -214,7 +220,7 @@ def compose_positive_set(
 
 
 # ---------------------------------------------------------------------------
-# Line-delimited persistence
+# JSON and line-delimited persistence
 # ---------------------------------------------------------------------------
 
 
@@ -233,13 +239,75 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def load_vocab(path: str) -> tuple[str, ...]:
-    """Read a vocabulary sidecar: ``{"predicates": [name, ...]}``."""
+def jsonl_text(rows: Iterable[dict]) -> str:
+    """One compact JSON object per line; empty text for no rows."""
+    lines = [json.dumps(row) for row in rows]
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+# JSON names of the Python types that json.loads produces
+JSON_TYPE_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+    list: "a list", dict: "an object", type(None): "null",
+}
+
+
+def read_jsonl(
+    path: str, required: Mapping[str, type | tuple[type, ...]]
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(physical line number, object)`` for each non-blank line.
+
+    ``required`` maps each key a line must hold to the exact types its
+    decoded value may have (so a boolean never passes as an integer).  A
+    line that is not a JSON object, or breaks ``required``, raises
+    DatasetError naming the path and the line.
+    """
+    kinds = {key: k if isinstance(k, tuple) else (k,) for key, k in required.items()}
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: malformed vocabulary ({exc.msg})") from None
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    problem = f"malformed JSON ({exc.msg})"
+                else:
+                    problem = _row_problem(obj, kinds)
+                if problem:
+                    raise DatasetError(f"{path}: line {lineno}: {problem}")
+                yield lineno, obj
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _row_problem(obj: Any, kinds: Mapping[str, tuple[type, ...]]) -> str | None:
+    """What is wrong with one decoded line, or None."""
+    if not isinstance(obj, dict):
+        return "expected an object"
+    missing = [key for key in kinds if key not in obj]
+    if missing:
+        return f"missing fields {missing}"
+    for key, accepted in kinds.items():
+        if type(obj[key]) not in accepted:
+            names = " or ".join(JSON_TYPE_NAMES[k] for k in accepted)
+            return f"{key} must be {names}, got {obj[key]!r}"
+    return None
+
+
+def read_json(path: str, what: str) -> Any:
+    """Decode one JSON document; the caller checks its shape."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise DatasetError(f"{path}: malformed {what} ({exc})") from None
+
+
+def load_vocab(path: str) -> tuple[str, ...]:
+    """Read a vocabulary sidecar: ``{"predicates": [name, ...]}``."""
+    data = read_json(path, "vocabulary")
     names = data.get("predicates") if isinstance(data, dict) else None
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise DatasetError(f"{path}: expected a 'predicates' list of strings")
@@ -258,30 +326,8 @@ def record_to_dict(record: TripletRecord, vocab: PredicateVocab) -> dict:
         "subject_class": record.subject_class,
         "object_class": record.object_class,
         "predicate": None if record.label is None else vocab.names[record.label],
-        "feature": [float(x) for x in record.feature],
+        "feature": record.feature.tolist(),
     }
-
-
-def _parse_line(line: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"line {lineno}: malformed record ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise DatasetError(f"line {lineno}: expected an object")
-    missing = [f for f in DATASET_FIELDS if f not in obj]
-    if missing:
-        raise DatasetError(f"line {lineno}: missing fields {missing}")
-    if not isinstance(obj["feature"], list) or not all(
-        isinstance(x, (int, float)) and math.isfinite(x) for x in obj["feature"]
-    ):
-        raise DatasetError(f"line {lineno}: feature must be a list of finite numbers")
-    if obj["predicate"] is not None and not isinstance(obj["predicate"], str):
-        raise DatasetError(f"line {lineno}: predicate must be a string or null")
-    for key in ("subject_class", "object_class"):
-        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
-            raise DatasetError(f"line {lineno}: {key} must be an integer")
-    return obj
 
 
 def load_dataset(
@@ -298,53 +344,50 @@ def load_dataset(
     vocabulary is inferred in first-appearance order of predicate names.
     Vocabulary counts are taken over annotated records only.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-    if not lines:
-        raise DatasetError("empty dataset")
-
     explicit_names = load_vocab(vocab_path) if vocab_path is not None else None
     names: list[str] = list(explicit_names) if explicit_names is not None else []
     name_to_idx = {n: i for i, n in enumerate(names)}
+    counts = [0] * len(names)
 
-    rows = []
+    records = []
     feature_dim: int | None = None
-    for lineno, line in enumerate(lines, start=1):
-        obj = _parse_line(line, lineno)
+    for lineno, obj in read_jsonl(path, DATASET_FIELDS):
+        where = f"{path}: line {lineno}"
+        if not all(
+            isinstance(x, (int, float)) and math.isfinite(x) for x in obj["feature"]
+        ):
+            raise DatasetError(f"{where}: feature must be a list of finite numbers")
         if feature_dim is None:
             feature_dim = len(obj["feature"])
         elif len(obj["feature"]) != feature_dim:
             raise DatasetError(
-                f"line {lineno}: feature dimension {len(obj['feature'])} != {feature_dim}"
+                f"{where}: feature dimension {len(obj['feature'])} != {feature_dim}"
             )
-        pred = obj["predicate"]
-        if pred is not None and pred not in name_to_idx:
-            if explicit_names is not None:
-                raise DatasetError(f"line {lineno}: unknown predicate name {pred!r}")
-            name_to_idx[pred] = len(names)
-            names.append(pred)
-        rows.append(obj)
-
-    counts = [0] * len(names)
-    records = []
-    for obj in rows:
         pred = obj["predicate"]
         if pred is None:
             label, state = None, LabelState.NEGATIVE
         else:
+            if pred not in name_to_idx:
+                if explicit_names is not None:
+                    raise DatasetError(f"{where}: unknown predicate name {pred!r}")
+                name_to_idx[pred] = len(names)
+                names.append(pred)
+                counts.append(0)
             label, state = name_to_idx[pred], LabelState.ANNOTATED
             counts[label] += 1
         records.append(
             TripletRecord(
                 id=str(obj["id"]),
                 image_id=str(obj["image_id"]),
-                subject_class=int(obj["subject_class"]),
-                object_class=int(obj["object_class"]),
+                subject_class=obj["subject_class"],
+                object_class=obj["object_class"],
                 feature=np.asarray(obj["feature"], dtype=np.float64),
                 label=label,
                 label_state=state,
             )
         )
+    if not records:
+        raise DatasetError(f"{path}: empty dataset")
 
     vocab = PredicateVocab(tuple(names), tuple(counts))
     partition = partition_predicates(vocab, head_min, tail_max)
@@ -353,8 +396,7 @@ def load_dataset(
 
 def dataset_to_text(dataset: Dataset) -> str:
     """Canonical line-delimited form: one compact record object per line."""
-    lines = [json.dumps(record_to_dict(r, dataset.vocab)) for r in dataset.records]
-    return "\n".join(lines) + "\n"
+    return jsonl_text(record_to_dict(r, dataset.vocab) for r in dataset.records)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:

@@ -10,9 +10,8 @@ applied, so corrections never feed each other within a pass.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +22,8 @@ from tripletclean.core import (
     LabelState,
     TripletRecord,
     atomic_write_text,
+    jsonl_text,
+    read_jsonl,
 )
 from tripletclean.density import distance_matrix
 
@@ -211,21 +212,33 @@ def correct(
 
 
 def ledger_to_text(ledger: Sequence[CorrectionRecord]) -> str:
-    lines = [
-        json.dumps(
-            {
-                "id": entry.id,
-                "old_label": entry.old_label,
-                "new_label": entry.new_label,
-                "changed": entry.changed,
-                "neighbor_ids": list(entry.neighbor_ids),
-                "weights": list(entry.weights),
-            }
-        )
-        for entry in ledger
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
+    """One ledger entry per line, keys in field order."""
+    return jsonl_text(map(asdict, ledger))
 
 
 def save_ledger(ledger: Sequence[CorrectionRecord], path: str) -> None:
     atomic_write_text(path, ledger_to_text(ledger))
+
+
+# ledger key -> the type its decoded value must have
+LEDGER_FIELDS = {
+    "id": str,
+    "old_label": int,
+    "new_label": int,
+    "changed": bool,
+    "neighbor_ids": list,
+    "weights": list,
+}
+
+
+def load_ledger(path: str) -> tuple[CorrectionRecord, ...]:
+    """Read a ledger file back; its lists become tuples."""
+    return tuple(
+        CorrectionRecord(
+            **{
+                key: tuple(row[key]) if kind is list else row[key]
+                for key, kind in LEDGER_FIELDS.items()
+            }
+        )
+        for _, row in read_jsonl(path, LEDGER_FIELDS)
+    )

@@ -10,7 +10,6 @@ density is flagged as noisy.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -25,6 +24,8 @@ from tripletclean.core import (
     Part,
     TripletRecord,
     atomic_write_text,
+    jsonl_text,
+    read_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -257,23 +258,25 @@ def detect_noisy_positives(
 def density_report_to_text(report: DensityReport) -> str:
     """Line-delimited audit rows: one sample per line, grouped by class."""
     flagged = report.flagged_set()
-    lines = []
-    for cls in report.classes:
-        for rid, rho, subset in zip(cls.ids, cls.rho, cls.subset):
-            lines.append(
-                json.dumps(
-                    {
-                        "id": rid,
-                        "class": cls.class_index,
-                        "rho": rho,
-                        "d_c": cls.d_c,
-                        "subset": subset,
-                        "flagged": rid in flagged,
-                    }
-                )
-            )
-    return "\n".join(lines) + "\n" if lines else ""
+    return jsonl_text(
+        {
+            "id": rid,
+            "class": cls.class_index,
+            "rho": rho,
+            "d_c": cls.d_c,
+            "subset": subset,
+            "flagged": rid in flagged,
+        }
+        for cls in report.classes
+        for rid, rho, subset in zip(cls.ids, cls.rho, cls.subset)
+    )
 
 
 def save_density_report(report: DensityReport, path: str) -> None:
     atomic_write_text(path, density_report_to_text(report))
+
+
+def load_flagged(path: str) -> frozenset[str]:
+    """Ids that a density report file marks as flagged."""
+    rows = read_jsonl(path, {"id": str, "flagged": bool})
+    return frozenset(row["id"] for _, row in rows if row["flagged"])

@@ -28,6 +28,7 @@ from tripletclean.core import (
     Part,
     TripletRecord,
     atomic_write_text,
+    read_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -392,11 +393,7 @@ def save_model(model: ConfidenceModel, path: str) -> None:
 
 
 def load_model(path: str) -> ConfidenceModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: malformed model file ({exc.msg})") from None
+    payload = read_json(path, "model file")
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DatasetError(f"{path}: not a confidence model file")
     if payload.get("version") != MODEL_VERSION:

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from types import UnionType
 from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
@@ -29,7 +30,10 @@ from tripletclean.core import (
     atomic_write_text,
     compose_positive_set,
     dataset_to_text,
+    jsonl_text,
     load_dataset,
+    read_json,
+    read_jsonl,
     record_to_dict,
     save_vocab,
 )
@@ -38,12 +42,14 @@ from tripletclean.correction import (
     CorrectionRecord,
     correct,
     ledger_to_text,
+    load_ledger,  # noqa: F401  re-exported beside load_mined for eval
 )
 from tripletclean.density import (
     DensityConfig,
     DensityReport,
     density_report_to_text,
     detect_noisy_positives,
+    load_flagged,  # noqa: F401  re-exported beside load_mined for eval
 )
 from tripletclean.negatives import (
     ConfidenceModel,
@@ -212,11 +218,7 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> PipelineCon
 
 
 def load_config(path: str, seed_override: int | None = None) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: malformed config ({exc.msg})") from None
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise DatasetError(f"{path}: config must be an object")
     return config_from_dict(raw, seed_override)
@@ -301,6 +303,17 @@ class RunResult:
     timings: dict[str, float]
 
 
+@contextmanager
+def _stage(name: str, timings: dict[str, float]):
+    """Time one stage into ``timings``; any failure becomes a PipelineError."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(f"{name}: {exc}") from exc
+    timings[name] = time.perf_counter() - t0
+
+
 def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
     """Execute the enabled stages on the input and report set sizes.
 
@@ -325,15 +338,11 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
     model: ConfidenceModel | None = None
     mined: tuple[TripletRecord, ...] = ()
     if config.enable_neg and negatives:
-        t0 = time.perf_counter()
-        try:
+        with _stage("neg_nsd", timings):
             model = train(positives, len(dataset.vocab), config.miner)
             mined, _ = detect_noisy_negatives(
                 model, negatives, config.miner, dataset.partition
             )
-        except Exception as exc:
-            raise PipelineError(f"neg_nsd: {exc}") from exc
-        timings["neg_nsd"] = time.perf_counter() - t0
 
     working = dataset.with_records({r.id: r for r in mined})
     try:
@@ -342,12 +351,8 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
         raise PipelineError(f"compose: {exc}") from exc
 
     if config.enable_pos:
-        t0 = time.perf_counter()
-        try:
+        with _stage("pos_nsd", timings):
             density = detect_noisy_positives(composed, config.density, working.partition)
-        except Exception as exc:
-            raise PipelineError(f"pos_nsd: {exc}") from exc
-        timings["pos_nsd"] = time.perf_counter() - t0
     else:
         density = DensityReport(
             classes=(), noisy_ids=(), clean_ids=tuple(r.id for r in composed)
@@ -355,14 +360,10 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
 
     ledger: tuple[CorrectionRecord, ...] = ()
     if config.enable_nsc:
-        t0 = time.perf_counter()
-        try:
+        with _stage("nsc", timings):
             working, ledger = correct(
                 density.noisy_ids, working, density.clean_ids, config.corrector
             )
-        except Exception as exc:
-            raise PipelineError(f"nsc: {exc}") from exc
-        timings["nsc"] = time.perf_counter() - t0
     elif density.noisy_ids:
         by_id = working.by_id()
         working = working.with_records(
@@ -413,13 +414,16 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
 def mined_to_text(mined: dict[str, str], records: Mapping[str, TripletRecord]) -> str:
     """Promoted negatives in id order: pseudo label name and the confidence
     each carries in ``records``."""
-    lines = [
-        json.dumps(
-            {"id": rid, "predicate": mined[rid], "confidence": records[rid].confidence}
-        )
+    return jsonl_text(
+        {"id": rid, "predicate": mined[rid], "confidence": records[rid].confidence}
         for rid in sorted(mined)
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
+    )
+
+
+def load_mined(path: str) -> dict[str, str]:
+    """Promoted negative id -> pseudo label name, from a mined file."""
+    rows = read_jsonl(path, {"id": str, "predicate": str})
+    return {row["id"]: row["predicate"] for _, row in rows}
 
 
 def write_outputs(result: RunResult, out_dir: str) -> None:
@@ -441,62 +445,8 @@ def write_outputs(result: RunResult, out_dir: str) -> None:
 
 def export_embeddings(dataset: Dataset) -> str:
     """Features plus final labels for external projection tooling."""
-    lines = []
-    for rec in dataset.records:
-        row = record_to_dict(rec, dataset.vocab)
-        lines.append(
-            json.dumps(
-                {"id": row["id"], "label": row["predicate"], "feature": row["feature"]}
-            )
-        )
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-# ---------------------------------------------------------------------------
-# Reading run artifacts back (eval support)
-# ---------------------------------------------------------------------------
-
-
-def load_mined(path: str) -> dict[str, str]:
-    mined: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                row = json.loads(line)
-                mined[row["id"]] = row["predicate"]
-    return mined
-
-
-def load_flagged(path: str) -> frozenset[str]:
-    flagged = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row["flagged"]:
-                flagged.add(row["id"])
-    return frozenset(flagged)
-
-
-def load_ledger(path: str) -> tuple[CorrectionRecord, ...]:
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            entries.append(
-                CorrectionRecord(
-                    id=row["id"],
-                    old_label=int(row["old_label"]),
-                    new_label=int(row["new_label"]),
-                    changed=bool(row["changed"]),
-                    neighbor_ids=tuple(row["neighbor_ids"]),
-                    weights=tuple(float(w) for w in row["weights"]),
-                )
-            )
-    return tuple(entries)
+    rows = (record_to_dict(rec, dataset.vocab) for rec in dataset.records)
+    return jsonl_text(
+        {"id": row["id"], "label": row["predicate"], "feature": row["feature"]}
+        for row in rows
+    )

@@ -11,7 +11,6 @@ and correction quality can be scored exactly.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -26,7 +25,9 @@ from tripletclean.core import (
     PredicateVocab,
     TripletRecord,
     atomic_write_text,
+    jsonl_text,
     partition_predicates,
+    read_jsonl,
 )
 from tripletclean.correction import CorrectionRecord
 
@@ -120,10 +121,7 @@ class GroundTruth:
 
 def _synonym_components(config: SynthConfig) -> list[set[int]]:
     """Connected components of the synonym graph, ordered by smallest member."""
-    neighbors: dict[int, set[int]] = {}
-    for a, b in config.synonym_pairs:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
+    neighbors = _synonym_partner_map(config)
     seen: set[int] = set()
     components = []
     for k in sorted(neighbors):
@@ -395,18 +393,15 @@ def score(
 # ---------------------------------------------------------------------------
 
 
+# truth key -> the types its decoded value may have
+TRUTH_FIELDS = {"id": str, "true_predicate": (str, type(None)), "tag": str}
+
+
 def truth_to_text(truth: GroundTruth, order: Sequence[str]) -> str:
-    lines = [
-        json.dumps(
-            {
-                "id": rid,
-                "true_predicate": truth.true_predicate[rid],
-                "tag": truth.tag[rid].value,
-            }
-        )
+    return jsonl_text(
+        {"id": rid, "true_predicate": truth.true_predicate[rid], "tag": truth.tag[rid].value}
         for rid in order
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
+    )
 
 
 def save_truth(truth: GroundTruth, dataset: Dataset, path: str) -> None:
@@ -416,18 +411,12 @@ def save_truth(truth: GroundTruth, dataset: Dataset, path: str) -> None:
 def load_truth(path: str) -> GroundTruth:
     true_names: dict[str, str | None] = {}
     tags: dict[str, NoiseTag] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                rid = row["id"]
-                true_names[rid] = row["true_predicate"]
-                tags[rid] = NoiseTag(row["tag"])
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, row in read_jsonl(path, TRUTH_FIELDS):
+        try:
+            tags[row["id"]] = NoiseTag(row["tag"])
+        except ValueError:
+            raise DatasetError(f"{path}: line {lineno}: unknown tag {row['tag']!r}") from None
+        true_names[row["id"]] = row["true_predicate"]
     if not true_names:
         raise DatasetError(f"{path}: empty truth file")
     return GroundTruth(true_names, tags)

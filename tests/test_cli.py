@@ -269,6 +269,30 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(model) in err
 
+    def test_bad_density_report_exits_1(self, workspace, capsys):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        report = tmp_path / "bad.jsonl"
+        report.write_text("{not json\n")
+        argv = ("correct", "--config", config, "--density-report", str(report))
+        assert run_cli(*argv, "--out", str(tmp_path / "fixed")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{report}: line 1" in err
+
+    @pytest.mark.parametrize("artifact", ["mined.jsonl", "correction_ledger.jsonl", "truth"])
+    def test_corrupt_eval_input_exits_1(self, workspace, capsys, artifact):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        assert run_cli("run", "--config", config) == 0
+        truth = tmp_path / "synth" / "truth.jsonl"
+        corrupt = truth if artifact == "truth" else tmp_path / "out" / artifact
+        corrupt.write_text('{"id": "a"}\n' + corrupt.read_text())
+        capsys.readouterr()
+        argv = ("eval", "--config", config, "--run-dir", str(tmp_path / "out"))
+        assert run_cli(*argv, "--truth", str(truth)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{corrupt}: line 1: missing fields" in err
+
     def test_missing_input_data_exits_1(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"io": {"out_dir": str(tmp_path)}}))

@@ -136,9 +136,10 @@ class TestLoadDataset:
         path = tmp_path / "data.jsonl"
         write_lines(path, sample_rows())
         vocab_path = tmp_path / "vocab.json"
-        vocab_path.write_text('{"predicates": ["near", "on"')
-        with pytest.raises(DatasetError, match="malformed"):
-            load_dataset(str(path), vocab_path=str(vocab_path))
+        for content in (b'{"predicates": ["near", "on"', b'{"predicates": ["\xff"]}'):
+            vocab_path.write_bytes(content)
+            with pytest.raises(DatasetError, match="vocab.json: malformed vocabulary"):
+                load_dataset(str(path), vocab_path=str(vocab_path))
 
 
 class TestRoundtrip:

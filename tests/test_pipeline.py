@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from tripletclean.core import (
     PredicateVocab,
     TripletRecord,
     dataset_to_text,
+    load_dataset,
     partition_predicates,
 )
 from tripletclean.density import DensityConfig
@@ -32,7 +34,7 @@ from tripletclean.pipeline import (
     run,
     write_outputs,
 )
-from tripletclean.synthetic import SynthConfig, generate
+from tripletclean.synthetic import SynthConfig, generate, load_truth
 
 FAST_MINER = dict(hidden_size=16, epochs=15, learning_rate=0.5, batch_size=32)
 
@@ -204,6 +206,69 @@ class TestWriteOutputs:
         assert set(rows[0]) == {"id", "label", "feature"}
         negatives = [r for r in rows if r["label"] is None]
         assert len(negatives) == len(ds.negatives())
+
+
+# one well-formed line of each artifact a reader takes
+VALID_LINES = {
+    load_dataset: {
+        "id": "first",
+        "image_id": "i",
+        "subject_class": 0,
+        "object_class": 1,
+        "predicate": "on",
+        "feature": [0.5],
+    },
+    load_mined: {"id": "first", "predicate": "on", "confidence": 0.9},
+    load_flagged: {"id": "first", "class": 0, "rho": 1, "d_c": 0.5, "subset": 0, "flagged": True},
+    load_ledger: {
+        "id": "first",
+        "old_label": 0,
+        "new_label": 1,
+        "changed": True,
+        "neighbor_ids": ["b"],
+        "weights": [0.5],
+    },
+    load_truth: {"id": "first", "true_predicate": None, "tag": "missing"},
+}
+BAD_LINES = {
+    "not_json": lambda row: "{not json",
+    "not_an_object": lambda row: "[1, 2]",
+    "missing_keys": lambda row: '{"id": "a"}',
+    "wrong_type": lambda row: json.dumps({**row, "id": ["a"]}),
+}
+
+
+class TestArtifactReaders:
+    @pytest.mark.parametrize("reader", list(VALID_LINES), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", list(BAD_LINES))
+    def test_bad_line_names_path_and_physical_line(self, tmp_path, reader, bad):
+        row = VALID_LINES[reader]
+        path = tmp_path / "artifact.jsonl"
+        path.write_text(json.dumps(row) + "\n\n" + BAD_LINES[bad](row) + "\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: line 3: ")):
+            reader(str(path))
+
+    @pytest.mark.parametrize(
+        "reader, key", [(load_dataset, "subject_class"), (load_ledger, "old_label")]
+    )
+    def test_boolean_is_not_an_integer(self, tmp_path, reader, key):
+        path = tmp_path / "artifact.jsonl"
+        path.write_text(json.dumps({**VALID_LINES[reader], key: True}) + "\n")
+        with pytest.raises(DatasetError, match=f"line 1: {key} must be an integer, got True"):
+            reader(str(path))
+
+    @pytest.mark.parametrize("reader", list(VALID_LINES), ids=lambda f: f.__name__)
+    def test_valid_line_is_read(self, tmp_path, reader):
+        path = tmp_path / "artifact.jsonl"
+        path.write_text("\n" + json.dumps(VALID_LINES[reader]) + "\n")
+        assert reader(str(path))
+
+    @pytest.mark.parametrize("reader", list(VALID_LINES), ids=lambda f: f.__name__)
+    def test_non_utf8_file_rejected(self, tmp_path, reader):
+        path = tmp_path / "artifact.jsonl"
+        path.write_bytes(b'{"id": "\xff"}\n')
+        with pytest.raises(DatasetError, match="not UTF-8"):
+            reader(str(path))
 
 
 class TestConfigParsing:

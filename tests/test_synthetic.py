@@ -253,3 +253,9 @@ class TestTruthPersistence:
         path.write_text("")
         with pytest.raises(DatasetError, match="empty"):
             load_truth(str(path))
+
+    def test_unknown_tag_rejected(self, tmp_path):
+        path = tmp_path / "truth.jsonl"
+        path.write_text('{"id": "a", "true_predicate": null, "tag": "odd"}\n')
+        with pytest.raises(DatasetError, match="truth.jsonl: line 1: unknown tag 'odd'"):
+            load_truth(str(path))

@@ -1,19 +1,7 @@
 """Detection and correction of noisy predicate labels in triplet datasets."""
 
-from tripletclean.core import (
-    Dataset,
-    DatasetError,
-    FrequencyPartition,
-    LabelState,
-    Part,
-    PredicateVocab,
-    TripletRecord,
-    compose_positive_set,
-    load_dataset,
-    partition_predicates,
-    save_dataset,
-)
-from tripletclean.correction import CorrectionConfig, correct, knn_vote
+from tripletclean.core import Dataset, DatasetError, load_dataset, save_dataset
+from tripletclean.correction import CorrectionConfig, Pool, correct, knn_vote
 from tripletclean.density import (
     DensityConfig,
     cutoff_distance,
@@ -22,65 +10,39 @@ from tripletclean.density import (
     local_density,
 )
 from tripletclean.negatives import (
-    ConfidenceModel,
     MinerConfig,
     adjust_probs,
     detect_noisy_negatives,
-    forward,
-    initialize_model,
     loss_and_gradients,
-    loss_value,
-    one_hot,
     train,
 )
-from tripletclean.pipeline import (
-    CleaningReport,
-    PipelineConfig,
-    PipelineError,
-    RunResult,
-    run,
-    write_outputs,
-)
-from tripletclean.synthetic import GroundTruth, Metrics, SynthConfig, generate, score
+from tripletclean.pipeline import PipelineConfig, PipelineError, RunResult, run, write_outputs
+from tripletclean.synthetic import SynthConfig, generate, score
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CleaningReport",
-    "ConfidenceModel",
     "CorrectionConfig",
     "Dataset",
     "DatasetError",
     "DensityConfig",
-    "FrequencyPartition",
-    "GroundTruth",
-    "LabelState",
-    "Metrics",
     "MinerConfig",
-    "Part",
     "PipelineConfig",
     "PipelineError",
-    "PredicateVocab",
+    "Pool",
     "RunResult",
     "SynthConfig",
-    "TripletRecord",
     "adjust_probs",
-    "compose_positive_set",
     "correct",
     "cutoff_distance",
     "detect_noisy_negatives",
     "detect_noisy_positives",
     "distance_matrix",
-    "forward",
     "generate",
-    "initialize_model",
     "knn_vote",
     "load_dataset",
     "local_density",
     "loss_and_gradients",
-    "loss_value",
-    "one_hot",
-    "partition_predicates",
     "run",
     "save_dataset",
     "score",

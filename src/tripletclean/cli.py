@@ -12,6 +12,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from tripletclean.core import (
     DatasetError,
     atomic_write_text,
@@ -43,7 +45,6 @@ from tripletclean.pipeline import (
     config_from_dict,
     load_config,
     load_mined,
-    export_embeddings,
     mined_to_text,
     run,
     write_outputs,
@@ -110,11 +111,6 @@ def build_parser() -> CliParser:
     p_eval.add_argument("--run-dir", required=True, help="directory written by run")
     p_eval.add_argument("--truth", required=True, help="truth sidecar file")
 
-    p_emb = sub.add_parser("export-embed", help="export features plus final labels")
-    _add_common(p_emb)
-    p_emb.add_argument("--data", required=True, help="dataset file to export")
-    p_emb.add_argument("--vocab", help="vocabulary sidecar for the dataset")
-
     return parser
 
 
@@ -167,7 +163,7 @@ def cmd_train(args) -> int:
     config = _load_cli_config(args)
     dataset = _dataset_from(args, config)
     positives = dataset.positives()
-    model = train(positives, len(dataset.vocab), config.miner)
+    model = train(dataset, positives, config.miner)
     out_path = os.path.join(config.out_dir, MODEL_FILE)
     save_model(model, out_path)
     print(f"trained on {len(positives)} positives; model: {out_path}")
@@ -178,24 +174,22 @@ def cmd_detect_neg(args) -> int:
     config = _load_cli_config(args)
     dataset = _dataset_from(args, config)
     model = load_model(args.model)
-    mined, kept = detect_noisy_negatives(
-        model, dataset.negatives(), config.miner, dataset.partition
-    )
-    names = {r.id: dataset.vocab.names[r.label] for r in mined}
+    negatives = dataset.negatives()
+    promoted = detect_noisy_negatives(model, negatives, dataset, config.miner)
     atomic_write_text(
-        os.path.join(config.out_dir, MINED_FILE),
-        mined_to_text(names, {r.id: r for r in mined}),
+        os.path.join(config.out_dir, MINED_FILE), mined_to_text(promoted, dataset)
     )
-    print(f"promoted {len(mined)} of {len(mined) + len(kept)} negatives")
+    print(f"promoted {len(promoted.rows)} of {len(negatives)} negatives")
     return 0
 
 
 def cmd_detect_pos(args) -> int:
     config = _load_cli_config(args)
     dataset = _dataset_from(args, config)
-    report = detect_noisy_positives(dataset.labeled(), config.density, dataset.partition)
+    positives = dataset.positives()
+    report = detect_noisy_positives(dataset, positives, config.density)
     save_density_report(report, os.path.join(config.out_dir, DENSITY_FILE))
-    print(f"flagged {len(report.noisy_ids)} of {len(dataset.labeled())} labeled records")
+    print(f"flagged {len(report.noisy_rows)} of {len(positives)} labeled records")
     return 0
 
 
@@ -203,9 +197,12 @@ def cmd_correct(args) -> int:
     config = _load_cli_config(args)
     dataset = _dataset_from(args, config)
     flagged = load_flagged(args.density_report)
-    labeled_ids = {r.id for r in dataset.labeled()}
-    clean_ids = sorted(labeled_ids - flagged)
-    fixed, ledger = correct(sorted(flagged), dataset, clean_ids, config.corrector)
+    unknown = flagged - set(dataset.ids)
+    if unknown:
+        raise DatasetError(f"unknown record ids: {sorted(unknown)[:5]}")
+    is_flagged = np.array([rid in flagged for rid in dataset.ids], dtype=bool)
+    clean = np.flatnonzero(~is_flagged & (dataset.labels >= 0))
+    fixed, ledger = correct(np.flatnonzero(is_flagged), dataset, clean, config.corrector)
     save_dataset(fixed, os.path.join(config.out_dir, CLEANED_FILE))
     save_ledger(ledger, os.path.join(config.out_dir, LEDGER_FILE))
     changed = sum(1 for e in ledger if e.changed)
@@ -252,20 +249,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_export_embed(args) -> int:
-    config = _load_cli_config(args)
-    dataset = load_dataset(
-        args.data,
-        vocab_path=args.vocab,
-        head_min=config.head_min,
-        tail_max=config.tail_max,
-    )
-    out_path = os.path.join(config.out_dir, "embed.jsonl")
-    atomic_write_text(out_path, export_embeddings(dataset))
-    print(f"exported {len(dataset)} rows: {out_path}")
-    return 0
-
-
 HANDLERS = {
     "run": cmd_run,
     "train-negnsd": cmd_train,
@@ -274,7 +257,6 @@ HANDLERS = {
     "correct": cmd_correct,
     "synth": cmd_synth,
     "eval": cmd_eval,
-    "export-embed": cmd_export_embed,
 }
 
 

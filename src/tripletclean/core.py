@@ -1,8 +1,9 @@
 """Shared data model for relational triplet datasets.
 
-A dataset is an ordered collection of subject-predicate-object samples, each
-carrying a feature embedding and a label state.  Annotated samples form the
-positive set, un-annotated ones the negative set; the two partition the input.
+A dataset is an ordered collection of subject-predicate-object samples held
+as row-aligned columns: ids, subject-object pairs, feature rows and predicate
+labels.  Labeled rows form the positive set, unlabeled ones the negative
+set; the two partition the input.
 Predicates are indexed through a vocabulary whose training counts induce the
 head/body/tail frequency partition used by the detection stages.
 """
@@ -10,10 +11,10 @@ head/body/tail frequency partition used by the detection stages.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -35,14 +36,6 @@ DATASET_FIELDS = {
 
 class DatasetError(Exception):
     """Raised for malformed inputs or contract violations in the data model."""
-
-
-class LabelState(str, Enum):
-    ANNOTATED = "annotated"
-    NEGATIVE = "negative"
-    PSEUDO = "pseudo"
-    CORRECTED = "corrected"
-    CLEAN_KEPT = "clean_kept"
 
 
 class Part(str, Enum):
@@ -70,12 +63,6 @@ class PredicateVocab:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise DatasetError(f"unknown predicate name {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -114,109 +101,87 @@ def partition_predicates(
     return FrequencyPartition(tuple(parts), head_min, tail_max)
 
 
-@dataclass(frozen=True)
-class TripletRecord:
-    """One subject-predicate-object sample.
-
-    ``label`` is a predicate index and is present exactly when the record is
-    not a negative.  ``confidence`` holds the foreground score assigned when
-    a negative is promoted.
-    """
-
-    id: str
-    image_id: str
-    subject_class: int
-    object_class: int
-    feature: np.ndarray
-    label: int | None
-    label_state: LabelState
-    confidence: float | None = None
-
-    def __post_init__(self):
-        if (self.label is None) != (self.label_state is LabelState.NEGATIVE):
-            raise DatasetError(
-                f"record {self.id!r}: label must be present iff state is not negative"
-            )
-        if self.confidence is not None and not (0.0 <= self.confidence <= 1.0):
-            raise DatasetError(f"record {self.id!r}: confidence {self.confidence} outside [0, 1]")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.subject_class, self.object_class)
+NO_LABEL = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered records plus vocabulary, partition, and feature dimension.
+    """N samples as row-aligned columns, plus vocabulary and partition.
 
-    Immutable after construction; stages derive new datasets via
-    :meth:`with_records`.
+    Row i is one subject-predicate-object sample: ``ids[i]``,
+    ``image_ids[i]``, the subject and object classes ``pairs[i]``, the
+    feature row ``features[i]`` and the predicate index ``labels[i]``, which
+    is ``NO_LABEL`` (-1) for a negative.  The arrays are read-only; a stage
+    derives a new dataset with ``dataclasses.replace``.
     """
 
-    records: tuple[TripletRecord, ...]
+    ids: tuple[str, ...]
+    image_ids: tuple[str, ...]
+    pairs: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
     vocab: PredicateVocab
     partition: FrequencyPartition
-    feature_dim: int
 
     def __post_init__(self):
-        seen = set()
-        for rec in self.records:
-            if rec.id in seen:
-                raise DatasetError(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            if rec.feature.shape != (self.feature_dim,):
-                raise DatasetError(
-                    f"record {rec.id!r}: feature dimension {rec.feature.shape} "
-                    f"!= declared ({self.feature_dim},)"
-                )
-            if rec.label is not None and not (0 <= rec.label < len(self.vocab)):
-                raise DatasetError(f"record {rec.id!r}: label index {rec.label} out of range")
+        n = len(self.ids)
+        if (
+            len(self.image_ids) != n
+            or self.pairs.shape != (n, 2)
+            or self.features.ndim != 2
+            or len(self.features) != n
+            or self.labels.shape != (n,)
+        ):
+            raise DatasetError(f"columns must hold one row for each of the {n} ids")
+        if len(set(self.ids)) != n:
+            dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
+            raise DatasetError(f"duplicate record id {dup!r}")
+        bad = self.labels[(self.labels < NO_LABEL) | (self.labels >= len(self.vocab))]
+        if bad.size:
+            raise DatasetError(f"label index {bad[0]} out of range")
+        for column in (self.pairs, self.features, self.labels):
+            column.flags.writeable = False
+
+    @classmethod
+    def counted(
+        cls,
+        ids: Sequence[str],
+        image_ids: Sequence[str],
+        pairs,
+        features,
+        labels,
+        names: Sequence[str],
+        head_min: int = DEFAULT_HEAD_MIN,
+        tail_max: int = DEFAULT_TAIL_MAX,
+    ) -> Dataset:
+        """Dataset whose vocabulary counts are its labeled rows."""
+        labels = np.asarray(labels, dtype=np.int64)
+        counts = np.bincount(labels[labels >= 0], minlength=len(names))
+        vocab = PredicateVocab(tuple(names), tuple(counts.tolist()))
+        return cls(
+            tuple(ids),
+            tuple(image_ids),
+            np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+            np.asarray(features, dtype=np.float64),
+            labels,
+            vocab,
+            partition_predicates(vocab, head_min, tail_max),
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def positives(self) -> tuple[TripletRecord, ...]:
-        """The annotated positive subset as present at load time."""
-        return tuple(r for r in self.records if r.label_state is LabelState.ANNOTATED)
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
 
-    def negatives(self) -> tuple[TripletRecord, ...]:
-        """The un-annotated negative subset."""
-        return tuple(r for r in self.records if r.label_state is LabelState.NEGATIVE)
+    def positives(self) -> np.ndarray:
+        """Rows carrying a predicate label, in row order."""
+        return np.flatnonzero(self.labels >= 0)
 
-    def labeled(self) -> tuple[TripletRecord, ...]:
-        """All records currently carrying a predicate label."""
-        return tuple(r for r in self.records if r.label is not None)
-
-    def by_id(self) -> dict[str, TripletRecord]:
-        return {r.id: r for r in self.records}
-
-    def with_records(self, updates: dict[str, TripletRecord]) -> "Dataset":
-        """New dataset with the given records replaced in place, order kept."""
-        unknown = set(updates) - {r.id for r in self.records}
-        if unknown:
-            raise DatasetError(f"unknown record ids: {sorted(unknown)}")
-        new_records = tuple(updates.get(r.id, r) for r in self.records)
-        return replace(self, records=new_records)
-
-
-def compose_positive_set(
-    positives: Sequence[TripletRecord],
-    mined: Sequence[TripletRecord],
-) -> tuple[TripletRecord, ...]:
-    """Concatenate annotated positives with promoted pseudo-labeled records.
-
-    Order is preserved with annotated records first.  Inputs are never
-    mutated; the result's size is the sum of the input sizes.
-    """
-    for rec in mined:
-        if rec.label_state is not LabelState.PSEUDO:
-            raise DatasetError(
-                f"mined record {rec.id!r} has state {rec.label_state.value}, expected pseudo"
-            )
-    collision = {r.id for r in positives} & {r.id for r in mined}
-    if collision:
-        raise DatasetError(f"id collision between positives and mined: {sorted(collision)}")
-    return tuple(positives) + tuple(mined)
+    def negatives(self) -> np.ndarray:
+        """Rows without a label, in row order."""
+        return np.flatnonzero(self.labels < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +283,21 @@ def save_vocab(names: Sequence[str], path: str) -> None:
     atomic_write_text(path, json.dumps({"predicates": list(names)}) + "\n")
 
 
-def record_to_dict(record: TripletRecord, vocab: PredicateVocab) -> dict:
-    """Core wire representation of one record, fixed key order."""
-    return {
-        "id": record.id,
-        "image_id": record.image_id,
-        "subject_class": record.subject_class,
-        "object_class": record.object_class,
-        "predicate": None if record.label is None else vocab.names[record.label],
-        "feature": record.feature.tolist(),
-    }
+# the JSON types a feature entry may take; a boolean counts as an integer
+FEATURE_TYPES = {int, float, bool}
+
+
+def _feature_row(values: list, where: str) -> np.ndarray:
+    """One line's feature list as float64; DatasetError unless all finite numbers."""
+    row = None
+    if set(map(type, values)) <= FEATURE_TYPES:
+        try:
+            row = np.asarray(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if row is None or not np.isfinite(row).all():
+        raise DatasetError(f"{where}: feature must be a list of finite numbers")
+    return row
 
 
 def load_dataset(
@@ -342,61 +312,79 @@ def load_dataset(
     ``subject_class``, ``object_class``, ``predicate`` (string or null for
     negatives), and ``feature``.  When no vocabulary sidecar is given, the
     vocabulary is inferred in first-appearance order of predicate names.
-    Vocabulary counts are taken over annotated records only.
+    Vocabulary counts are taken over annotated records only.  Each feature
+    list becomes a float64 row as its line is read.
     """
     explicit_names = load_vocab(vocab_path) if vocab_path is not None else None
     names: list[str] = list(explicit_names) if explicit_names is not None else []
     name_to_idx = {n: i for i, n in enumerate(names)}
-    counts = [0] * len(names)
 
-    records = []
-    feature_dim: int | None = None
+    ids: list[str] = []
+    image_ids: list[str] = []
+    pairs: list[tuple[int, int]] = []
+    labels: list[int] = []
+    seen: set[str] = set()
+    features = np.empty((0, 0))  # grown by doubling; rows past len(ids) unused
     for lineno, obj in read_jsonl(path, DATASET_FIELDS):
         where = f"{path}: line {lineno}"
-        if not all(
-            isinstance(x, (int, float)) and math.isfinite(x) for x in obj["feature"]
-        ):
-            raise DatasetError(f"{where}: feature must be a list of finite numbers")
-        if feature_dim is None:
-            feature_dim = len(obj["feature"])
-        elif len(obj["feature"]) != feature_dim:
-            raise DatasetError(
-                f"{where}: feature dimension {len(obj['feature'])} != {feature_dim}"
-            )
+        row = _feature_row(obj["feature"], where)
+        n = len(ids)
+        if n == 0:
+            features = np.empty((1024, row.size))
+        elif row.size != features.shape[1]:
+            raise DatasetError(f"{where}: feature dimension {row.size} != {features.shape[1]}")
+        elif n == len(features):
+            features = np.concatenate([features, features])
+        rid = str(obj["id"])
+        if rid in seen:
+            raise DatasetError(f"{where}: duplicate record id {rid!r}")
+        seen.add(rid)
         pred = obj["predicate"]
         if pred is None:
-            label, state = None, LabelState.NEGATIVE
+            label = NO_LABEL
         else:
             if pred not in name_to_idx:
                 if explicit_names is not None:
                     raise DatasetError(f"{where}: unknown predicate name {pred!r}")
                 name_to_idx[pred] = len(names)
                 names.append(pred)
-                counts.append(0)
-            label, state = name_to_idx[pred], LabelState.ANNOTATED
-            counts[label] += 1
-        records.append(
-            TripletRecord(
-                id=str(obj["id"]),
-                image_id=str(obj["image_id"]),
-                subject_class=obj["subject_class"],
-                object_class=obj["object_class"],
-                feature=np.asarray(obj["feature"], dtype=np.float64),
-                label=label,
-                label_state=state,
-            )
-        )
-    if not records:
+            label = name_to_idx[pred]
+        pair = (obj["subject_class"], obj["object_class"])
+        if max(map(abs, pair)) >= 2**63:
+            raise DatasetError(f"{where}: subject_class and object_class must fit in 64 bits")
+        features[n] = row
+        ids.append(rid)
+        image_ids.append(str(obj["image_id"]))
+        pairs.append(pair)
+        labels.append(label)
+    if not ids:
         raise DatasetError(f"{path}: empty dataset")
-
-    vocab = PredicateVocab(tuple(names), tuple(counts))
-    partition = partition_predicates(vocab, head_min, tail_max)
-    return Dataset(tuple(records), vocab, partition, int(feature_dim))
+    return Dataset.counted(
+        ids, image_ids, pairs, features[: len(ids)], labels, names, head_min, tail_max
+    )
 
 
 def dataset_to_text(dataset: Dataset) -> str:
     """Canonical line-delimited form: one compact record object per line."""
-    return jsonl_text(record_to_dict(r, dataset.vocab) for r in dataset.records)
+    names = dataset.vocab.names
+    columns = zip(
+        dataset.ids,
+        dataset.image_ids,
+        dataset.pairs.tolist(),
+        dataset.labels.tolist(),
+        dataset.features,
+    )
+    return jsonl_text(
+        {
+            "id": rid,
+            "image_id": image_id,
+            "subject_class": subject,
+            "object_class": obj,
+            "predicate": names[label] if label != NO_LABEL else None,
+            "feature": feature.tolist(),
+        }
+        for rid, image_id, (subject, obj), label, feature in columns
+    )
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:

@@ -19,8 +19,6 @@ import numpy as np
 from tripletclean.core import (
     Dataset,
     DatasetError,
-    LabelState,
-    TripletRecord,
     atomic_write_text,
     jsonl_text,
     read_jsonl,
@@ -66,7 +64,6 @@ class VoteResult:
     label: int | None
     neighbor_ids: tuple[str, ...] = ()
     weights: tuple[float, ...] = ()
-    distances: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -91,36 +88,32 @@ def _kernel_scale(pool_features: np.ndarray, config: CorrectionConfig) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Pool:
-    """Clean records of one subject-object pair, stacked once for all votes."""
+    """Clean rows of one subject-object pair, with the kernel scale of all
+    their votes."""
 
-    records: tuple[TripletRecord, ...]
+    ids: tuple[str, ...]
+    labels: np.ndarray
     features: np.ndarray
     scale: float
 
     @classmethod
-    def build(cls, records: Sequence[TripletRecord], config: CorrectionConfig) -> Pool:
-        feats = np.stack([r.feature for r in records])
-        return cls(tuple(records), feats, _kernel_scale(feats, config))
+    def build(cls, ids: Sequence[str], labels, features, config: CorrectionConfig) -> Pool:
+        feats = np.asarray(features, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        return cls(tuple(ids), labels, feats, _kernel_scale(feats, config))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
 
-def knn_vote(
-    query_feature: np.ndarray,
-    pool: Pool | Sequence[TripletRecord],
-    config: CorrectionConfig,
-) -> VoteResult:
+def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) -> VoteResult:
     """Weighted vote of the nearest pool members; None if the pool is short.
 
-    A plain record list is stacked into a :class:`Pool` first.  Ties
-    between classes are resolved toward the class whose voting neighbors
-    lie closer in total, then toward the lower predicate index.
+    Ties between classes are resolved toward the class whose voting
+    neighbors lie closer in total, then toward the lower predicate index.
     """
     if len(pool) < config.min_neighbors:
         return VoteResult(label=None)
-    if not isinstance(pool, Pool):
-        pool = Pool.build(pool, config)
     diff = pool.features - np.asarray(query_feature, dtype=np.float64)[None, :]
     dists = np.sum(diff * diff, axis=1)
     order = np.argsort(dists, kind="stable")[: config.k]
@@ -131,76 +124,68 @@ def knn_vote(
 
     score: dict[int, float] = {}
     total_dist: dict[int, float] = {}
-    for idx, w, dist in zip(order, weights, d):
-        label = pool.records[idx].label
-        score[label] = score.get(label, 0.0) + float(w)
-        total_dist[label] = total_dist.get(label, 0.0) + float(dist)
+    for label, w, dist in zip(pool.labels[order].tolist(), weights.tolist(), d.tolist()):
+        score[label] = score.get(label, 0.0) + w
+        total_dist[label] = total_dist.get(label, 0.0) + dist
     winner = min(score, key=lambda v: (-score[v], total_dist[v], v))
     return VoteResult(
         label=winner,
-        neighbor_ids=tuple(pool.records[i].id for i in order),
-        weights=tuple(float(w) for w in weights),
-        distances=tuple(float(x) for x in d),
+        neighbor_ids=tuple(pool.ids[i] for i in order),
+        weights=tuple(weights.tolist()),
     )
 
 
 def correct(
-    noisy_ids: Sequence[str],
+    noisy_rows: np.ndarray,
     dataset: Dataset,
-    clean_ids: Sequence[str],
+    clean_rows: np.ndarray,
     config: CorrectionConfig,
 ) -> tuple[Dataset, tuple[CorrectionRecord, ...]]:
-    """Re-vote the label of every flagged record against the clean pool.
+    """Re-vote the label of every flagged row against the clean pool.
 
-    Pools come only from ``clean_ids`` as passed in, so the outcome does
-    not depend on correction order.  Flagged records end in state
-    CORRECTED when the vote disagrees with the old label, CLEAN_KEPT
+    Pools come only from ``clean_rows`` as passed in, in row order, so the
+    outcome does not depend on correction order.  A flagged row takes the
+    vote's label when it disagrees with the old one and keeps its label
     otherwise (including when no vote was possible).  The ledger is
     ordered by record id.
     """
-    noisy_set, clean_set = set(noisy_ids), set(clean_ids)
-    overlap = noisy_set & clean_set
-    if overlap:
-        raise DatasetError(f"ids flagged both noisy and clean: {sorted(overlap)[:5]}")
-    by_id = dataset.by_id()
-    dangling = (noisy_set | clean_set) - set(by_id)
-    if dangling:
-        raise DatasetError(f"unknown record ids: {sorted(dangling)[:5]}")
+    noisy = np.unique(np.asarray(noisy_rows, dtype=np.int64))
+    clean = np.unique(np.asarray(clean_rows, dtype=np.int64))
+    ids, labels = dataset.ids, dataset.labels
+    overlap = np.intersect1d(noisy, clean)
+    if overlap.size:
+        raise DatasetError(f"ids flagged both noisy and clean: {[ids[r] for r in overlap[:5]]}")
+    for checked, role in ((clean, "clean"), (noisy, "flagged")):
+        unlabeled = checked[labels[checked] < 0]
+        if unlabeled.size:
+            raise DatasetError(f"{role} record {ids[unlabeled[0]]!r} has no label")
 
-    clean_records = [r for r in dataset.records if r.id in clean_set]
-    for rec in clean_records:
-        if rec.label is None:
-            raise DatasetError(f"clean record {rec.id!r} has no label")
+    pair_of = list(map(tuple, dataset.pairs.tolist()))
+    members: dict[tuple[int, int], list[int]] = {}
+    for row in clean.tolist():
+        members.setdefault(pair_of[row], []).append(row)
+    # A flagged row is never clean, so every query of a pair sees one pool.
+    pools = {}
+    for pair in sorted({pair_of[r] for r in noisy.tolist()} & members.keys()):
+        rows = members[pair]
+        pools[pair] = Pool.build(
+            [ids[r] for r in rows], labels[rows], dataset.features[rows], config
+        )
+    no_pool = Pool((), labels[:0], dataset.features[:0], KERNEL_SCALE_FLOOR)
 
-    members: dict[tuple[int, int], list[TripletRecord]] = {}
-    for rec in clean_records:
-        members.setdefault(rec.pair, []).append(rec)
-    # A flagged id is never clean, so every query of a pair sees one pool.
-    pools = {
-        pair: Pool.build(members[pair], config)
-        for pair in {by_id[rid].pair for rid in noisy_set} & members.keys()
-    }
-
-    updates: dict[str, TripletRecord] = {}
+    new_labels = labels.copy()
     ledger: list[CorrectionRecord] = []
-    for rid in sorted(noisy_set):
-        rec = by_id[rid]
-        if rec.label is None:
-            raise DatasetError(f"flagged record {rid!r} has no label")
-        vote = knn_vote(rec.feature, pools.get(rec.pair, ()), config)
-        if vote.label is None or vote.label == rec.label:
-            updates[rid] = replace(rec, label_state=LabelState.CLEAN_KEPT)
-            new_label, changed = rec.label, False
-        else:
-            updates[rid] = replace(
-                rec, label=vote.label, label_state=LabelState.CORRECTED
-            )
-            new_label, changed = vote.label, True
+    for row in sorted(noisy.tolist(), key=ids.__getitem__):
+        old = int(labels[row])
+        vote = knn_vote(dataset.features[row], pools.get(pair_of[row], no_pool), config)
+        changed = vote.label is not None and vote.label != old
+        if changed:
+            new_labels[row] = vote.label
         ledger.append(
             CorrectionRecord(
-                id=rid,
-                old_label=rec.label,
-                new_label=new_label,
+                id=ids[row],
+                old_label=old,
+                new_label=vote.label if changed else old,
                 changed=changed,
                 neighbor_ids=vote.neighbor_ids,
                 weights=vote.weights,
@@ -208,7 +193,7 @@ def correct(
         )
     changed_count = sum(1 for entry in ledger if entry.changed)
     logger.info("corrected %d of %d flagged records", changed_count, len(ledger))
-    return dataset.with_records(updates), tuple(ledger)
+    return replace(dataset, labels=new_labels), tuple(ledger)
 
 
 def ledger_to_text(ledger: Sequence[CorrectionRecord]) -> str:

@@ -19,10 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from tripletclean.core import (
+    Dataset,
     DatasetError,
-    FrequencyPartition,
     Part,
-    TripletRecord,
     atomic_write_text,
     jsonl_text,
     read_jsonl,
@@ -167,57 +166,62 @@ def split_subsets(
     return assign.astype(np.int64), noisy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassDensity:
-    """Density outcome for one predicate class, ids in input order."""
+    """Density outcome for one predicate class, rows in input order."""
 
     class_index: int
     alpha: float
     d_c: float
-    ids: tuple[str, ...]
+    rows: np.ndarray
     rho: tuple[int, ...]
     subset: tuple[int, ...]
     noisy_subset: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityReport:
+    """Per-class outcomes and the flagged and unflagged rows; ``ids`` names
+    the rows."""
+
     classes: tuple[ClassDensity, ...]
-    noisy_ids: tuple[str, ...]
-    clean_ids: tuple[str, ...]
+    noisy_rows: np.ndarray
+    clean_rows: np.ndarray
+    ids: Sequence[str]
+
+    @property
+    def noisy_ids(self) -> tuple[str, ...]:
+        return tuple(self.ids[r] for r in self.noisy_rows)
 
     def flagged_set(self) -> frozenset[str]:
         return frozenset(self.noisy_ids)
 
 
 def detect_noisy_positives(
-    records: Sequence[TripletRecord],
+    dataset: Dataset,
+    rows: np.ndarray,
     config: DensityConfig,
-    partition: FrequencyPartition,
 ) -> DensityReport:
-    """Split every labeled class into clean and noisy ids by local density.
+    """Split the labeled ``rows`` of every class into clean and noisy by
+    local density.
 
     Classes are handled independently in predicate-index order; within a
-    class, sample order follows the input.  Classes below the size guard,
-    or degenerate under K-means, contribute all members to clean.
+    class, rows keep their order in ``rows``.  Classes below the size
+    guard, or degenerate under K-means, contribute all members to clean.
     """
-    for rec in records:
-        if rec.label is None:
-            raise DatasetError(f"record {rec.id!r} has no label")
-
-    by_class: dict[int, list[TripletRecord]] = {}
-    for rec in records:
-        by_class.setdefault(rec.label, []).append(rec)
+    rows = np.asarray(rows, dtype=np.int64)
+    labels = dataset.labels[rows]
+    if np.any(labels < 0):
+        raise DatasetError(f"record {dataset.ids[rows[labels < 0][0]]!r} has no label")
 
     include = not config.exclude_self
     classes = []
-    noisy_ids: list[str] = []
-    clean_ids: list[str] = []
-    for k in sorted(by_class):
-        members = by_class[k]
-        alpha = config.alpha[partition.part(k)]
-        feats = np.stack([m.feature for m in members])
-        dmat = distance_matrix(feats)
+    noisy: list[np.ndarray] = []
+    clean: list[np.ndarray] = []
+    for k in np.unique(labels).tolist():
+        members = rows[labels == k]
+        alpha = config.alpha[dataset.partition.part(k)]
+        dmat = distance_matrix(dataset.features[members])
         d_c = cutoff_distance(dmat, alpha, include_diagonal=include)
         rho = local_density(dmat, d_c, include_self=include)
         if len(members) < config.min_class_size:
@@ -225,50 +229,48 @@ def detect_noisy_positives(
             noisy_subset = None
         else:
             subset, noisy_subset = split_subsets(rho, config.n_subsets)
-        for m, s in zip(members, subset):
-            if noisy_subset is not None and s == noisy_subset:
-                noisy_ids.append(m.id)
-            else:
-                clean_ids.append(m.id)
+        if noisy_subset is None:
+            flagged = np.zeros(len(members), dtype=bool)
+        else:
+            flagged = subset == noisy_subset
+        noisy.append(members[flagged])
+        clean.append(members[~flagged])
         classes.append(
             ClassDensity(
                 class_index=k,
                 alpha=alpha,
                 d_c=d_c,
-                ids=tuple(m.id for m in members),
-                rho=tuple(int(r) for r in rho),
-                subset=tuple(int(s) for s in subset),
+                rows=members,
+                rho=tuple(rho.tolist()),
+                subset=tuple(subset.tolist()),
                 noisy_subset=noisy_subset,
             )
         )
-        if noisy_subset is None:
-            logger.debug("class %d: skipped (n=%d)", k, len(members))
-        else:
-            logger.debug(
-                "class %d: n=%d d_c=%.4g flagged=%d",
-                k,
-                len(members),
-                d_c,
-                int(np.sum(subset == noisy_subset)),
-            )
+        logger.debug("class %d: n=%d d_c=%.4g flagged=%d", k, len(members), d_c, flagged.sum())
 
-    return DensityReport(tuple(classes), tuple(noisy_ids), tuple(clean_ids))
+    empty = rows[:0]
+    return DensityReport(
+        tuple(classes),
+        np.concatenate([empty, *noisy]),
+        np.concatenate([empty, *clean]),
+        dataset.ids,
+    )
 
 
 def density_report_to_text(report: DensityReport) -> str:
     """Line-delimited audit rows: one sample per line, grouped by class."""
-    flagged = report.flagged_set()
+    flagged = set(report.noisy_rows.tolist())
     return jsonl_text(
         {
-            "id": rid,
+            "id": report.ids[row],
             "class": cls.class_index,
             "rho": rho,
             "d_c": cls.d_c,
             "subset": subset,
-            "flagged": rid in flagged,
+            "flagged": row in flagged,
         }
         for cls in report.classes
-        for rid, rho, subset in zip(cls.ids, cls.rho, cls.subset)
+        for row, rho, subset in zip(cls.rows.tolist(), cls.rho, cls.subset)
     )
 
 

@@ -16,17 +16,15 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from tripletclean.core import (
+    Dataset,
     DatasetError,
-    FrequencyPartition,
-    LabelState,
     Part,
-    TripletRecord,
     atomic_write_text,
     read_json,
 )
@@ -88,9 +86,13 @@ class MinerConfig:
             raise DatasetError("learning_rate must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConfidenceModel:
-    """One-hidden-layer network with classification and confidence heads."""
+    """One-hidden-layer network with classification and confidence heads.
+
+    Mutable so that ``train`` can step the parameters of the model it
+    builds without copying it.
+    """
 
     W1: np.ndarray
     b1: np.ndarray
@@ -100,7 +102,6 @@ class ConfidenceModel:
     b3: float
     class_weights: np.ndarray
     lam: float
-    loss_history: tuple[float, ...] = ()
 
     @property
     def input_dim(self) -> int:
@@ -231,22 +232,22 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return Y
 
 
-def train(
-    positives: Sequence[TripletRecord],
-    n_classes: int,
-    config: MinerConfig,
-) -> ConfidenceModel:
-    """Fit the confidence model on annotated positives by mini-batch descent.
+PARAMS = ("W1", "b1", "W2", "b2", "w3", "b3")
 
-    Deterministic given the seed.  The returned model carries the full-set
-    loss after initialization and after every epoch in ``loss_history``.
+
+def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> ConfidenceModel:
+    """Fit the confidence model on the labeled ``rows`` by mini-batch descent.
+
+    Deterministic given the seed.  Raises TrainingError when an epoch
+    leaves a parameter non-finite.
     """
-    if not positives:
+    labels = dataset.labels[rows]
+    if labels.size == 0:
         raise DatasetError("cannot train on empty positives")
-    X = np.stack([r.feature for r in positives])
-    labels = np.array([r.label for r in positives], dtype=np.int64)
-    if np.any(labels < 0) or np.any(labels >= n_classes):
-        raise DatasetError("label index out of range for the given class count")
+    if np.any(labels < 0):
+        raise DatasetError("cannot train on unlabeled rows")
+    X = dataset.features[rows]
+    n_classes = len(dataset.vocab)
 
     counts = np.bincount(labels, minlength=n_classes)
     class_weights = 1.0 / np.maximum(counts, 1)
@@ -257,110 +258,71 @@ def train(
     )
     Y = one_hot(labels, n_classes)
 
-    params = {
-        "W1": model.W1.copy(),
-        "b1": model.b1.copy(),
-        "W2": model.W2.copy(),
-        "b2": model.b2.copy(),
-        "w3": model.w3.copy(),
-        "b3": model.b3,
-    }
-
-    def current():
-        return replace(model, **params)
-
-    def full_loss():
-        P, C = forward(current(), X)
-        return loss_value(P, Y, C, model.class_weights, model.lam)
-
-    history = [full_loss()]
-    n = len(positives)
+    n = labels.size
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, grads = loss_and_gradients(current(), X[batch], Y[batch])
-            for name in params:
-                params[name] = params[name] - config.learning_rate * grads[name]
-        epoch_loss = full_loss()
-        if not np.isfinite(epoch_loss):
+            _, grads = loss_and_gradients(model, X[batch], Y[batch])
+            for name in PARAMS:
+                setattr(model, name, getattr(model, name) - config.learning_rate * grads[name])
+        if not all(np.isfinite(getattr(model, name)).all() for name in PARAMS):
             raise TrainingError(
-                f"non-finite loss {epoch_loss} at epoch {epoch + 1}; "
+                f"non-finite parameters at epoch {epoch + 1}; "
                 f"reduce learning_rate ({config.learning_rate}) or batch size"
             )
-        history.append(epoch_loss)
 
     logger.info(
-        "trained on %d positives, %d classes: loss %.4f -> %.4f",
-        n,
-        n_classes,
-        history[0],
-        history[-1],
+        "trained on %d positives, %d classes, %d epochs", n, n_classes, config.epochs
     )
-    return replace(current(), loss_history=tuple(history))
+    return model
+
+
+class Promotions(NamedTuple):
+    """Negative rows promoted to pseudo positives, in id order."""
+
+    rows: np.ndarray
+    labels: np.ndarray
+    confidence: np.ndarray
 
 
 def detect_noisy_negatives(
     model: ConfidenceModel,
-    negatives: Sequence[TripletRecord],
+    rows: np.ndarray,
+    dataset: Dataset,
     config: MinerConfig,
-    partition: FrequencyPartition,
-) -> tuple[tuple[TripletRecord, ...], tuple[TripletRecord, ...]]:
-    """Partition negatives into promoted pseudo positives and kept negatives.
+) -> Promotions:
+    """Pick the negative rows to promote to pseudo positives.
 
-    A record is promoted when its confidence is at least the threshold of
-    the frequency part of its predicted class; its pseudo label is that
-    predicted class.  Both outputs are sorted by record id.
+    A row is promoted when its confidence is at least the threshold of the
+    frequency part of its predicted class; its pseudo label is that
+    predicted class.
     """
-    if not negatives:
-        return (), ()
-    for rec in negatives:
-        if rec.label_state is not LabelState.NEGATIVE:
-            raise DatasetError(f"record {rec.id!r} is not a negative")
-
-    X = np.stack([r.feature for r in negatives])
+    rows = np.asarray(rows, dtype=np.int64)
+    labeled = rows[dataset.labels[rows] >= 0]
+    if labeled.size:
+        raise DatasetError(f"record {dataset.ids[labeled[0]]!r} is not a negative")
+    X = dataset.features[rows]
     if X.shape[1] != model.input_dim:
         raise DatasetError(
             f"feature dimension {X.shape[1]} does not match model input {model.input_dim}"
         )
     P, C = forward(model, X)
     predicted = np.argmax(P, axis=1)
-    parts = np.array([partition.part(int(k)).value for k in predicted])
+    parts = np.array([p.value for p in dataset.partition.part_of])[predicted]
 
-    cutoffs = _part_cutoffs(config, parts, C)
-    mined, clean = [], []
-    for rec, k, part, c in zip(negatives, predicted, parts, C):
-        theta = cutoffs[part]
-        if theta is not DISABLED and c >= theta:
-            mined.append(
-                replace(
-                    rec,
-                    label=int(k),
-                    label_state=LabelState.PSEUDO,
-                    confidence=float(c),
-                )
-            )
-        else:
-            clean.append(rec)
-    mined.sort(key=lambda r: r.id)
-    clean.sort(key=lambda r: r.id)
-    logger.info("promoted %d of %d negatives", len(mined), len(negatives))
-    return tuple(mined), tuple(clean)
-
-
-def _part_cutoffs(config, parts, C):
-    """Absolute confidence cutoff per part value, None where disabled."""
-    cutoffs: dict[str, float | None] = {}
+    promote = np.zeros(rows.size, dtype=bool)
     for part in Part:
-        th = config.thresholds[part]
-        if th is DISABLED:
-            cutoffs[part.value] = DISABLED
-        elif config.threshold_mode == "absolute":
-            cutoffs[part.value] = th
-        else:
-            scores = C[parts == part.value]
-            cutoffs[part.value] = float(np.quantile(scores, th)) if scores.size else DISABLED
-    return cutoffs
+        theta = config.thresholds[part]
+        in_part = parts == part.value
+        if theta is DISABLED or not in_part.any():
+            continue
+        if config.threshold_mode == "quantile":
+            theta = np.quantile(C[in_part], theta)
+        promote |= in_part & (C >= theta)
+    chosen = sorted(np.flatnonzero(promote), key=lambda i: dataset.ids[rows[i]])
+    logger.info("promoted %d of %d negatives", len(chosen), rows.size)
+    return Promotions(rows[chosen], predicted[chosen], C[chosen])
 
 
 # ---------------------------------------------------------------------------

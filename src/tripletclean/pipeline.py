@@ -17,24 +17,22 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from types import UnionType
-from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import Any, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from tripletclean.core import (
     DEFAULT_HEAD_MIN,
     DEFAULT_TAIL_MAX,
     Dataset,
     DatasetError,
-    LabelState,
     Part,
-    TripletRecord,
     atomic_write_text,
-    compose_positive_set,
     dataset_to_text,
     jsonl_text,
     load_dataset,
     read_json,
     read_jsonl,
-    record_to_dict,
     save_vocab,
 )
 from tripletclean.correction import (
@@ -54,6 +52,7 @@ from tripletclean.density import (
 from tripletclean.negatives import (
     ConfidenceModel,
     MinerConfig,
+    Promotions,
     detect_noisy_negatives,
     save_model,
     train,
@@ -294,13 +293,26 @@ class CleaningReport:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's cleaned dataset and audit trail.
+
+    Promoted rows carry pseudo labels in ``dataset``; a flagged row was
+    corrected when its ledger entry is ``changed`` and kept otherwise.
+    """
+
     dataset: Dataset
     report: CleaningReport
     model: ConfidenceModel | None
-    mined: dict[str, str]
+    promoted: Promotions
     density: DensityReport
     ledger: tuple[CorrectionRecord, ...]
     timings: dict[str, float]
+
+    @property
+    def mined(self) -> dict[str, str]:
+        """Promoted negative id -> pseudo label name."""
+        names, ids = self.dataset.vocab.names, self.dataset.ids
+        rows, labels = self.promoted.rows.tolist(), self.promoted.labels.tolist()
+        return {ids[r]: names[k] for r, k in zip(rows, labels)}
 
 
 @contextmanager
@@ -336,42 +348,30 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
     negatives = dataset.negatives()
 
     model: ConfidenceModel | None = None
-    mined: tuple[TripletRecord, ...] = ()
-    if config.enable_neg and negatives:
+    promoted = Promotions(negatives[:0], negatives[:0], np.empty(0))
+    if config.enable_neg and negatives.size:
         with _stage("neg_nsd", timings):
-            model = train(positives, len(dataset.vocab), config.miner)
-            mined, _ = detect_noisy_negatives(
-                model, negatives, config.miner, dataset.partition
-            )
+            model = train(dataset, positives, config.miner)
+            promoted = detect_noisy_negatives(model, negatives, dataset, config.miner)
 
-    working = dataset.with_records({r.id: r for r in mined})
-    try:
-        composed = compose_positive_set(positives, mined)
-    except DatasetError as exc:
-        raise PipelineError(f"compose: {exc}") from exc
+    labels = dataset.labels.copy()
+    labels[promoted.rows] = promoted.labels
+    working = replace(dataset, labels=labels)
+    # annotated positives in row order, then the promoted rows in id order
+    composed = np.concatenate([positives, promoted.rows])
 
     if config.enable_pos:
         with _stage("pos_nsd", timings):
-            density = detect_noisy_positives(composed, config.density, working.partition)
+            density = detect_noisy_positives(working, composed, config.density)
     else:
-        density = DensityReport(
-            classes=(), noisy_ids=(), clean_ids=tuple(r.id for r in composed)
-        )
+        density = DensityReport((), composed[:0], composed, working.ids)
 
     ledger: tuple[CorrectionRecord, ...] = ()
     if config.enable_nsc:
         with _stage("nsc", timings):
             working, ledger = correct(
-                density.noisy_ids, working, density.clean_ids, config.corrector
+                density.noisy_rows, working, density.clean_rows, config.corrector
             )
-    elif density.noisy_ids:
-        by_id = working.by_id()
-        working = working.with_records(
-            {
-                rid: replace(by_id[rid], label_state=LabelState.CLEAN_KEPT)
-                for rid in density.noisy_ids
-            }
-        )
 
     timings["total"] = time.perf_counter() - started
 
@@ -380,13 +380,13 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
         total=len(dataset),
         positives=len(positives),
         negatives=len(negatives),
-        mined_negatives=len(mined),
-        kept_negatives=len(negatives) - len(mined),
+        mined_negatives=len(promoted.rows),
+        kept_negatives=len(negatives) - len(promoted.rows),
         composed=len(composed),
-        flagged=len(density.noisy_ids),
-        unflagged=len(density.clean_ids),
+        flagged=len(density.noisy_rows),
+        unflagged=len(density.clean_rows),
         relabeled=relabeled,
-        kept_flagged=len(density.noisy_ids) - relabeled,
+        kept_flagged=len(density.noisy_rows) - relabeled,
         config_echo=config_to_dict(config),
         artifacts={
             "cleaned": CLEANED_FILE,
@@ -399,24 +399,25 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
         },
     )
     report.validate()
-    mined_names = {r.id: dataset.vocab.names[r.label] for r in mined}
     return RunResult(
         dataset=working,
         report=report,
         model=model,
-        mined=mined_names,
+        promoted=promoted,
         density=density,
         ledger=ledger,
         timings=timings,
     )
 
 
-def mined_to_text(mined: dict[str, str], records: Mapping[str, TripletRecord]) -> str:
-    """Promoted negatives in id order: pseudo label name and the confidence
-    each carries in ``records``."""
+def mined_to_text(promoted: Promotions, dataset: Dataset) -> str:
+    """Promoted negatives in id order: pseudo label name and confidence."""
+    names = dataset.vocab.names
     return jsonl_text(
-        {"id": rid, "predicate": mined[rid], "confidence": records[rid].confidence}
-        for rid in sorted(mined)
+        {"id": dataset.ids[row], "predicate": names[label], "confidence": confidence}
+        for row, label, confidence in zip(
+            promoted.rows.tolist(), promoted.labels.tolist(), promoted.confidence.tolist()
+        )
     )
 
 
@@ -432,7 +433,7 @@ def write_outputs(result: RunResult, out_dir: str) -> None:
     atomic_write_text(join(CLEANED_FILE), dataset_to_text(result.dataset))
     save_vocab(result.dataset.vocab.names, join(VOCAB_FILE))
     atomic_write_text(join(REPORT_FILE), result.report.to_text())
-    atomic_write_text(join(MINED_FILE), mined_to_text(result.mined, result.dataset.by_id()))
+    atomic_write_text(join(MINED_FILE), mined_to_text(result.promoted, result.dataset))
     atomic_write_text(join(DENSITY_FILE), density_report_to_text(result.density))
     atomic_write_text(join(LEDGER_FILE), ledger_to_text(result.ledger))
     if result.model is not None:
@@ -442,11 +443,3 @@ def write_outputs(result: RunResult, out_dir: str) -> None:
     )
     logger.info("outputs written to %s", out_dir)
 
-
-def export_embeddings(dataset: Dataset) -> str:
-    """Features plus final labels for external projection tooling."""
-    rows = (record_to_dict(rec, dataset.vocab) for rec in dataset.records)
-    return jsonl_text(
-        {"id": row["id"], "label": row["predicate"], "feature": row["feature"]}
-        for row in rows
-    )

@@ -19,14 +19,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from tripletclean.core import (
+    NO_LABEL,
     Dataset,
     DatasetError,
-    LabelState,
-    PredicateVocab,
-    TripletRecord,
     atomic_write_text,
     jsonl_text,
-    partition_predicates,
     read_jsonl,
 )
 from tripletclean.correction import CorrectionRecord
@@ -185,38 +182,24 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
     counts = class_counts(config)
     pair_of = _assign_pairs(config)
 
-    ids: list[str] = []
-    features: list[np.ndarray] = []
-    labels: list[int | None] = []
-    pairs: list[tuple[int, int]] = []
-    true_names: dict[str, str | None] = {}
-
-    serial = 0
-    for k in range(config.n_classes):
-        draws = centers[k] + rng.normal(0.0, config.cluster_spread, (counts[k], config.feature_dim))
-        for row in draws:
-            rid = f"r{serial:06d}"
-            serial += 1
-            ids.append(rid)
-            features.append(row)
-            labels.append(k)
-            pairs.append(pair_of[k])
-            true_names[rid] = f"p{k}"
-
+    draws = [
+        centers[k] + rng.normal(0.0, config.cluster_spread, (counts[k], config.feature_dim))
+        for k in range(config.n_classes)
+    ]
     # background negatives live opposite the center layout on the first axis
     bg_center = np.zeros(config.feature_dim)
     bg_center[0] = -config.class_separation / np.sqrt(2.0)
-    bg_draws = bg_center + rng.normal(
-        0.0, config.cluster_spread, (config.n_background, config.feature_dim)
+    draws.append(
+        bg_center
+        + rng.normal(0.0, config.cluster_spread, (config.n_background, config.feature_dim))
     )
-    for i, row in enumerate(bg_draws):
-        rid = f"r{serial:06d}"
-        serial += 1
-        ids.append(rid)
-        features.append(row)
-        labels.append(None)
-        pairs.append(pair_of[i % config.n_classes])
-        true_names[rid] = None
+    labels = [k for k in range(config.n_classes) for _ in range(counts[k])]
+    pairs = [pair_of[k] for k in labels]
+    pairs += [pair_of[i % config.n_classes] for i in range(config.n_background)]
+    labels += [NO_LABEL] * config.n_background
+    ids = [f"r{i:06d}" for i in range(len(labels))]
+    names = [f"p{k}" for k in range(config.n_classes)]
+    true_names = {rid: names[k] if k != NO_LABEL else None for rid, k in zip(ids, labels)}
 
     tags = {rid: NoiseTag.NONE for rid in ids}
     partner = _synonym_partner_map(config)
@@ -227,7 +210,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
         for pos in order[:n_hit]:
             apply(eligible[pos])
 
-    untouched = lambda i: labels[i] is not None and tags[ids[i]] is NoiseTag.NONE
+    untouched = lambda i: labels[i] != NO_LABEL and tags[ids[i]] is NoiseTag.NONE
 
     def flip_common(i):
         labels[i] = config.coarse_of[labels[i]]
@@ -240,7 +223,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
         tags[ids[i]] = NoiseTag.SYNONYM
 
     def demote(i):
-        labels[i] = None
+        labels[i] = NO_LABEL
         tags[ids[i]] = NoiseTag.MISSING
 
     inject(
@@ -259,30 +242,18 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
         demote,
     )
 
-    names = tuple(f"p{k}" for k in range(config.n_classes))
-    vocab_counts = [0] * config.n_classes
-    records = []
-    for i, rid in enumerate(ids):
-        label = labels[i]
-        if label is not None:
-            vocab_counts[label] += 1
-        records.append(
-            TripletRecord(
-                id=rid,
-                image_id=f"im{i // 16}",
-                subject_class=pairs[i][0],
-                object_class=pairs[i][1],
-                feature=features[i],
-                label=label,
-                label_state=LabelState.NEGATIVE if label is None else LabelState.ANNOTATED,
-            )
-        )
-    vocab = PredicateVocab(names, tuple(vocab_counts))
-    dataset = Dataset(tuple(records), vocab, partition_predicates(vocab), config.feature_dim)
+    dataset = Dataset.counted(
+        ids,
+        [f"im{i // 16}" for i in range(len(ids))],
+        pairs,
+        np.concatenate(draws),
+        labels,
+        names,
+    )
     truth = GroundTruth(true_names, tags)
     logger.info(
         "generated %d records (%d background), tags: %s",
-        len(records),
+        len(dataset),
         config.n_background,
         {t.value: len(truth.tagged(t)) for t in NoiseTag},
     )
@@ -337,7 +308,7 @@ def score(
     ``flagged_ids`` is the density stage's noisy set; ``ledger`` the
     correction outcomes.  Labels are compared by predicate name.
     """
-    if set(cleaned.by_id()) != set(truth.true_predicate):
+    if set(cleaned.ids) != set(truth.true_predicate):
         raise DatasetError("dataset ids do not match ground truth ids")
 
     missing = truth.tagged(NoiseTag.MISSING)
@@ -366,14 +337,13 @@ def score(
         len(changed),
     )
 
-    by_id = cleaned.by_id()
     truth_labeled = [rid for rid, name in truth.true_predicate.items() if name is not None]
     before_correct = sum(1 for rid in truth_labeled if truth.tag[rid] is NoiseTag.NONE)
-    after_correct = 0
-    for rid in truth_labeled:
-        rec = by_id[rid]
-        if rec.label is not None and names[rec.label] == truth.true_predicate[rid]:
-            after_correct += 1
+    after_correct = sum(
+        1
+        for rid, label in zip(cleaned.ids, cleaned.labels.tolist())
+        if label != NO_LABEL and names[label] == truth.true_predicate[rid]
+    )
 
     return Metrics(
         neg_recall=neg_recall,
@@ -405,7 +375,7 @@ def truth_to_text(truth: GroundTruth, order: Sequence[str]) -> str:
 
 
 def save_truth(truth: GroundTruth, dataset: Dataset, path: str) -> None:
-    atomic_write_text(path, truth_to_text(truth, [r.id for r in dataset.records]))
+    atomic_write_text(path, truth_to_text(truth, dataset.ids))
 
 
 def load_truth(path: str) -> GroundTruth:

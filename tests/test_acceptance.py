@@ -14,33 +14,27 @@ import numpy as np
 
 from tripletclean import (
     CorrectionConfig,
-    Dataset,
     DensityConfig,
-    LabelState,
     MinerConfig,
     PipelineConfig,
+    Pool,
     SynthConfig,
-    TripletRecord,
     adjust_probs,
     correct,
     cutoff_distance,
     detect_noisy_negatives,
     detect_noisy_positives,
     distance_matrix,
-    forward,
     generate,
-    initialize_model,
     knn_vote,
     local_density,
     loss_and_gradients,
-    loss_value,
-    one_hot,
-    partition_predicates,
     run,
     score,
     train,
     write_outputs,
 )
+from tripletclean.negatives import forward, initialize_model, loss_value, one_hot
 from tripletclean.synthetic import NoiseTag, class_centers
 
 
@@ -229,8 +223,7 @@ def test_criterion_04_monotonicity():
 def test_criterion_05_flagging_quality():
     started = time.perf_counter()
     dataset, truth = generate(planted_positive_config(seed=1))
-    partition = partition_predicates(dataset.vocab)
-    report = detect_noisy_positives(dataset.labeled(), DensityConfig(), partition)
+    report = detect_noisy_positives(dataset, dataset.positives(), DensityConfig())
 
     flagged = report.flagged_set()
     noisy = truth.tagged(NoiseTag.SYNONYM)
@@ -245,11 +238,8 @@ def test_criterion_05_flagging_quality():
 def test_criterion_06_correction_quality_and_nn_oracle():
     started = time.perf_counter()
     dataset, truth = generate(planted_positive_config(seed=1))
-    partition = partition_predicates(dataset.vocab)
-    report = detect_noisy_positives(dataset.labeled(), DensityConfig(), partition)
-    flagged = report.flagged_set()
-    clean_ids = [r.id for r in dataset.labeled() if r.id not in flagged]
-    cleaned, ledger = correct(sorted(flagged), dataset, clean_ids, CorrectionConfig())
+    report = detect_noisy_positives(dataset, dataset.positives(), DensityConfig())
+    cleaned, ledger = correct(report.noisy_rows, dataset, report.clean_rows, CorrectionConfig())
 
     names = cleaned.vocab.names
     changed = [entry for entry in ledger if entry.changed]
@@ -263,23 +253,14 @@ def test_criterion_06_correction_quality_and_nn_oracle():
     for trial in range(1000):
         size = int(rng.integers(1, 21))
         dim = int(rng.integers(1, 5))
-        pool = [
-            TripletRecord(
-                id=f"p{trial}-{i}",
-                image_id="im0",
-                subject_class=0,
-                object_class=1,
-                feature=rng.normal(size=dim),
-                label=int(rng.integers(0, 4)),
-                label_state=LabelState.ANNOTATED,
-            )
-            for i in range(size)
-        ]
+        rows = [(rng.normal(size=dim), int(rng.integers(0, 4))) for _ in range(size)]
+        feats = np.array([feature for feature, _ in rows])
+        labels = [label for _, label in rows]
+        ids = [f"p{trial}-{i}" for i in range(size)]
         query = rng.normal(size=dim)
-        feats = np.stack([r.feature for r in pool])
         nearest = int(np.argmin(np.sum((feats - query[None, :]) ** 2, axis=1)))
-        vote = knn_vote(query, pool, config)
-        assert vote.label == pool[nearest].label, f"trial {trial}: K=1 vote differs"
+        vote = knn_vote(query, Pool.build(ids, labels, feats, config), config)
+        assert vote.label == labels[nearest], f"trial {trial}: K=1 vote differs"
     elapsed = time.perf_counter() - started
     ok = accuracy >= 0.85 and elapsed < 60.0
     verdict(
@@ -303,7 +284,7 @@ def test_criterion_07_miner_quality():
     )
     dataset, _ = generate(id_config)
     miner = MinerConfig(seed=1)
-    model = train(dataset.positives(), len(dataset.vocab.names), miner)
+    model = train(dataset, dataset.positives(), miner)
 
     rng = np.random.default_rng(707)
     centers = class_centers(id_config)
@@ -336,12 +317,15 @@ def test_criterion_07_miner_quality():
             seed=1,
         )
     )
-    partition = partition_predicates(noisy.vocab)
-    model2 = train(noisy.positives(), len(noisy.vocab.names), miner)
-    promoted, _ = detect_noisy_negatives(model2, noisy.negatives(), miner, partition)
+    model2 = train(noisy, noisy.positives(), miner)
+    promoted = detect_noisy_negatives(model2, noisy.negatives(), noisy, miner)
     names = noisy.vocab.names
-    recovered = [r for r in promoted if truth.tag[r.id] is NoiseTag.MISSING]
-    hits = sum(1 for r in recovered if names[r.label] == truth.true_predicate[r.id])
+    recovered = [
+        (noisy.ids[row], label)
+        for row, label in zip(promoted.rows, promoted.labels)
+        if truth.tag[noisy.ids[row]] is NoiseTag.MISSING
+    ]
+    hits = sum(1 for rid, label in recovered if names[label] == truth.true_predicate[rid])
     pseudo_accuracy = hits / len(recovered) if recovered else 0.0
     elapsed = time.perf_counter() - started
     ok = separation >= 0.80 and pseudo_accuracy >= 0.80 and elapsed < 120.0

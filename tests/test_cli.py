@@ -216,24 +216,15 @@ class TestStageCommands:
         names = ("density_report.jsonl", "cleaned.jsonl", "correction_ledger.jsonl")
         same_bytes(stage_dir, tmp_path / "out", names)
 
-    def test_export_embed(self, workspace):
+    def test_correct_rejects_unknown_flagged_id(self, workspace, capsys):
         tmp_path, config = workspace
         run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
-        code = run_cli(
-            "export-embed",
-            "--config",
-            config,
-            "--data",
-            str(tmp_path / "synth" / "data.jsonl"),
-            "--out",
-            str(tmp_path / "emb"),
-        )
-        assert code == 0
-        rows = [
-            json.loads(line)
-            for line in (tmp_path / "emb" / "embed.jsonl").read_text().strip().split("\n")
-        ]
-        assert set(rows[0]) == {"id", "label", "feature"}
+        report = tmp_path / "ghost.jsonl"
+        row = {"id": "ghost", "class": 0, "rho": 1, "d_c": 0.5, "subset": 0, "flagged": True}
+        report.write_text(json.dumps(row) + "\n")
+        argv = ("correct", "--config", config, "--density-report", str(report))
+        assert run_cli(*argv, "--out", str(tmp_path / "fixed")) == 1
+        assert "unknown record ids: ['ghost']" in capsys.readouterr().err
 
 
 class TestArgumentHandling:

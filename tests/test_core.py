@@ -1,18 +1,17 @@
-"""Tests for the shared data model: records, vocab, partition, persistence."""
+"""Tests for the shared data model: columns, vocab, partition, persistence."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tripletclean.core import (
+    NO_LABEL,
     Dataset,
     DatasetError,
-    LabelState,
     Part,
     PredicateVocab,
-    TripletRecord,
-    compose_positive_set,
     dataset_to_text,
     load_dataset,
     partition_predicates,
@@ -21,17 +20,10 @@ from tripletclean.core import (
 )
 
 
-def make_record(rid, label=0, state=LabelState.ANNOTATED, feature=None, pair=(1, 2)):
-    if feature is None:
-        feature = np.zeros(4)
-    return TripletRecord(
-        id=rid,
-        image_id="img0",
-        subject_class=pair[0],
-        object_class=pair[1],
-        feature=np.asarray(feature, dtype=np.float64),
-        label=label,
-        label_state=state,
+def small_dataset(ids=("a", "b"), labels=(0, NO_LABEL), dim=4):
+    n = len(ids)
+    return Dataset.counted(
+        ids, ["img0"] * n, [(1, 2)] * n, np.zeros((n, dim)), labels, ["on"]
     )
 
 
@@ -73,14 +65,35 @@ class TestLoadDataset:
         assert ds.vocab.counts == (2, 1)
         assert ds.feature_dim == 2
 
-    def test_positives_negatives_partition_records(self, tmp_path):
+    def test_columns(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_lines(path, sample_rows())
         ds = load_dataset(str(path))
-        pos_ids = {r.id for r in ds.positives()}
-        neg_ids = {r.id for r in ds.negatives()}
-        assert pos_ids & neg_ids == set()
-        assert pos_ids | neg_ids == {r.id for r in ds.records}
+        assert ds.ids == ("t1", "t2", "t3", "t4", "t5")
+        assert ds.image_ids == ("im1",) * 5
+        np.testing.assert_array_equal(ds.pairs, [[5, 7]] * 5)
+        np.testing.assert_array_equal(ds.labels, [0, 1, 0, NO_LABEL, NO_LABEL])
+        np.testing.assert_array_equal(ds.features[2], [0.5, 0.5])
+        assert ds.features.dtype == np.float64 and ds.features.shape == (5, 2)
+
+    def test_positives_negatives_partition_rows(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, sample_rows())
+        ds = load_dataset(str(path))
+        np.testing.assert_array_equal(ds.positives(), [0, 1, 2])
+        np.testing.assert_array_equal(ds.negatives(), [3, 4])
+
+    def test_many_rows_keep_their_features(self, tmp_path):
+        # more rows than the reader's first buffer holds
+        rows = [
+            {**sample_rows()[0], "id": f"r{i}", "feature": [float(i), -0.5 * i]}
+            for i in range(2500)
+        ]
+        path = tmp_path / "data.jsonl"
+        write_lines(path, rows)
+        ds = load_dataset(str(path))
+        expected = np.array([[float(i), -0.5 * i] for i in range(2500)])
+        np.testing.assert_array_equal(ds.features, expected)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -93,14 +106,25 @@ class TestLoadDataset:
         rows[1]["id"] = "t1"
         path = tmp_path / "dup.jsonl"
         write_lines(path, rows)
-        with pytest.raises(DatasetError, match="t1"):
+        with pytest.raises(DatasetError, match=r"dup.jsonl: line 2: duplicate record id 't1'"):
             load_dataset(str(path))
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rows = sample_rows()
         bad_class = json.dumps({**rows[1], "subject_class": "person"})
-        for bad_line in ("{not json", bad_class):
+        huge_class = json.dumps({**rows[1], "object_class": 2**63})
+        bad_features = [
+            json.dumps({**rows[1], "feature": feature})
+            for feature in (
+                ["1.5", 0.0],
+                [None, 0.0],
+                [[1.0], 0.0],
+                [float("nan"), 0.0],
+                [10**400, 0.0],
+            )
+        ]
+        for bad_line in ("{not json", bad_class, huge_class, *bad_features):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(rows[0]) + "\n")
                 fh.write(bad_line + "\n")
@@ -152,11 +176,11 @@ class TestRoundtrip:
         ds2 = load_dataset(str(out))
         assert len(ds2) == len(ds)
         assert ds2.vocab == ds.vocab
-        for a, b in zip(ds.records, ds2.records):
-            assert a.id == b.id
-            assert a.label == b.label
-            assert a.label_state == b.label_state
-            np.testing.assert_array_equal(a.feature, b.feature)
+        assert ds2.ids == ds.ids and ds2.image_ids == ds.image_ids
+        np.testing.assert_array_equal(ds2.pairs, ds.pairs)
+        np.testing.assert_array_equal(ds2.labels, ds.labels)
+        np.testing.assert_array_equal(ds2.features, ds.features)
+        assert (tmp_path / "out.jsonl").read_text() == src.read_text()
 
     def test_serialization_is_deterministic(self, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -198,87 +222,35 @@ class TestPartition:
             partition_predicates(vocab, head_min=100, tail_max=200)
 
 
-class TestRecordInvariants:
-    def test_negative_must_have_no_label(self):
-        with pytest.raises(DatasetError):
-            make_record("r1", label=0, state=LabelState.NEGATIVE)
-
-    def test_labeled_state_must_have_label(self):
-        with pytest.raises(DatasetError):
-            make_record("r1", label=None, state=LabelState.ANNOTATED)
-
-    def test_confidence_range_checked(self):
-        with pytest.raises(DatasetError):
-            TripletRecord(
-                id="r1",
-                image_id="i",
-                subject_class=0,
-                object_class=0,
-                feature=np.zeros(2),
-                label=0,
-                label_state=LabelState.PSEUDO,
-                confidence=1.5,
-            )
-
-
-class TestComposePositiveSet:
-    def test_cardinality_and_order(self):
-        pos = [make_record(f"p{i}") for i in range(3)]
-        mined = [make_record(f"m{i}", state=LabelState.PSEUDO) for i in range(2)]
-        out = compose_positive_set(pos, mined)
-        assert len(out) == 5
-        assert [r.id for r in out] == ["p0", "p1", "p2", "m0", "m1"]
-
-    def test_empty_mined_is_identity(self):
-        pos = [make_record(f"p{i}") for i in range(3)]
-        out = compose_positive_set(pos, [])
-        assert out == tuple(pos)
-
-    def test_non_pseudo_mined_rejected(self):
-        pos = [make_record("p0")]
-        bad = [make_record("m0", state=LabelState.ANNOTATED)]
-        with pytest.raises(DatasetError, match="pseudo"):
-            compose_positive_set(pos, bad)
-
-    def test_id_collision_rejected(self):
-        pos = [make_record("x0")]
-        mined = [make_record("x0", state=LabelState.PSEUDO)]
-        with pytest.raises(DatasetError, match="x0"):
-            compose_positive_set(pos, mined)
-
-
 class TestDataset:
-    def test_with_records_replaces_in_place(self):
-        vocab = PredicateVocab(("on",), (2,))
-        recs = (make_record("a"), make_record("b"))
-        ds = Dataset(recs, vocab, partition_predicates(vocab), 4)
-        promoted = TripletRecord(
-            id="b",
-            image_id="img0",
-            subject_class=1,
-            object_class=2,
-            feature=np.zeros(4),
-            label=0,
-            label_state=LabelState.PSEUDO,
-            confidence=0.9,
-        )
-        ds2 = ds.with_records({"b": promoted})
-        assert [r.id for r in ds2.records] == ["a", "b"]
-        assert ds2.records[1].label_state is LabelState.PSEUDO
-        assert ds.records[1].label_state is LabelState.ANNOTATED
+    def test_columns_are_read_only(self):
+        ds = small_dataset()
+        for column in (ds.pairs, ds.features, ds.labels):
+            with pytest.raises(ValueError):
+                column[0] = 1
 
-    def test_with_records_unknown_id_rejected(self):
-        vocab = PredicateVocab(("on",), (1,))
-        ds = Dataset((make_record("a"),), vocab, partition_predicates(vocab), 4)
-        with pytest.raises(DatasetError, match="zz"):
-            ds.with_records({"zz": make_record("zz")})
+    def test_replace_derives_a_new_dataset(self):
+        ds = small_dataset()
+        labels = ds.labels.copy()
+        labels[1] = 0
+        ds2 = dataclasses.replace(ds, labels=labels)
+        np.testing.assert_array_equal(ds2.labels, [0, 0])
+        np.testing.assert_array_equal(ds.labels, [0, NO_LABEL])
 
-    def test_feature_dim_mismatch_rejected(self):
-        vocab = PredicateVocab(("on",), (1,))
-        with pytest.raises(DatasetError, match="dimension"):
-            Dataset(
-                (make_record("a", feature=np.zeros(3)),),
-                vocab,
-                partition_predicates(vocab),
-                4,
-            )
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(DatasetError, match="duplicate record id 'a'"):
+            small_dataset(ids=("a", "b", "a"), labels=(0, 0, 0))
+
+    def test_label_out_of_range_rejected(self):
+        with pytest.raises(DatasetError, match="label index 1 out of range"):
+            dataclasses.replace(small_dataset(), labels=np.array([0, 1]))
+
+    def test_column_length_mismatch_rejected(self):
+        ds = small_dataset()
+        with pytest.raises(DatasetError, match="one row for each of the 2 ids"):
+            dataclasses.replace(ds, features=np.zeros((3, 4)))
+
+    def test_vocab_counts_are_labeled_rows(self):
+        ds = small_dataset(ids=("a", "b", "c"), labels=(0, NO_LABEL, 0))
+        assert ds.vocab.counts == (2,)
+        assert ds.partition.part(0) is Part.TAIL

@@ -1,5 +1,6 @@
 """Tests for the local-density stage, checked against brute-force oracles."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -9,11 +10,11 @@ import pytest
 from tripletclean import density
 
 from tripletclean.core import (
+    NO_LABEL,
+    Dataset,
     DatasetError,
-    LabelState,
     Part,
     PredicateVocab,
-    TripletRecord,
     partition_predicates,
 )
 from tripletclean.density import (
@@ -67,21 +68,18 @@ def best_two_split(values):
     return set(vals[:best_cut].tolist()), set(vals[best_cut:].tolist())
 
 
-def make_labeled(rid, label, feature, pair=(1, 2)):
-    return TripletRecord(
-        id=rid,
-        image_id="img",
-        subject_class=pair[0],
-        object_class=pair[1],
-        feature=np.asarray(feature, dtype=np.float64),
-        label=label,
-        label_state=LabelState.ANNOTATED,
-    )
+def labeled_dataset(features, labels, ids=None):
+    """Rows ``r0``, ``r1``, ... (or ``ids``) labeled ``p0``, ``p1``, ...;
+    classes this small all fall in the tail."""
+    n = len(labels)
+    ids = [f"r{i}" for i in range(n)] if ids is None else ids
+    names = [f"p{i}" for i in range(max(labels) + 1)]
+    return Dataset.counted(ids, ["img"] * n, [(1, 2)] * n, features, labels, names)
 
 
-def tail_partition(n_classes):
-    vocab = PredicateVocab(tuple(f"p{i}" for i in range(n_classes)), (0,) * n_classes)
-    return partition_predicates(vocab)
+def flag(dataset, config=None):
+    """Density report over every row of ``dataset``."""
+    return detect_noisy_positives(dataset, np.arange(len(dataset)), config or DensityConfig())
 
 
 class TestDistanceMatrix:
@@ -260,54 +258,47 @@ class TestDetectNoisyPositives:
                 rng.uniform(40.0, 90.0, size=(5, 3)),
             ]
         )
-        records = [make_labeled(f"r{i}", 0, feats[i]) for i in range(105)]
-        report = detect_noisy_positives(records, DensityConfig(), tail_partition(1))
+        report = flag(labeled_dataset(feats, [0] * 105))
         outlier_ids = {f"r{i}" for i in range(100, 105)}
         assert outlier_ids <= report.flagged_set()
 
     def test_small_class_all_clean(self):
-        records = [make_labeled(f"r{i}", 0, [float(i)]) for i in range(3)]
-        report = detect_noisy_positives(records, DensityConfig(), tail_partition(1))
+        report = flag(labeled_dataset([[0.0], [1.0], [2.0]], [0] * 3))
         assert report.noisy_ids == ()
-        assert set(report.clean_ids) == {"r0", "r1", "r2"}
+        assert report.clean_rows.tolist() == [0, 1, 2]
 
     def test_empty_input(self):
-        report = detect_noisy_positives([], DensityConfig(), tail_partition(1))
-        assert report.noisy_ids == () and report.clean_ids == ()
+        ds = labeled_dataset([[0.0]], [0])
+        report = detect_noisy_positives(ds, np.array([], dtype=int), DensityConfig())
+        assert report.noisy_ids == () and report.clean_rows.size == 0
 
     def test_unlabeled_record_rejected(self):
-        bad = TripletRecord(
-            id="n1",
-            image_id="img",
-            subject_class=0,
-            object_class=0,
-            feature=np.zeros(2),
-            label=None,
-            label_state=LabelState.NEGATIVE,
-        )
+        ds = labeled_dataset([[0.0], [1.0]], [0, NO_LABEL], ids=["p1", "n1"])
         with pytest.raises(DatasetError, match="n1"):
-            detect_noisy_positives([bad], DensityConfig(), tail_partition(1))
+            flag(ds)
 
     def test_noisy_clean_partition_input(self):
         rng = np.random.default_rng(22)
-        records = [
-            make_labeled(f"r{i}", int(i % 3), rng.normal(size=4)) for i in range(60)
-        ]
-        report = detect_noisy_positives(records, DensityConfig(), tail_partition(3))
-        noisy, clean = set(report.noisy_ids), set(report.clean_ids)
+        report = flag(labeled_dataset(rng.normal(size=(60, 4)), [i % 3 for i in range(60)]))
+        noisy, clean = set(report.noisy_rows.tolist()), set(report.clean_rows.tolist())
         assert noisy & clean == set()
-        assert noisy | clean == {r.id for r in records}
+        assert noisy | clean == set(range(60))
+
+    def test_rows_keep_their_given_order_within_a_class(self):
+        rng = np.random.default_rng(28)
+        ds = labeled_dataset(rng.normal(size=(12, 2)), [0, 1] * 6)
+        rows = np.array([11, 4, 7, 0, 2, 9, 5, 1, 3])
+        report = detect_noisy_positives(ds, rows, DensityConfig())
+        assert [c.rows.tolist() for c in report.classes] == [[4, 0, 2], [11, 7, 9, 5, 1, 3]]
 
     def test_permutation_leaves_flagged_set_unchanged(self):
         rng = np.random.default_rng(23)
         feats = np.concatenate(
             [rng.normal(0, 0.2, size=(30, 2)), rng.normal(30, 0.2, size=(4, 2))]
         )
-        records = [make_labeled(f"r{i}", 0, feats[i]) for i in range(34)]
-        report_a = detect_noisy_positives(records, DensityConfig(), tail_partition(1))
-        perm = rng.permutation(34)
-        shuffled = [records[i] for i in perm]
-        report_b = detect_noisy_positives(shuffled, DensityConfig(), tail_partition(1))
+        ds = labeled_dataset(feats, [0] * 34)
+        report_a = flag(ds)
+        report_b = detect_noisy_positives(ds, rng.permutation(34), DensityConfig())
         assert report_a.flagged_set() == report_b.flagged_set()
 
     def test_uniform_scaling_leaves_flagged_set_unchanged(self):
@@ -315,19 +306,15 @@ class TestDetectNoisyPositives:
         feats = np.concatenate(
             [rng.normal(0, 0.2, size=(30, 2)), rng.normal(30, 0.2, size=(4, 2))]
         )
-        records = [make_labeled(f"r{i}", 0, feats[i]) for i in range(34)]
-        scaled = [make_labeled(f"r{i}", 0, feats[i] * 7.5) for i in range(34)]
-        report_a = detect_noisy_positives(records, DensityConfig(), tail_partition(1))
-        report_b = detect_noisy_positives(scaled, DensityConfig(), tail_partition(1))
+        report_a = flag(labeled_dataset(feats, [0] * 34))
+        report_b = flag(labeled_dataset(feats * 7.5, [0] * 34))
         assert report_a.flagged_set() == report_b.flagged_set()
 
     def test_alpha_chosen_by_frequency_part(self):
-        vocab = PredicateVocab(("big", "rare"), (20_000, 10))
-        partition = partition_predicates(vocab)
         rng = np.random.default_rng(25)
-        records = [make_labeled(f"a{i}", 0, rng.normal(size=3)) for i in range(10)]
-        records += [make_labeled(f"b{i}", 1, rng.normal(size=3)) for i in range(10)]
-        report = detect_noisy_positives(records, DensityConfig(), partition)
+        ds = labeled_dataset(rng.normal(size=(20, 3)), [0] * 10 + [1] * 10)
+        vocab = PredicateVocab(("big", "rare"), (20_000, 10))
+        report = flag(dataclasses.replace(ds, vocab=vocab, partition=partition_predicates(vocab)))
         by_class = {c.class_index: c for c in report.classes}
         assert by_class[0].alpha == 12.5
         assert by_class[1].alpha == 50.0
@@ -336,8 +323,7 @@ class TestDetectNoisyPositives:
 class TestReportExport:
     def test_rows_match_schema(self):
         rng = np.random.default_rng(26)
-        records = [make_labeled(f"r{i}", 0, rng.normal(size=2)) for i in range(8)]
-        report = detect_noisy_positives(records, DensityConfig(), tail_partition(1))
+        report = flag(labeled_dataset(rng.normal(size=(8, 2)), [0] * 8))
         lines = density_report_to_text(report).strip().split("\n")
         assert len(lines) == 8
         for line in lines:
@@ -350,8 +336,7 @@ class TestReportExport:
         feats = np.concatenate(
             [rng.normal(0, 0.2, size=(20, 2)), rng.normal(25, 0.2, size=(3, 2))]
         )
-        records = [make_labeled(f"r{i}", 0, feats[i]) for i in range(23)]
-        report = detect_noisy_positives(records, DensityConfig(), tail_partition(1))
+        report = flag(labeled_dataset(feats, [0] * 23))
         rows = [json.loads(l) for l in density_report_to_text(report).strip().split("\n")]
         assert {r["id"] for r in rows if r["flagged"]} == report.flagged_set()
 

@@ -1,20 +1,16 @@
 """Tests for the negative-mining stage: loss math, training, detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tripletclean.core import (
-    DatasetError,
-    LabelState,
-    Part,
-    PredicateVocab,
-    TripletRecord,
-    partition_predicates,
-)
+from tripletclean.core import NO_LABEL, Dataset, DatasetError, Part
 from tripletclean.negatives import (
     DISABLED,
     ConfidenceModel,
     MinerConfig,
+    TrainingError,
     adjust_probs,
     detect_noisy_negatives,
     forward,
@@ -28,28 +24,30 @@ from tripletclean.negatives import (
 )
 
 
-def make_positive(rid, label, feature):
-    return TripletRecord(
-        id=rid,
-        image_id="img",
-        subject_class=0,
-        object_class=1,
-        feature=np.asarray(feature, dtype=np.float64),
-        label=label,
-        label_state=LabelState.ANNOTATED,
-    )
+def make_dataset(features, labels, n_classes, ids=None):
+    """Rows ``r000``, ``r001``, ... (or ``ids``) over an all-tail vocabulary
+    of ``n_classes`` predicates."""
+    n = len(labels)
+    ids = [f"r{i:03d}" for i in range(n)] if ids is None else ids
+    names = [f"p{i}" for i in range(n_classes)]
+    return Dataset.counted(ids, ["img"] * n, [(0, 1)] * n, features, labels, names)
 
 
-def make_negative(rid, feature, pair=(0, 1)):
-    return TripletRecord(
-        id=rid,
-        image_id="img",
-        subject_class=pair[0],
-        object_class=pair[1],
-        feature=np.asarray(feature, dtype=np.float64),
-        label=None,
-        label_state=LabelState.NEGATIVE,
-    )
+def negatives_dataset(ids, features, n_classes, labels=None):
+    labels = [NO_LABEL] * len(ids) if labels is None else labels
+    return make_dataset(features, labels, n_classes, ids)
+
+
+def fit(X, y, n_classes, config):
+    """Train on every row of the given features and labels."""
+    return train(make_dataset(X, y, n_classes), np.arange(len(y)), config)
+
+
+def detect(model, dataset, config):
+    """Promotions over every row of ``dataset``, plus the rows kept back."""
+    promoted = detect_noisy_negatives(model, np.arange(len(dataset)), dataset, config)
+    kept = np.setdiff1d(np.arange(len(dataset)), promoted.rows)
+    return promoted, kept
 
 
 def constant_model(n_classes, logits, conf_logit, input_dim=2):
@@ -66,22 +64,13 @@ def constant_model(n_classes, logits, conf_logit, input_dim=2):
     )
 
 
-def all_tail_partition(n_classes):
-    vocab = PredicateVocab(tuple(f"p{i}" for i in range(n_classes)), (0,) * n_classes)
-    return partition_predicates(vocab)
-
-
 def separable_positives(n_per_class, rng, spread=0.3):
-    records = []
+    """Feature rows and labels of two Gaussian blobs, class 0 first."""
     centers = [np.array([0.0, 0.0]), np.array([5.0, 5.0])]
-    for label, center in enumerate(centers):
-        for i in range(n_per_class):
-            records.append(
-                make_positive(
-                    f"c{label}_{i}", label, center + rng.normal(0, spread, size=2)
-                )
-            )
-    return records
+    X = np.array(
+        [center + rng.normal(0, spread, size=2) for center in centers for _ in range(n_per_class)]
+    )
+    return X, np.repeat([0, 1], n_per_class)
 
 
 class TestAdjustProbs:
@@ -202,50 +191,66 @@ class TestGradients:
 class TestTrain:
     def test_loss_decreases_on_separable_data(self):
         rng = np.random.default_rng(6)
-        records = separable_positives(100, rng)
+        X, y = separable_positives(100, rng)
+        Y = one_hot(y, 2)
         config = MinerConfig(hidden_size=16, epochs=8, learning_rate=0.3, seed=1)
-        model = train(records, 2, config)
-        assert model.loss_history[-1] < model.loss_history[0]
-        assert model.loss_history[-1] <= model.loss_history[1]
+
+        def full_loss(model):
+            P, C = forward(model, X)
+            return loss_value(P, Y, C, model.class_weights, model.lam)
+
+        weights = 1.0 / np.bincount(y)
+        initial = initialize_model(2, 16, 2, weights, config.lam, np.random.default_rng(1))
+        after_one = fit(X, y, 2, dataclasses.replace(config, epochs=1))
+        final = fit(X, y, 2, config)
+        assert full_loss(final) < full_loss(initial)
+        assert full_loss(final) <= full_loss(after_one)
 
     def test_single_sample_step_moves_parameters(self):
-        records = [make_positive("only", 0, [1.0, -1.0])]
         config = MinerConfig(hidden_size=4, epochs=1, learning_rate=0.1, seed=2)
-        model = train(records, 2, config)
+        model = fit(np.array([[1.0, -1.0]]), [0], 2, config)
         rng = np.random.default_rng(2)
         init = initialize_model(2, 4, 2, model.class_weights, 0.1, rng)
         assert not np.array_equal(model.W2, init.W2)
 
     def test_large_penalty_forces_high_confidence(self):
         rng = np.random.default_rng(7)
-        records = separable_positives(40, rng, spread=1.5)
-        X = np.stack([r.feature for r in records])
+        X, y = separable_positives(40, rng, spread=1.5)
         common = dict(hidden_size=8, epochs=12, learning_rate=0.3, seed=3)
-        bold = train(records, 2, MinerConfig(lam=100.0, **common))
-        timid = train(records, 2, MinerConfig(lam=0.01, **common))
+        bold = fit(X, y, 2, MinerConfig(lam=100.0, **common))
+        timid = fit(X, y, 2, MinerConfig(lam=0.01, **common))
         _, c_bold = forward(bold, X)
         _, c_timid = forward(timid, X)
         assert c_bold.mean() > c_timid.mean()
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
-        records = separable_positives(30, rng)
+        X, y = separable_positives(30, rng)
         config = MinerConfig(hidden_size=8, epochs=3, seed=9)
-        a = train(records, 2, config)
-        b = train(records, 2, config)
-        np.testing.assert_array_equal(a.W1, b.W1)
-        np.testing.assert_array_equal(a.W2, b.W2)
-        np.testing.assert_array_equal(a.w3, b.w3)
+        a = fit(X, y, 2, config)
+        b = fit(X, y, 2, config)
+        for name in ("W1", "b1", "W2", "b2", "w3", "b3"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_empty_positives_rejected(self):
         with pytest.raises(DatasetError, match="empty"):
-            train([], 2, MinerConfig())
+            fit(np.zeros((0, 2)), [], 2, MinerConfig())
+
+    def test_unlabeled_row_rejected(self):
+        with pytest.raises(DatasetError, match="unlabeled"):
+            fit(np.zeros((2, 2)), [0, NO_LABEL], 2, MinerConfig())
 
     def test_class_weights_are_reciprocal_counts(self):
-        records = [make_positive(f"a{i}", 0, [0.0, 0.0]) for i in range(4)]
-        records += [make_positive("b0", 1, [1.0, 1.0])]
-        model = train(records, 3, MinerConfig(hidden_size=2, epochs=1))
+        X = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]])
+        model = fit(X, [0, 0, 0, 0, 1], 3, MinerConfig(hidden_size=2, epochs=1))
         np.testing.assert_allclose(model.class_weights, [0.25, 1.0, 1.0])
+
+    def test_huge_learning_rate_raises_training_error(self):
+        rng = np.random.default_rng(6)
+        X, y = separable_positives(20, rng)
+        config = MinerConfig(hidden_size=4, epochs=3, learning_rate=1e308, lam=10.0, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="learning_rate"):
+            fit(X, y, 2, config)
 
 
 class TestForwardInvariants:
@@ -261,83 +266,94 @@ class TestForwardInvariants:
 class TestDetect:
     def test_confident_tail_prediction_promoted(self):
         model = constant_model(3, logits=[3.0, 0.0, 0.0], conf_logit=3.0)
-        negs = [make_negative("n1", [0.5, 0.5])]
-        config = MinerConfig()
-        mined, clean = detect_noisy_negatives(model, negs, config, all_tail_partition(3))
-        assert len(mined) == 1 and clean == ()
-        assert mined[0].label == 0
-        assert mined[0].label_state is LabelState.PSEUDO
-        assert mined[0].confidence is not None
+        ds = negatives_dataset(["n1"], [[0.5, 0.5]], 3)
+        promoted, kept = detect(model, ds, MinerConfig())
+        assert promoted.rows.tolist() == [0] and kept.size == 0
+        assert promoted.labels.tolist() == [0]
+        assert 0.0 < promoted.confidence[0] < 1.0
 
     def test_boundary_confidence_is_promoted(self):
         model = constant_model(2, logits=[1.0, 0.0], conf_logit=0.4)
-        negs = [make_negative("n1", [0.0, 0.0])]
+        ds = negatives_dataset(["n1"], [[0.0, 0.0]], 2)
         _, c = forward(model, np.zeros((1, 2)))
         exact = float(c[0])
         config = MinerConfig(
             thresholds={Part.HEAD: exact, Part.BODY: exact, Part.TAIL: exact}
         )
-        mined, clean = detect_noisy_negatives(model, negs, config, all_tail_partition(2))
-        assert len(mined) == 1 and clean == ()
+        promoted, kept = detect(model, ds, config)
+        assert len(promoted.rows) == 1 and kept.size == 0
 
     def test_all_disabled_promotes_nothing(self):
         model = constant_model(2, logits=[5.0, 0.0], conf_logit=9.0)
-        negs = [make_negative(f"n{i}", [0.1, 0.2]) for i in range(4)]
+        ds = negatives_dataset([f"n{i}" for i in range(4)], [[0.1, 0.2]] * 4, 2)
         config = MinerConfig(
             thresholds={Part.HEAD: DISABLED, Part.BODY: DISABLED, Part.TAIL: DISABLED}
         )
-        mined, clean = detect_noisy_negatives(model, negs, config, all_tail_partition(2))
-        assert mined == ()
-        assert len(clean) == 4
+        promoted, kept = detect(model, ds, config)
+        assert promoted.rows.size == 0
+        assert len(kept) == 4
 
-    def test_outputs_partition_input_and_are_sorted(self):
+    def test_promoted_rows_are_in_id_order(self):
         rng = np.random.default_rng(11)
         model = initialize_model(3, 6, 4, np.ones(4), 0.1, rng)
-        negs = [make_negative(f"n{i:02d}", rng.normal(size=3)) for i in range(30)]
-        rng.shuffle(negs)
+        ids = [f"n{i:02d}" for i in range(30)]
+        rng.shuffle(ids)
+        ds = negatives_dataset(ids, rng.normal(size=(30, 3)), 4)
         config = MinerConfig(
             thresholds={Part.HEAD: 0.5, Part.BODY: 0.5, Part.TAIL: 0.5}
         )
-        mined, clean = detect_noisy_negatives(model, negs, config, all_tail_partition(4))
-        ids = sorted(r.id for r in negs)
-        got = sorted([r.id for r in mined] + [r.id for r in clean])
-        assert got == ids
-        assert [r.id for r in mined] == sorted(r.id for r in mined)
-        assert [r.id for r in clean] == sorted(r.id for r in clean)
+        promoted, kept = detect(model, ds, config)
+        assert 0 < len(promoted.rows) < 30
+        promoted_ids = [ds.ids[r] for r in promoted.rows]
+        assert promoted_ids == sorted(promoted_ids)
+        assert promoted_ids != [ds.ids[r] for r in sorted(promoted.rows)]
+        P, C = forward(model, ds.features[promoted.rows])
+        np.testing.assert_array_equal(promoted.labels, np.argmax(P, axis=1))
+        np.testing.assert_array_equal(promoted.confidence, C)
 
     def test_raising_threshold_never_promotes_more(self):
         rng = np.random.default_rng(12)
         model = initialize_model(3, 6, 3, np.ones(3), 0.1, rng)
-        negs = [make_negative(f"n{i}", rng.normal(size=3)) for i in range(50)]
+        ds = negatives_dataset([f"n{i}" for i in range(50)], rng.normal(size=(50, 3)), 3)
         counts = []
         for theta in (0.3, 0.5, 0.7, 0.9):
             config = MinerConfig(
                 thresholds={Part.HEAD: theta, Part.BODY: theta, Part.TAIL: theta}
             )
-            mined, _ = detect_noisy_negatives(model, negs, config, all_tail_partition(3))
-            counts.append(len(mined))
+            promoted, _ = detect(model, ds, config)
+            counts.append(len(promoted.rows))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_quantile_mode_selects_top_scores(self):
         rng = np.random.default_rng(13)
         model = initialize_model(2, 6, 2, np.ones(2), 0.1, rng)
-        negs = [make_negative(f"n{i:02d}", rng.normal(size=2) * 3) for i in range(40)]
+        ds = negatives_dataset([f"n{i:02d}" for i in range(40)], rng.normal(size=(40, 2)) * 3, 2)
         config = MinerConfig(
             thresholds={Part.HEAD: 0.9, Part.BODY: 0.9, Part.TAIL: 0.9},
             threshold_mode="quantile",
         )
-        mined, clean = detect_noisy_negatives(model, negs, config, all_tail_partition(2))
-        assert 0 < len(mined) <= 8
-        if clean:
-            assert min(r.confidence for r in mined) >= max(
-                float(forward(model, r.feature[None, :])[1][0]) for r in clean
-            )
+        promoted, kept = detect(model, ds, config)
+        assert 0 < len(promoted.rows) <= 8
+        if kept.size:
+            assert promoted.confidence.min() >= forward(model, ds.features[kept])[1].max()
 
-    def test_non_negative_input_rejected(self):
+    def test_subset_of_rows_is_scored(self):
+        model = constant_model(2, logits=[1.0, 0.0], conf_logit=3.0)
+        ds = negatives_dataset(["a", "b", "c"], np.zeros((3, 2)), 2)
+        promoted = detect_noisy_negatives(model, np.array([2, 0]), ds, MinerConfig())
+        assert promoted.rows.tolist() == [0, 2]
+
+    def test_no_rows_promotes_nothing(self):
+        model = constant_model(2, logits=[1.0, 0.0], conf_logit=3.0)
+        ds = negatives_dataset(["a"], np.zeros((1, 2)), 2)
+        promoted = detect_noisy_negatives(model, np.array([], dtype=int), ds, MinerConfig())
+        assert [len(column) for column in promoted] == [0, 0, 0]
+
+    def test_labeled_row_rejected(self):
         model = constant_model(2, logits=[1.0, 0.0], conf_logit=0.0)
-        pos = make_positive("p1", 0, [0.0, 0.0])
+        ds = negatives_dataset(["n1", "p1"], np.zeros((2, 2)), 2, labels=[NO_LABEL, 0])
         with pytest.raises(DatasetError, match="p1"):
-            detect_noisy_negatives(model, [pos], MinerConfig(), all_tail_partition(2))
+            detect(model, ds, MinerConfig())
 
 
 class TestPersistence:

@@ -1,24 +1,22 @@
 """Tests for the orchestrated pipeline: toggles, identities, persistence."""
 
+import dataclasses
 import json
-import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tripletclean
 from tripletclean.core import (
+    NO_LABEL,
     Dataset,
     DatasetError,
-    LabelState,
-    PredicateVocab,
-    TripletRecord,
+    Part,
     dataset_to_text,
     load_dataset,
-    partition_predicates,
 )
-from tripletclean.density import DensityConfig
 from tripletclean.negatives import MinerConfig
 from tripletclean.pipeline import (
     CleaningReport,
@@ -30,7 +28,6 @@ from tripletclean.pipeline import (
     load_flagged,
     load_ledger,
     load_mined,
-    export_embeddings,
     run,
     write_outputs,
 )
@@ -77,22 +74,21 @@ class TestRun:
         assert counts["mined_negatives"] > 0
         assert counts["flagged"] > 0
 
-    def test_final_states_partition_records(self):
+    def test_label_changes_are_promotions_and_changed_ledger_rows(self):
         ds, _ = noisy_dataset()
         result = run(fast_config(), dataset=ds)
-        states = {}
-        for rec in result.dataset.records:
-            states[rec.label_state] = states.get(rec.label_state, 0) + 1
-        allowed = {
-            LabelState.ANNOTATED,
-            LabelState.NEGATIVE,
-            LabelState.PSEUDO,
-            LabelState.CORRECTED,
-            LabelState.CLEAN_KEPT,
+        row = {rid: i for i, rid in enumerate(ds.ids)}
+        promoted = set(result.promoted.rows.tolist())
+        corrected = {row[e.id] for e in result.ledger if e.changed}
+        assert promoted and corrected
+        changed = np.flatnonzero(result.dataset.labels != ds.labels)
+        assert set(changed.tolist()) == promoted | corrected
+        for entry in result.ledger:
+            assert result.dataset.labels[row[entry.id]] == entry.new_label
+        assert result.mined == {
+            ds.ids[r]: ds.vocab.names[k]
+            for r, k in zip(result.promoted.rows, result.promoted.labels)
         }
-        assert set(states) <= allowed
-        assert states[LabelState.PSEUDO] >= 1
-        assert states[LabelState.CORRECTED] >= 1
 
     def test_disabled_miner_keeps_negatives(self):
         ds, _ = noisy_dataset()
@@ -107,18 +103,15 @@ class TestRun:
         assert result.report.flagged == 0
         assert result.ledger == ()
 
-    def test_disabled_corrector_marks_flagged_clean_kept(self):
+    def test_disabled_corrector_keeps_flagged_labels(self):
         ds, _ = noisy_dataset()
         with_nsc = run(fast_config(), dataset=ds)
         without = run(fast_config(enable_nsc=False), dataset=ds)
         assert without.report.flagged == with_nsc.report.flagged
-        assert without.report.relabeled == 0
-        by_id_before = ds.by_id()
-        for rid in without.density.noisy_ids:
-            rec = without.dataset.by_id()[rid]
-            assert rec.label_state is LabelState.CLEAN_KEPT
-            if by_id_before[rid].label is not None:
-                assert rec.label == by_id_before[rid].label
+        assert without.report.relabeled == 0 and without.ledger == ()
+        expected = ds.labels.copy()
+        expected[without.promoted.rows] = without.promoted.labels
+        np.testing.assert_array_equal(without.dataset.labels, expected)
 
     def test_all_stages_off_reserializes_input(self):
         ds, _ = noisy_dataset()
@@ -130,28 +123,24 @@ class TestRun:
 
     def test_no_negatives_is_fine(self):
         ds, _ = noisy_dataset()
-        positives_only = Dataset(
-            ds.positives(), ds.vocab, ds.partition, ds.feature_dim
+        pos = ds.positives()
+        positives_only = dataclasses.replace(
+            ds,
+            ids=tuple(ds.ids[r] for r in pos),
+            image_ids=tuple(ds.image_ids[r] for r in pos),
+            pairs=ds.pairs[pos],
+            features=ds.features[pos],
+            labels=ds.labels[pos],
         )
         result = run(fast_config(), dataset=positives_only)
         assert result.report.mined_negatives == 0
         assert result.report.negatives == 0
 
     def test_stage_failure_names_stage(self):
-        vocab = PredicateVocab(("p0",), (0,))
-        negatives = tuple(
-            TripletRecord(
-                id=f"n{i}",
-                image_id="im",
-                subject_class=0,
-                object_class=1,
-                feature=np.zeros(4),
-                label=None,
-                label_state=LabelState.NEGATIVE,
-            )
-            for i in range(3)
+        ids = [f"n{i}" for i in range(3)]
+        ds = Dataset.counted(
+            ids, ["im"] * 3, [(0, 1)] * 3, np.zeros((3, 4)), [NO_LABEL] * 3, ["p0"]
         )
-        ds = Dataset(negatives, vocab, partition_predicates(vocab), 4)
         with pytest.raises(PipelineError, match="neg_nsd"):
             run(fast_config(), dataset=ds)
 
@@ -198,14 +187,68 @@ class TestWriteOutputs:
         )
         assert load_ledger(str(out / "correction_ledger.jsonl")) == result.ledger
 
-    def test_export_embeddings_schema(self):
-        ds, _ = noisy_dataset()
-        text = export_embeddings(ds)
-        rows = [json.loads(line) for line in text.strip().split("\n")]
-        assert len(rows) == len(ds)
-        assert set(rows[0]) == {"id", "label", "feature"}
-        negatives = [r for r in rows if r["label"] is None]
-        assert len(negatives) == len(ds.negatives())
+
+# (id, predicate, feature) in file order; the ids sort in another order
+ORDER_ROWS = [
+    ("p-b", "on", [0.0, 0.0]),
+    ("p-a", "on", [0.25, 0.0]),
+    ("z-neg", None, [0.0, 0.25]),
+    ("p-c", "on", [0.0, 0.5]),
+    ("p-d", "on", [0.5, 0.5]),
+    ("b-neg", None, [0.25, 0.25]),
+    ("q1", "near", [6.0, 6.0]),
+    ("q2", "near", [6.25, 6.0]),
+    ("q3", "near", [6.0, 6.25]),
+    ("m-neg", None, [6.25, 6.25]),
+    ("q4", "near", [6.5, 6.5]),
+    ("q5", "on", [6.25, 6.5]),
+]
+
+
+def order_lines(relabel):
+    return "".join(
+        json.dumps(
+            {
+                "id": rid,
+                "image_id": "im",
+                "subject_class": 0,
+                "object_class": 1,
+                "predicate": relabel.get(rid, predicate),
+                "feature": feature,
+            }
+        )
+        + "\n"
+        for rid, predicate, feature in ORDER_ROWS
+    )
+
+
+class TestRowOrder:
+    def test_id_order_differs_from_file_order(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text(order_lines({}))
+        promote_all = MinerConfig(
+            thresholds={part: 0.0 for part in Part}, hidden_size=16, epochs=15, seed=1
+        )
+        write_outputs(run(PipelineConfig(input_path=str(data), miner=promote_all)), str(tmp_path))
+        # the composed set: annotated positives in file order, then the
+        # promoted negatives in id order
+        density_ids = [
+            json.loads(line)["id"]
+            for line in (tmp_path / "density_report.jsonl").read_text().splitlines()
+        ]
+        assert density_ids == [
+            "p-b", "p-a", "p-c", "p-d", "q5", "b-neg", "z-neg",
+            "q1", "q2", "q3", "q4", "m-neg",
+        ]
+        # vote pools keep file order, so m-neg outranks q4 at equal distance
+        ledger = load_ledger(str(tmp_path / "correction_ledger.jsonl"))
+        assert [(e.id, e.new_label, e.neighbor_ids) for e in ledger] == [
+            ("p-c", 0, ("z-neg", "b-neg", "p-b")),
+            ("p-d", 0, ("b-neg", "p-a", "z-neg")),
+            ("q5", 1, ("m-neg", "q4", "q3")),
+        ]
+        relabel = {"z-neg": "on", "b-neg": "on", "m-neg": "near", "q5": "near"}
+        assert (tmp_path / "cleaned.jsonl").read_text() == order_lines(relabel)
 
 
 # one well-formed line of each artifact a reader takes
@@ -393,3 +436,12 @@ class TestReportValidation:
         )
         with pytest.raises(PipelineError, match="identities"):
             report.validate()
+
+
+class TestPackage:
+    def test_readme_lists_the_package_exports(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        listing = readme.split("The package root exports", 1)[1].split("Everything else", 1)[0]
+        exported = set(tripletclean.__all__) - {"__version__"}
+        assert set(re.findall(r"`(\w+)`", listing)) == exported
+        assert all(hasattr(tripletclean, name) for name in exported)

@@ -1,11 +1,11 @@
 """Tests for the synthetic generator and truth-based scoring."""
 
-from dataclasses import replace as dc_replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tripletclean.core import DatasetError, LabelState
+from tripletclean.core import DatasetError
 from tripletclean.correction import CorrectionRecord
 from tripletclean.synthetic import (
     GroundTruth,
@@ -46,12 +46,12 @@ class TestGenerate:
         assert truth.tagged(NoiseTag.COMMON) == frozenset()
         assert truth.tagged(NoiseTag.SYNONYM) == frozenset()
         assert truth.tagged(NoiseTag.MISSING) == frozenset()
-        for rec in ds.records:
-            assert ds.vocab.names[rec.label] == truth.true_predicate[rec.id]
+        for rid, label in zip(ds.ids, ds.labels):
+            assert ds.vocab.names[label] == truth.true_predicate[rid]
 
     def test_every_record_has_one_tag(self):
         ds, truth = generate(base_config(eta_neg=0.1, n_background=20))
-        assert {r.id for r in ds.records} == truth.ids()
+        assert set(ds.ids) == truth.ids()
         assert set(truth.tag) == truth.ids()
 
     def test_synonym_flip_changes_only_the_label(self):
@@ -59,24 +59,24 @@ class TestGenerate:
         ds, truth = generate(config)
         flipped = truth.tagged(NoiseTag.SYNONYM)
         assert flipped
-        by_id = ds.by_id()
+        row = {rid: i for i, rid in enumerate(ds.ids)}
         pair_of_class = {}
-        for rec in ds.records:
-            if truth.tag[rec.id] is NoiseTag.NONE:
-                pair_of_class.setdefault(truth.true_predicate[rec.id], rec.pair)
+        for rid, pair in zip(ds.ids, ds.pairs.tolist()):
+            if truth.tag[rid] is NoiseTag.NONE:
+                pair_of_class.setdefault(truth.true_predicate[rid], pair)
         for rid in flipped:
-            rec = by_id[rid]
+            label = ds.labels[row[rid]]
             true_name = truth.true_predicate[rid]
-            assert {ds.vocab.names[rec.label], true_name} == {"p0", "p1"}
-            assert ds.vocab.names[rec.label] != true_name
-            assert rec.pair == pair_of_class[true_name]
+            assert {ds.vocab.names[label], true_name} == {"p0", "p1"}
+            assert ds.vocab.names[label] != true_name
+            assert ds.pairs[row[rid]].tolist() == pair_of_class[true_name]
 
     def test_synonym_classes_share_pair_and_others_do_not(self):
         config = base_config(synonym_pairs=((0, 1),))
         ds, truth = generate(config)
         pairs = {}
-        for rec in ds.records:
-            pairs.setdefault(truth.true_predicate[rec.id], set()).add(rec.pair)
+        for rid, pair in zip(ds.ids, ds.pairs.tolist()):
+            pairs.setdefault(truth.true_predicate[rid], set()).add(tuple(pair))
         assert pairs["p0"] == pairs["p1"]
         assert pairs["p2"] != pairs["p0"]
 
@@ -85,9 +85,8 @@ class TestGenerate:
         ds, truth = generate(config)
         flipped = truth.tagged(NoiseTag.COMMON)
         assert len(flipped) == int(0.25 * 200)
-        by_id = ds.by_id()
         for rid in flipped:
-            assert ds.vocab.names[by_id[rid].label] == "p0"
+            assert ds.vocab.names[ds.labels[ds.ids.index(rid)]] == "p0"
             assert truth.true_predicate[rid] in ("p1", "p2")
 
     def test_noise_sets_are_disjoint(self):
@@ -109,22 +108,22 @@ class TestGenerate:
         ds_a, truth_a = generate(config)
         ds_b, truth_b = generate(config)
         assert truth_a == truth_b
-        for a, b in zip(ds_a.records, ds_b.records):
-            assert a.id == b.id and a.label == b.label
-            np.testing.assert_array_equal(a.feature, b.feature)
+        assert ds_a.ids == ds_b.ids
+        np.testing.assert_array_equal(ds_a.labels, ds_b.labels)
+        np.testing.assert_array_equal(ds_a.features, ds_b.features)
 
     def test_different_seeds_differ(self):
         ds_a, _ = generate(base_config(seed=1))
         ds_b, _ = generate(base_config(seed=2))
-        assert not np.array_equal(ds_a.records[0].feature, ds_b.records[0].feature)
+        assert not np.array_equal(ds_a.features[0], ds_b.features[0])
 
     def test_background_records_are_negative(self):
         ds, truth = generate(base_config(n_background=30))
         negs = ds.negatives()
         assert len(negs) == 30
-        for rec in negs:
-            assert truth.true_predicate[rec.id] is None
-            assert truth.tag[rec.id] is NoiseTag.NONE
+        for row in negs:
+            assert truth.true_predicate[ds.ids[row]] is None
+            assert truth.tag[ds.ids[row]] is NoiseTag.NONE
 
     def test_center_separation_is_exact(self):
         config = base_config(class_separation=7.0)
@@ -181,31 +180,27 @@ class TestScore:
         mined = {}
         flagged = set()
         ledger = []
-        updates = {}
-        for rec in ds.records:
-            tag = truth.tag[rec.id]
-            true_name = truth.true_predicate[rec.id]
+        labels = ds.labels.copy()
+        for row, rid in enumerate(ds.ids):
+            tag = truth.tag[rid]
+            true_name = truth.true_predicate[rid]
             if tag is NoiseTag.MISSING:
-                mined[rec.id] = true_name
-                updates[rec.id] = dc_replace(
-                    rec, label=index_of[true_name], label_state=LabelState.PSEUDO
-                )
+                mined[rid] = true_name
             elif tag in (NoiseTag.COMMON, NoiseTag.SYNONYM):
-                flagged.add(rec.id)
+                flagged.add(rid)
                 ledger.append(
                     CorrectionRecord(
-                        id=rec.id,
-                        old_label=rec.label,
+                        id=rid,
+                        old_label=int(labels[row]),
                         new_label=index_of[true_name],
                         changed=True,
                         neighbor_ids=(),
                         weights=(),
                     )
                 )
-                updates[rec.id] = dc_replace(
-                    rec, label=index_of[true_name], label_state=LabelState.CORRECTED
-                )
-        cleaned = ds.with_records(updates)
+            if tag is not NoiseTag.NONE:
+                labels[row] = index_of[true_name]
+        cleaned = replace(ds, labels=labels)
         metrics = score(cleaned, truth, mined, flagged, tuple(ledger))
         assert metrics.neg_recall == 1.0 and metrics.neg_precision == 1.0
         assert metrics.pseudo_label_accuracy == 1.0
@@ -216,7 +211,7 @@ class TestScore:
     def test_random_half_flagging_precision_tracks_noise_rate(self):
         ds, truth = self.noisy_setup()
         rng = np.random.default_rng(5)
-        positives = [r.id for r in ds.positives()]
+        positives = [ds.ids[row] for row in ds.positives()]
         flagged = set(rng.choice(positives, size=len(positives) // 2, replace=False))
         metrics = score(ds, truth, {}, flagged, ())
         noisy = truth.tagged(NoiseTag.COMMON) | truth.tagged(NoiseTag.SYNONYM)

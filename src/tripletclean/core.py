@@ -324,17 +324,12 @@ def load_dataset(
     pairs: list[tuple[int, int]] = []
     labels: list[int] = []
     seen: set[str] = set()
-    features = np.empty((0, 0))  # grown by doubling; rows past len(ids) unused
+    rows: list[np.ndarray] = []
     for lineno, obj in read_jsonl(path, DATASET_FIELDS):
         where = f"{path}: line {lineno}"
         row = _feature_row(obj["feature"], where)
-        n = len(ids)
-        if n == 0:
-            features = np.empty((1024, row.size))
-        elif row.size != features.shape[1]:
-            raise DatasetError(f"{where}: feature dimension {row.size} != {features.shape[1]}")
-        elif n == len(features):
-            features = np.concatenate([features, features])
+        if rows and row.size != rows[0].size:
+            raise DatasetError(f"{where}: feature dimension {row.size} != {rows[0].size}")
         rid = str(obj["id"])
         if rid in seen:
             raise DatasetError(f"{where}: duplicate record id {rid!r}")
@@ -350,9 +345,11 @@ def load_dataset(
                 names.append(pred)
             label = name_to_idx[pred]
         pair = (obj["subject_class"], obj["object_class"])
-        if max(map(abs, pair)) >= 2**63:
-            raise DatasetError(f"{where}: subject_class and object_class must fit in 64 bits")
-        features[n] = row
+        if not all(-(2**63) <= v < 2**63 for v in pair):
+            raise DatasetError(
+                f"{where}: subject_class and object_class must be signed 64-bit integers"
+            )
+        rows.append(row)
         ids.append(rid)
         image_ids.append(str(obj["image_id"]))
         pairs.append(pair)
@@ -360,7 +357,7 @@ def load_dataset(
     if not ids:
         raise DatasetError(f"{path}: empty dataset")
     return Dataset.counted(
-        ids, image_ids, pairs, features[: len(ids)], labels, names, head_min, tail_max
+        ids, image_ids, pairs, np.stack(rows), labels, names, head_min, tail_max
     )
 
 

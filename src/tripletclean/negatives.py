@@ -238,8 +238,8 @@ PARAMS = ("W1", "b1", "W2", "b2", "w3", "b3")
 def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> ConfidenceModel:
     """Fit the confidence model on the labeled ``rows`` by mini-batch descent.
 
-    Deterministic given the seed.  Raises TrainingError when an epoch
-    leaves a parameter non-finite.
+    Deterministic given the seed.  Raises TrainingError when the loss over
+    all ``rows`` is non-finite at the end of an epoch.
     """
     labels = dataset.labels[rows]
     if labels.size == 0:
@@ -266,14 +266,16 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
             _, grads = loss_and_gradients(model, X[batch], Y[batch])
             for name in PARAMS:
                 setattr(model, name, getattr(model, name) - config.learning_rate * grads[name])
-        if not all(np.isfinite(getattr(model, name)).all() for name in PARAMS):
+        P, C = forward(model, X)
+        epoch_loss = loss_value(P, Y, C, class_weights, config.lam)
+        if not np.isfinite(epoch_loss):
             raise TrainingError(
-                f"non-finite parameters at epoch {epoch + 1}; "
+                f"non-finite loss {epoch_loss} at epoch {epoch + 1}; "
                 f"reduce learning_rate ({config.learning_rate}) or batch size"
             )
 
     logger.info(
-        "trained on %d positives, %d classes, %d epochs", n, n_classes, config.epochs
+        "trained on %d positives, %d classes: final loss %.4f", n, n_classes, epoch_loss
     )
     return model
 

@@ -18,6 +18,7 @@ from tripletclean.core import (
     DatasetError,
     atomic_write_text,
     load_dataset,
+    read_json,
     save_dataset,
     save_vocab,
 )
@@ -34,7 +35,6 @@ from tripletclean.pipeline import (
     CLEANED_FILE,
     DATA_FILE,
     DENSITY_FILE,
-    FLAT_KEYS,
     LEDGER_FILE,
     MINED_FILE,
     MODEL_FILE,
@@ -43,7 +43,7 @@ from tripletclean.pipeline import (
     PipelineConfig,
     PipelineError,
     config_from_dict,
-    load_config,
+    load_input,
     load_mined,
     mined_to_text,
     run,
@@ -114,57 +114,51 @@ def build_parser() -> CliParser:
     return parser
 
 
+def _toggle(item: str) -> tuple[str, bool]:
+    stage, _, state = item.partition("=")
+    if state not in ("on", "off"):
+        raise DatasetError(f"bad stage toggle {item!r}, expected STAGE=on|off")
+    return stage, state == "on"
+
+
 def _load_cli_config(args) -> PipelineConfig:
-    if args.config:
-        config = load_config(args.config, seed_override=args.seed)
-    else:
-        config = config_from_dict({}, seed_override=args.seed)
-    if args.out:
-        config = dataclasses.replace(config, out_dir=args.out)
-    return config
+    """Apply the flags to the config file's JSON tree, then validate it.
 
-
-def _apply_toggles(config: PipelineConfig, toggles) -> PipelineConfig:
-    mapping = FLAT_KEYS["stages"]
-    updates = {}
-    for item in toggles:
-        if "=" not in item:
-            raise DatasetError(f"bad stage toggle {item!r}, expected STAGE=on|off")
-        stage, _, state = item.partition("=")
-        if stage not in mapping or state not in ("on", "off"):
-            raise DatasetError(f"bad stage toggle {item!r}, expected STAGE=on|off")
-        updates[mapping[stage]] = state == "on"
-    return dataclasses.replace(config, **updates)
-
-
-def _dataset_from(args, config: PipelineConfig):
-    path = getattr(args, "data", None) or config.input_path
-    if path is None:
-        raise DatasetError("no dataset given: pass --data or set io.input in the config")
-    return load_dataset(
-        path,
-        vocab_path=config.vocab_path,
-        head_min=config.head_min,
-        tail_max=config.tail_max,
-    )
+    A flag sets the key it stands for, so a bad value fails like the same
+    mistake in the file.  A section that is not an object is left for the
+    validation to reject.
+    """
+    raw = read_json(args.config, "config") if args.config else {}
+    if isinstance(raw, dict):
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        edits = [("io", "input", getattr(args, "data", None)), ("io", "out_dir", args.out)]
+        edits += [("stages", *_toggle(item)) for item in getattr(args, "stage_toggle", [])]
+        for section, key, value in edits:
+            if value in (None, ""):
+                continue
+            node = raw.setdefault(section, {})
+            if isinstance(node, dict):
+                node[key] = value
+    return config_from_dict(raw)
 
 
 def cmd_run(args) -> int:
-    config = _apply_toggles(_load_cli_config(args), args.stage_toggle)
+    config = _load_cli_config(args)
     result = run(config)
-    write_outputs(result, config.out_dir)
+    write_outputs(result, config.io.out_dir)
     for key, value in result.report.counts().items():
         print(f"{key}: {value}")
-    print(f"written: {config.out_dir}")
+    print(f"written: {config.io.out_dir}")
     return 0
 
 
 def cmd_train(args) -> int:
     config = _load_cli_config(args)
-    dataset = _dataset_from(args, config)
+    dataset = load_input(config)
     positives = dataset.positives()
-    model = train(dataset, positives, config.miner)
-    out_path = os.path.join(config.out_dir, MODEL_FILE)
+    model = train(dataset, positives, config.neg_nsd)
+    out_path = os.path.join(config.io.out_dir, MODEL_FILE)
     save_model(model, out_path)
     print(f"trained on {len(positives)} positives; model: {out_path}")
     return 0
@@ -172,12 +166,12 @@ def cmd_train(args) -> int:
 
 def cmd_detect_neg(args) -> int:
     config = _load_cli_config(args)
-    dataset = _dataset_from(args, config)
+    dataset = load_input(config)
     model = load_model(args.model)
     negatives = dataset.negatives()
-    promoted = detect_noisy_negatives(model, negatives, dataset, config.miner)
+    promoted = detect_noisy_negatives(model, negatives, dataset, config.neg_nsd)
     atomic_write_text(
-        os.path.join(config.out_dir, MINED_FILE), mined_to_text(promoted, dataset)
+        os.path.join(config.io.out_dir, MINED_FILE), mined_to_text(promoted, dataset)
     )
     print(f"promoted {len(promoted.rows)} of {len(negatives)} negatives")
     return 0
@@ -185,26 +179,26 @@ def cmd_detect_neg(args) -> int:
 
 def cmd_detect_pos(args) -> int:
     config = _load_cli_config(args)
-    dataset = _dataset_from(args, config)
+    dataset = load_input(config)
     positives = dataset.positives()
-    report = detect_noisy_positives(dataset, positives, config.density)
-    save_density_report(report, os.path.join(config.out_dir, DENSITY_FILE))
+    report = detect_noisy_positives(dataset, positives, config.pos_nsd)
+    save_density_report(report, os.path.join(config.io.out_dir, DENSITY_FILE))
     print(f"flagged {len(report.noisy_rows)} of {len(positives)} labeled records")
     return 0
 
 
 def cmd_correct(args) -> int:
     config = _load_cli_config(args)
-    dataset = _dataset_from(args, config)
+    dataset = load_input(config)
     flagged = load_flagged(args.density_report)
     unknown = flagged - set(dataset.ids)
     if unknown:
         raise DatasetError(f"unknown record ids: {sorted(unknown)[:5]}")
     is_flagged = np.array([rid in flagged for rid in dataset.ids], dtype=bool)
     clean = np.flatnonzero(~is_flagged & (dataset.labels >= 0))
-    fixed, ledger = correct(np.flatnonzero(is_flagged), dataset, clean, config.corrector)
-    save_dataset(fixed, os.path.join(config.out_dir, CLEANED_FILE))
-    save_ledger(ledger, os.path.join(config.out_dir, LEDGER_FILE))
+    fixed, ledger = correct(np.flatnonzero(is_flagged), dataset, clean, config.nsc)
+    save_dataset(fixed, os.path.join(config.io.out_dir, CLEANED_FILE))
+    save_ledger(ledger, os.path.join(config.io.out_dir, LEDGER_FILE))
     changed = sum(1 for e in ledger if e.changed)
     print(f"relabeled {changed} of {len(ledger)} flagged records")
     return 0
@@ -216,10 +210,10 @@ def cmd_synth(args) -> int:
     if synth_config is None:
         raise DatasetError("config has no synth section")
     dataset, truth = generate(synth_config)
-    save_dataset(dataset, os.path.join(config.out_dir, DATA_FILE))
-    save_vocab(dataset.vocab.names, os.path.join(config.out_dir, VOCAB_FILE))
-    save_truth(truth, dataset, os.path.join(config.out_dir, TRUTH_FILE))
-    print(f"generated {len(dataset)} records into {config.out_dir}")
+    save_dataset(dataset, os.path.join(config.io.out_dir, DATA_FILE))
+    save_vocab(dataset.vocab.names, os.path.join(config.io.out_dir, VOCAB_FILE))
+    save_truth(truth, dataset, os.path.join(config.io.out_dir, TRUTH_FILE))
+    print(f"generated {len(dataset)} records into {config.io.out_dir}")
     return 0
 
 
@@ -229,8 +223,7 @@ def cmd_eval(args) -> int:
     cleaned = load_dataset(
         os.path.join(run_dir, CLEANED_FILE),
         vocab_path=os.path.join(run_dir, VOCAB_FILE),
-        head_min=config.head_min,
-        tail_max=config.tail_max,
+        **dataclasses.asdict(config.partition),
     )
     truth = load_truth(args.truth)
     mined = load_mined(os.path.join(run_dir, MINED_FILE))

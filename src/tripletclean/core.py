@@ -133,6 +133,8 @@ class Dataset:
             or self.labels.shape != (n,)
         ):
             raise DatasetError(f"columns must hold one row for each of the {n} ids")
+        if self.features.shape[1] == 0:
+            raise DatasetError("feature rows must hold at least one value")
         if len(set(self.ids)) != n:
             dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
             raise DatasetError(f"duplicate record id {dup!r}")
@@ -288,15 +290,16 @@ FEATURE_TYPES = {int, float, bool}
 
 
 def _feature_row(values: list, where: str) -> np.ndarray:
-    """One line's feature list as float64; DatasetError unless all finite numbers."""
+    """One line's feature list as float64; DatasetError unless non-empty and
+    all finite numbers."""
     row = None
-    if set(map(type, values)) <= FEATURE_TYPES:
+    if values and set(map(type, values)) <= FEATURE_TYPES:
         try:
             row = np.asarray(values, dtype=np.float64)
         except OverflowError:  # an integer beyond the float range
             pass
     if row is None or not np.isfinite(row).all():
-        raise DatasetError(f"{where}: feature must be a list of finite numbers")
+        raise DatasetError(f"{where}: feature must be a non-empty list of finite numbers")
     return row
 
 

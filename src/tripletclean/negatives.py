@@ -344,14 +344,7 @@ def save_model(model: ConfidenceModel, path: str) -> None:
         },
         "lambda": model.lam,
         "class_weights": model.class_weights.tolist(),
-        "params": {
-            "W1": model.W1.tolist(),
-            "b1": model.b1.tolist(),
-            "W2": model.W2.tolist(),
-            "b2": model.b2.tolist(),
-            "w3": model.w3.tolist(),
-            "b3": model.b3,
-        },
+        "params": {name: np.asarray(getattr(model, name)).tolist() for name in PARAMS},
     }
     atomic_write_text(path, json.dumps(payload) + "\n")
 
@@ -368,13 +361,10 @@ def load_model(path: str) -> ConfidenceModel:
     params = payload["params"]
     dims = payload["dims"]
     try:
+        values = {name: np.asarray(params[name], dtype=np.float64) for name in PARAMS}
+        values["b3"] = float(params["b3"])
         model = ConfidenceModel(
-            W1=np.asarray(params["W1"], dtype=np.float64),
-            b1=np.asarray(params["b1"], dtype=np.float64),
-            W2=np.asarray(params["W2"], dtype=np.float64),
-            b2=np.asarray(params["b2"], dtype=np.float64),
-            w3=np.asarray(params["w3"], dtype=np.float64),
-            b3=float(params["b3"]),
+            **values,
             class_weights=np.asarray(payload["class_weights"], dtype=np.float64),
             lam=float(payload["lambda"]),
         )

@@ -15,7 +15,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -79,41 +79,50 @@ class PipelineError(Exception):
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Resolved settings for one cleaning run."""
+class IOConfig:
+    """Where a run reads its dataset and writes its outputs."""
 
-    input_path: str | None = None
-    vocab_path: str | None = None
+    input: str | None = None
+    vocab: str | None = None
     out_dir: str = "out"
+
+
+@dataclass(frozen=True)
+class PartitionConfig:
+    """Training-count boundaries of the head/body/tail predicate bands."""
+
     head_min: int = DEFAULT_HEAD_MIN
     tail_max: int = DEFAULT_TAIL_MAX
-    seed: int = 0
-    enable_neg: bool = True
-    enable_pos: bool = True
-    enable_nsc: bool = True
-    miner: MinerConfig = field(default_factory=MinerConfig)
-    density: DensityConfig = field(default_factory=DensityConfig)
-    corrector: CorrectionConfig = field(default_factory=CorrectionConfig)
-    synth: SynthConfig | None = None
+
+
+@dataclass(frozen=True)
+class StagesConfig:
+    """Which stages run; a stage turned off passes its records through."""
+
+    neg_nsd: bool = True
+    pos_nsd: bool = True
+    nsc: bool = True
 
     def __post_init__(self):
-        if not (self.enable_neg or self.enable_pos or self.enable_nsc):
+        if not (self.neg_nsd or self.pos_nsd or self.nsc):
             logger.warning("all stages disabled; run will re-serialize the input")
 
 
-# JSON path -> PipelineConfig field, for the sections of plain values
-FLAT_KEYS = {
-    "io": {"input": "input_path", "vocab": "vocab_path", "out_dir": "out_dir"},
-    "partition": {"head_min": "head_min", "tail_max": "tail_max"},
-    "stages": {"neg_nsd": "enable_neg", "pos_nsd": "enable_pos", "nsc": "enable_nsc"},
-}
-# JSON section -> (PipelineConfig field, the dataclass whose fields it holds)
-STAGE_SECTIONS = {
-    "neg_nsd": ("miner", MinerConfig),
-    "pos_nsd": ("density", DensityConfig),
-    "nsc": ("corrector", CorrectionConfig),
-    "synth": ("synth", SynthConfig),
-}
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Resolved settings for one cleaning run, shaped like the config file:
+    ``config.stages.nsc`` is the setting at JSON path ``stages.nsc``."""
+
+    io: IOConfig = field(default_factory=IOConfig)
+    partition: PartitionConfig = field(default_factory=PartitionConfig)
+    seed: int = 0
+    stages: StagesConfig = field(default_factory=StagesConfig)
+    neg_nsd: MinerConfig = field(default_factory=MinerConfig)
+    pos_nsd: DensityConfig = field(default_factory=DensityConfig)
+    nsc: CorrectionConfig = field(default_factory=CorrectionConfig)
+    synth: SynthConfig | None = None
+
+
 # dataclass field -> JSON key, where the two differ
 JSON_NAMES = {"lam": "lambda"}
 # the JSON values each annotated type accepts, named as errors name them
@@ -127,18 +136,13 @@ JSON_KINDS = {
 }
 
 
-def _expect_keys(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise DatasetError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
 def _coerce(value: Any, tp: Any, where: str) -> Any:
     """Check one JSON value against a field annotation and convert it.
 
-    A part map must name every part and reads ``"disabled"`` as null; int
-    map keys are parsed from their JSON strings; a boolean never passes as
-    a number, nor a number as a boolean.
+    A dataclass reads an object holding only its fields' JSON names; a part
+    map must name every part and reads ``"disabled"`` as null; int map keys
+    are parsed from their JSON strings; a boolean never passes as a number,
+    nor a number as a boolean.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -146,9 +150,18 @@ def _coerce(value: Any, tp: Any, where: str) -> Any:
             return None
         (inner,) = [a for a in args if a is not type(None)]
         return _coerce(value, inner, where)
-    accepted, kind = JSON_KINDS[origin or tp]
+    accepted, kind = JSON_KINDS[dict if is_dataclass(tp) else origin or tp]
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise DatasetError(f"{where} must be {kind}, got {value!r}")
+    if is_dataclass(tp):
+        names = {JSON_NAMES.get(f.name, f.name): f.name for f in fields(tp)}
+        unknown = set(value) - set(names)
+        if unknown:
+            raise DatasetError(f"unknown keys in {where}: {sorted(unknown)}")
+        hints = get_type_hints(tp)
+        # the file's top-level keys are named bare in errors
+        path = lambda key: key if tp is PipelineConfig else f"{where}.{key}"
+        return tp(**{names[k]: _coerce(v, hints[names[k]], path(k)) for k, v in value.items()})
     if origin is tuple:
         item_types = [args[0]] * len(value) if args[-1] is Ellipsis else args
         if len(item_types) != len(value):
@@ -176,54 +189,31 @@ def _coerce(value: Any, tp: Any, where: str) -> Any:
     return tp(value)
 
 
-def _json_names(cls) -> dict[str, str]:
-    return {JSON_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
-
-
-def _read_section(raw: dict, section: str, names: dict[str, str], hints: dict) -> dict:
-    values = raw.get(section, {})
-    if not isinstance(values, dict):
-        raise DatasetError(f"{section} must be an object, got {values!r}")
-    _expect_keys(values, names, section)
-    return {
-        name: _coerce(values[key], hints[name], f"{section}.{key}")
-        for key, name in names.items()
-        if key in values
-    }
-
-
-def config_from_dict(raw: dict, seed_override: int | None = None) -> PipelineConfig:
-    """Build a validated config from nested key-value data.
+def config_from_dict(raw: dict) -> PipelineConfig:
+    """Build a validated config from the config file's JSON tree.
 
     Keys and value types come from the fields of ``PipelineConfig`` and of
-    the stage dataclasses.  A stage seed left unset takes the global seed.
+    the dataclasses it nests.  A stage seed left unset takes the global seed.
     """
-    _expect_keys(raw, [*FLAT_KEYS, "seed", *STAGE_SECTIONS], "config")
-    seed = seed_override
-    if seed is None:
-        seed = _coerce(raw.get("seed", 0), int, "seed")
-    hints = get_type_hints(PipelineConfig)
-    kwargs: dict[str, Any] = {"seed": seed}
-    for section, names in FLAT_KEYS.items():
-        kwargs.update(_read_section(raw, section, names, hints))
-    for section, (name, cls) in STAGE_SECTIONS.items():
-        if section in raw or cls is not SynthConfig:  # synth stays None unless given
-            names = _json_names(cls)
-            values = _read_section(raw, section, names, get_type_hints(cls))
-            if "seed" in names:
-                values.setdefault("seed", seed)
-            kwargs[name] = cls(**values)
-    return PipelineConfig(**kwargs)
+    config = _coerce(raw, PipelineConfig, "config")
+    seeded = {
+        name: replace(getattr(config, name), seed=config.seed)
+        for name in ("neg_nsd", "synth")
+        if getattr(config, name) is not None and "seed" not in raw.get(name, {})
+    }
+    return replace(config, **seeded)
 
 
-def load_config(path: str, seed_override: int | None = None) -> PipelineConfig:
-    raw = read_json(path, "config")
-    if not isinstance(raw, dict):
-        raise DatasetError(f"{path}: config must be an object")
-    return config_from_dict(raw, seed_override)
+def load_config(path: str) -> PipelineConfig:
+    return config_from_dict(read_json(path, "config"))
 
 
 def _to_json(value: Any) -> Any:
+    if is_dataclass(value):
+        return {
+            JSON_NAMES.get(f.name, f.name): _to_json(getattr(value, f.name))
+            for f in fields(value)
+        }
     if isinstance(value, dict):
         return {
             k.value if isinstance(k, Part) else str(k): _to_json(v)
@@ -235,19 +225,18 @@ def _to_json(value: Any) -> Any:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    """Canonical nested form, also used as the report's config echo."""
-    out: dict[str, Any] = {
-        section: {key: getattr(config, name) for key, name in names.items()}
-        for section, names in FLAT_KEYS.items()
-    }
-    out["seed"] = config.seed
-    for section, (name, cls) in STAGE_SECTIONS.items():
-        stage = getattr(config, name)
-        if stage is not None:
-            out[section] = {
-                key: _to_json(getattr(stage, f)) for key, f in _json_names(cls).items()
-            }
-    return out
+    """Canonical nested form, also used as the report's config echo.
+
+    Only ``synth`` can be None at the top level; it is then left out.
+    """
+    return {key: value for key, value in _to_json(config).items() if value is not None}
+
+
+def load_input(config: PipelineConfig) -> Dataset:
+    """The dataset that ``config.io`` names, banded by ``config.partition``."""
+    if config.io.input is None:
+        raise DatasetError("no dataset given: set io.input in the config")
+    return load_dataset(config.io.input, config.io.vocab, **asdict(config.partition))
 
 
 @dataclass(frozen=True)
@@ -317,10 +306,13 @@ class RunResult:
 
 @contextmanager
 def _stage(name: str, timings: dict[str, float]):
-    """Time one stage into ``timings``; any failure becomes a PipelineError."""
+    """Time one stage into ``timings``; a failure names the stage and stays a
+    DatasetError when the input was invalid, else becomes a PipelineError."""
     t0 = time.perf_counter()
     try:
         yield
+    except DatasetError as exc:
+        raise DatasetError(f"{name}: {exc}") from exc
     except Exception as exc:
         raise PipelineError(f"{name}: {exc}") from exc
     timings[name] = time.perf_counter() - t0
@@ -330,17 +322,11 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
     """Execute the enabled stages on the input and report set sizes.
 
     Nothing touches the filesystem here; use :func:`write_outputs` for
-    persistence.  Stage failures surface as PipelineError naming the stage.
+    persistence.  A stage failure names the stage: invalid input raises
+    DatasetError, anything else PipelineError.
     """
     if dataset is None:
-        if config.input_path is None:
-            raise DatasetError("config has no input path and no dataset was given")
-        dataset = load_dataset(
-            config.input_path,
-            vocab_path=config.vocab_path,
-            head_min=config.head_min,
-            tail_max=config.tail_max,
-        )
+        dataset = load_input(config)
 
     timings: dict[str, float] = {}
     started = time.perf_counter()
@@ -349,10 +335,10 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
 
     model: ConfidenceModel | None = None
     promoted = Promotions(negatives[:0], negatives[:0], np.empty(0))
-    if config.enable_neg and negatives.size:
+    if config.stages.neg_nsd and negatives.size:
         with _stage("neg_nsd", timings):
-            model = train(dataset, positives, config.miner)
-            promoted = detect_noisy_negatives(model, negatives, dataset, config.miner)
+            model = train(dataset, positives, config.neg_nsd)
+            promoted = detect_noisy_negatives(model, negatives, dataset, config.neg_nsd)
 
     labels = dataset.labels.copy()
     labels[promoted.rows] = promoted.labels
@@ -360,17 +346,17 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
     # annotated positives in row order, then the promoted rows in id order
     composed = np.concatenate([positives, promoted.rows])
 
-    if config.enable_pos:
+    if config.stages.pos_nsd:
         with _stage("pos_nsd", timings):
-            density = detect_noisy_positives(working, composed, config.density)
+            density = detect_noisy_positives(working, composed, config.pos_nsd)
     else:
         density = DensityReport((), composed[:0], composed, working.ids)
 
     ledger: tuple[CorrectionRecord, ...] = ()
-    if config.enable_nsc:
+    if config.stages.nsc:
         with _stage("nsc", timings):
             working, ledger = correct(
-                density.noisy_rows, working, density.clean_rows, config.corrector
+                density.noisy_rows, working, density.clean_rows, config.nsc
             )
 
     timings["total"] = time.perf_counter() - started

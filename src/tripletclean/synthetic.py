@@ -116,46 +116,25 @@ class GroundTruth:
         return frozenset(i for i, t in self.tag.items() if t is tag)
 
 
-def _synonym_components(config: SynthConfig) -> list[set[int]]:
-    """Connected components of the synonym graph, ordered by smallest member."""
-    neighbors = _synonym_partner_map(config)
-    seen: set[int] = set()
-    components = []
-    for k in sorted(neighbors):
-        if k in seen:
-            continue
-        stack, comp = [k], set()
-        while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            stack.extend(neighbors[node] - comp)
-        seen |= comp
-        components.append(comp)
-    return components
-
-
 def _assign_pairs(config: SynthConfig) -> dict[int, tuple[int, int]]:
-    """Class -> subject-object pair; synonym groups share one pair."""
-    group_of: dict[int, int] = {}
-    for gi, comp in enumerate(_synonym_components(config)):
-        for k in comp:
-            group_of[k] = gi
-    pair_index: dict[int, int] = {}
-    group_pair: dict[int, int] = {}
-    next_pair = 0
-    for k in range(config.n_classes):
-        if k in group_of:
-            gi = group_of[k]
-            if gi not in group_pair:
-                group_pair[gi] = next_pair % config.n_pairs
-                next_pair += 1
-            pair_index[k] = group_pair[gi]
-        else:
-            pair_index[k] = next_pair % config.n_pairs
-            next_pair += 1
-    return {k: (p, p + 1) for k, p in pair_index.items()}
+    """Class -> subject-object pair; synonym groups share one pair.
+
+    A union-find keeps each synonym group's smallest class as its root; the
+    roots take pair slots in class order, wrapping around at ``n_pairs``.
+    """
+    root = list(range(config.n_classes))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for a, b in config.synonym_pairs:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    roots = [k for k in range(config.n_classes) if root[k] == k]
+    slot = {r: i % config.n_pairs for i, r in enumerate(roots)}
+    return {k: (slot[find(k)], slot[find(k)] + 1) for k in range(config.n_classes)}
 
 
 def class_centers(config: SynthConfig) -> np.ndarray:

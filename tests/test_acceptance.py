@@ -35,6 +35,7 @@ from tripletclean import (
     write_outputs,
 )
 from tripletclean.negatives import forward, initialize_model, loss_value, one_hot
+from tripletclean.pipeline import IOConfig, StagesConfig
 from tripletclean.synthetic import NoiseTag, class_centers
 
 
@@ -95,8 +96,8 @@ def standard_noisy_config(seed: int = 0) -> SynthConfig:
     )
 
 
-def pipeline_config(**overrides) -> PipelineConfig:
-    return PipelineConfig(out_dir="unused", **overrides)
+def pipeline_config(**stage_flags) -> PipelineConfig:
+    return PipelineConfig(io=IOConfig(out_dir="unused"), stages=StagesConfig(**stage_flags))
 
 
 def end_to_end_accuracy(dataset, truth, **stage_flags) -> float:
@@ -342,9 +343,9 @@ def test_criterion_08_count_identities():
     dataset, _ = generate(standard_noisy_config(seed=0))
     configurations = [
         {},
-        {"enable_neg": False},
-        {"enable_pos": False},
-        {"enable_nsc": False},
+        {"neg_nsd": False},
+        {"pos_nsd": False},
+        {"nsc": False},
     ]
     for flags in configurations:
         counts = run(pipeline_config(**flags), dataset=dataset).report
@@ -377,16 +378,16 @@ def test_criterion_10_ablation_monotonicity():
     dataset, truth = generate(standard_noisy_config(seed=0))
 
     none = end_to_end_accuracy(
-        dataset, truth, enable_neg=False, enable_pos=False, enable_nsc=False
+        dataset, truth, neg_nsd=False, pos_nsd=False, nsc=False
     )
     neg_only = end_to_end_accuracy(
-        dataset, truth, enable_neg=True, enable_pos=False, enable_nsc=False
+        dataset, truth, neg_nsd=True, pos_nsd=False, nsc=False
     )
     pos_only = end_to_end_accuracy(
-        dataset, truth, enable_neg=False, enable_pos=True, enable_nsc=False
+        dataset, truth, neg_nsd=False, pos_nsd=True, nsc=False
     )
     pos_nsc = end_to_end_accuracy(
-        dataset, truth, enable_neg=False, enable_pos=True, enable_nsc=True
+        dataset, truth, neg_nsd=False, pos_nsd=True, nsc=True
     )
     everything = end_to_end_accuracy(dataset, truth)
 

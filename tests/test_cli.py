@@ -288,3 +288,54 @@ class TestArgumentHandling:
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"io": {"out_dir": str(tmp_path)}}))
         assert run_cli("run", "--config", str(config)) == 1
+
+    def test_all_negative_input_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "negatives.jsonl"
+        rows = [
+            {"id": f"n{i}", "image_id": "im", "subject_class": 0, "object_class": 1,
+             "predicate": None, "feature": [float(i), 1.0]}
+            for i in range(3)
+        ]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"io": {"input": str(data), "out_dir": str(tmp_path)}}))
+        assert run_cli("run", "--config", str(config)) == 1
+        assert "error: neg_nsd: cannot train on empty positives" in capsys.readouterr().err
+        assert run_cli("train-negnsd", "--data", str(data), "--out", str(tmp_path)) == 1
+        assert "error: cannot train on empty positives" in capsys.readouterr().err
+
+
+class TestFlagsEditTheConfig:
+    def test_unknown_stage_fails_like_an_unknown_key(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert run_cli("run", "--config", config, "--stage-toggle", "bogus=off") == 1
+        assert "error: unknown keys in stages: ['bogus']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("toggle", ["nsc", "nsc=maybe", "nsc=false"])
+    def test_malformed_toggle_exits_1(self, workspace, capsys, toggle):
+        tmp_path, config = workspace
+        assert run_cli("run", "--config", config, "--stage-toggle", toggle) == 1
+        assert "bad stage toggle" in capsys.readouterr().err
+
+    def test_flag_into_a_section_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"io": "x"}))
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == 1
+        assert "error: io must be an object" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text("[1, 2]")
+        assert run_cli("run", "--config", str(config), "--seed", "3") == 1
+        assert "config must be an object, got [1, 2]" in capsys.readouterr().err
+
+    def test_flags_are_echoed_in_the_report(self, workspace):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        out = tmp_path / "flagged"
+        argv = ("run", "--config", config, "--seed", "4", "--out", str(out))
+        assert run_cli(*argv, "--stage-toggle", "nsc=off", "--stage-toggle", "nsc=on") == 0
+        echo = json.loads((out / "report.json").read_text())["config"]
+        assert echo["seed"] == 4 and echo["neg_nsd"]["seed"] == 4
+        assert echo["io"]["out_dir"] == str(out)
+        assert echo["stages"] == {"neg_nsd": True, "pos_nsd": True, "nsc": True}

@@ -111,6 +111,7 @@ class TestLoadDataset:
                 [[1.0], 0.0],
                 [float("nan"), 0.0],
                 [10**400, 0.0],
+                [],
             )
         ]
         for bad_line in ("{not json", bad_class, huge_class, tiny_class, *bad_features):
@@ -128,6 +129,13 @@ class TestLoadDataset:
         write_lines(path, rows)
         ds = load_dataset(str(path))
         assert ds.pairs[0].tolist() == [-(2**63), 2**63 - 1]
+
+    def test_empty_features_rejected_on_the_first_line(self, tmp_path):
+        rows = [{**row, "feature": []} for row in sample_rows()]
+        path = tmp_path / "empty.jsonl"
+        write_lines(path, rows)
+        with pytest.raises(DatasetError, match="line 1: feature must be a non-empty list"):
+            load_dataset(str(path))
 
     def test_inconsistent_feature_dim_rejected(self, tmp_path):
         rows = sample_rows()
@@ -247,6 +255,11 @@ class TestDataset:
         ds = small_dataset()
         with pytest.raises(DatasetError, match="one row for each of the 2 ids"):
             dataclasses.replace(ds, features=np.zeros((3, 4)))
+
+    def test_zero_width_features_rejected(self):
+        ds = small_dataset()
+        with pytest.raises(DatasetError, match="at least one value"):
+            dataclasses.replace(ds, features=np.zeros((len(ds), 0)))
 
     def test_vocab_counts_are_labeled_rows(self):
         ds = small_dataset(ids=("a", "b", "c"), labels=(0, NO_LABEL, 0))

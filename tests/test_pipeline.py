@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tripletclean
+from tripletclean.cli import _load_cli_config, build_parser
 from tripletclean.core import (
     NO_LABEL,
     Dataset,
@@ -20,8 +21,10 @@ from tripletclean.core import (
 from tripletclean.negatives import MinerConfig
 from tripletclean.pipeline import (
     CleaningReport,
+    IOConfig,
     PipelineConfig,
     PipelineError,
+    StagesConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -54,7 +57,7 @@ def noisy_dataset(seed=1):
 
 
 def fast_config(**overrides):
-    defaults = dict(miner=MinerConfig(seed=1, **FAST_MINER))
+    defaults = dict(neg_nsd=MinerConfig(seed=1, **FAST_MINER))
     defaults.update(overrides)
     return PipelineConfig(**defaults)
 
@@ -92,21 +95,21 @@ class TestRun:
 
     def test_disabled_miner_keeps_negatives(self):
         ds, _ = noisy_dataset()
-        result = run(fast_config(enable_neg=False), dataset=ds)
+        result = run(fast_config(stages=StagesConfig(neg_nsd=False)), dataset=ds)
         assert result.report.mined_negatives == 0
         assert result.report.kept_negatives == result.report.negatives
         assert result.model is None
 
     def test_disabled_density_flags_nothing(self):
         ds, _ = noisy_dataset()
-        result = run(fast_config(enable_pos=False), dataset=ds)
+        result = run(fast_config(stages=StagesConfig(pos_nsd=False)), dataset=ds)
         assert result.report.flagged == 0
         assert result.ledger == ()
 
     def test_disabled_corrector_keeps_flagged_labels(self):
         ds, _ = noisy_dataset()
         with_nsc = run(fast_config(), dataset=ds)
-        without = run(fast_config(enable_nsc=False), dataset=ds)
+        without = run(fast_config(stages=StagesConfig(nsc=False)), dataset=ds)
         assert without.report.flagged == with_nsc.report.flagged
         assert without.report.relabeled == 0 and without.ledger == ()
         expected = ds.labels.copy()
@@ -116,7 +119,7 @@ class TestRun:
     def test_all_stages_off_reserializes_input(self):
         ds, _ = noisy_dataset()
         result = run(
-            fast_config(enable_neg=False, enable_pos=False, enable_nsc=False),
+            fast_config(stages=StagesConfig(neg_nsd=False, pos_nsd=False, nsc=False)),
             dataset=ds,
         )
         assert dataset_to_text(result.dataset) == dataset_to_text(ds)
@@ -141,8 +144,14 @@ class TestRun:
         ds = Dataset.counted(
             ids, ["im"] * 3, [(0, 1)] * 3, np.zeros((3, 4)), [NO_LABEL] * 3, ["p0"]
         )
-        with pytest.raises(PipelineError, match="neg_nsd"):
+        with pytest.raises(DatasetError, match="neg_nsd"):
             run(fast_config(), dataset=ds)
+
+    def test_runtime_failure_in_a_stage_is_a_pipeline_error(self):
+        ds, _ = noisy_dataset()
+        diverging = MinerConfig(hidden_size=4, epochs=3, learning_rate=1e308, lam=10.0, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(PipelineError, match="neg_nsd: non-finite"):
+            run(fast_config(neg_nsd=diverging), dataset=ds)
 
     def test_rerun_is_identical(self):
         ds, _ = noisy_dataset()
@@ -229,7 +238,8 @@ class TestRowOrder:
         promote_all = MinerConfig(
             thresholds={part: 0.0 for part in Part}, hidden_size=16, epochs=15, seed=1
         )
-        write_outputs(run(PipelineConfig(input_path=str(data), miner=promote_all)), str(tmp_path))
+        config = PipelineConfig(io=IOConfig(input=str(data)), neg_nsd=promote_all)
+        write_outputs(run(config), str(tmp_path))
         # the composed set: annotated positives in file order, then the
         # promoted negatives in id order
         density_ids = [
@@ -314,11 +324,18 @@ class TestArtifactReaders:
             reader(str(path))
 
 
+def cli_config(tmp_path, raw, *flags):
+    """The config a ``run`` command builds from ``raw`` and its flags."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return _load_cli_config(build_parser().parse_args(["run", "--config", str(path), *flags]))
+
+
 class TestConfigParsing:
     def test_defaults(self):
         config = config_from_dict({})
-        assert config.enable_neg and config.enable_pos and config.enable_nsc
-        assert config.miner.thresholds[list(config.miner.thresholds)[0]] is not None
+        assert config.stages.neg_nsd and config.stages.pos_nsd and config.stages.nsc
+        assert config.neg_nsd.thresholds[list(config.neg_nsd.thresholds)[0]] is not None
         assert config.seed == 0
 
     def test_nested_overrides(self):
@@ -331,12 +348,12 @@ class TestConfigParsing:
             "nsc": {"k": 5, "kernel_c": 2.0},
         }
         config = config_from_dict(raw)
-        assert config.input_path == "d.jsonl"
-        assert config.out_dir == "results"
-        assert not config.enable_neg
-        assert config.miner.lam == 0.5 and config.miner.epochs == 3
-        assert config.miner.seed == 7
-        assert config.corrector.k == 5 and config.corrector.kernel_c == 2.0
+        assert config.io.input == "d.jsonl"
+        assert config.io.out_dir == "results"
+        assert not config.stages.neg_nsd
+        assert config.neg_nsd.lam == 0.5 and config.neg_nsd.epochs == 3
+        assert config.neg_nsd.seed == 7
+        assert config.nsc.k == 5 and config.nsc.kernel_c == 2.0
 
     def test_disabled_threshold_sentinel(self):
         raw = {
@@ -345,7 +362,7 @@ class TestConfigParsing:
             }
         }
         config = config_from_dict(raw)
-        thresholds = list(config.miner.thresholds.values())
+        thresholds = list(config.neg_nsd.thresholds.values())
         assert thresholds[0] is None and thresholds[1] is None
         assert thresholds[2] == 0.6
 
@@ -379,14 +396,14 @@ class TestConfigParsing:
         with pytest.raises(DatasetError):
             config_from_dict(raw)
 
-    def test_seed_override_wins(self):
-        config = config_from_dict({"seed": 3}, seed_override=11)
+    def test_seed_override_wins(self, tmp_path):
+        config = cli_config(tmp_path, {"seed": 3}, "--seed", "11")
         assert config.seed == 11
-        assert config.miner.seed == 11
+        assert config.neg_nsd.seed == 11
 
-    def test_explicit_stage_seed_survives_override(self):
-        config = config_from_dict({"seed": 3, "neg_nsd": {"seed": 5}}, seed_override=11)
-        assert config.miner.seed == 5
+    def test_explicit_stage_seed_survives_override(self, tmp_path):
+        config = cli_config(tmp_path, {"seed": 3, "neg_nsd": {"seed": 5}}, "--seed", "11")
+        assert config.neg_nsd.seed == 5
 
     def test_file_roundtrip(self, tmp_path):
         raw = {
@@ -398,7 +415,7 @@ class TestConfigParsing:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         config = load_config(str(path))
-        assert config.corrector.k == 1
+        assert config.nsc.k == 1
         assert config.synth.n_classes == 3
         assert config.synth.synonym_pairs == ((0, 1),)
         echoed = config_to_dict(config)

@@ -12,6 +12,7 @@ from tripletclean.synthetic import (
     Metrics,
     NoiseTag,
     SynthConfig,
+    _assign_pairs,
     class_centers,
     class_counts,
     generate,
@@ -79,6 +80,19 @@ class TestGenerate:
             pairs.setdefault(truth.true_predicate[rid], set()).add(tuple(pair))
         assert pairs["p0"] == pairs["p1"]
         assert pairs["p2"] != pairs["p0"]
+
+    def test_pair_slots_follow_group_roots_and_wrap(self):
+        # groups {0, 1, 2} (a chain), {3, 4} and {5, 7} (listed 4-3 and
+        # 7-5); 6 and 8 alone.  Each group takes its slot at its smallest
+        # class, so {5, 7} comes before 6; slots wrap after 2.
+        config = base_config(
+            n_classes=9,
+            n_pairs=3,
+            feature_dim=9,
+            synonym_pairs=((0, 1), (1, 2), (4, 3), (7, 5)),
+        )
+        slots = [0, 0, 0, 1, 1, 2, 0, 2, 1]
+        assert _assign_pairs(config) == {k: (p, p + 1) for k, p in enumerate(slots)}
 
     def test_common_flip_targets_coarse_parent(self):
         config = base_config(coarse_of={1: 0, 2: 0}, eta_common=0.25)

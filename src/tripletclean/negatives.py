@@ -144,12 +144,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive number never overflows; equal bit for bit to
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def forward(model: ConfidenceModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,8 +236,9 @@ PARAMS = ("W1", "b1", "W2", "b2", "w3", "b3")
 def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> ConfidenceModel:
     """Fit the confidence model on the labeled ``rows`` by mini-batch descent.
 
-    Deterministic given the seed.  Raises TrainingError when the loss over
-    all ``rows`` is non-finite at the end of an epoch.
+    Deterministic given the seed.  Raises TrainingError when a parameter is
+    non-finite after an epoch, or the loss over all ``rows`` is non-finite
+    after the last epoch.
     """
     labels = dataset.labels[rows]
     if labels.size == 0:
@@ -259,6 +258,7 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
     Y = one_hot(labels, n_classes)
 
     n = labels.size
+    remedy = f"reduce learning_rate ({config.learning_rate}) or batch size"
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
@@ -266,16 +266,15 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
             _, grads = loss_and_gradients(model, X[batch], Y[batch])
             for name in PARAMS:
                 setattr(model, name, getattr(model, name) - config.learning_rate * grads[name])
-        P, C = forward(model, X)
-        epoch_loss = loss_value(P, Y, C, class_weights, config.lam)
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(
-                f"non-finite loss {epoch_loss} at epoch {epoch + 1}; "
-                f"reduce learning_rate ({config.learning_rate}) or batch size"
-            )
+        if not all(np.isfinite(getattr(model, name)).all() for name in PARAMS):
+            raise TrainingError(f"non-finite parameters at epoch {epoch + 1}; {remedy}")
 
+    P, C = forward(model, X)
+    final_loss = loss_value(P, Y, C, class_weights, config.lam)
+    if not np.isfinite(final_loss):
+        raise TrainingError(f"non-finite loss {final_loss} after the last epoch; {remedy}")
     logger.info(
-        "trained on %d positives, %d classes: final loss %.4f", n, n_classes, epoch_loss
+        "trained on %d positives, %d classes: final loss %.4f", n, n_classes, final_loss
     )
     return model
 

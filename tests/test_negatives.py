@@ -1,16 +1,19 @@
 """Tests for the negative-mining stage: loss math, training, detection."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from tripletclean import negatives
 from tripletclean.core import NO_LABEL, Dataset, DatasetError, Part
 from tripletclean.negatives import (
     DISABLED,
     ConfidenceModel,
     MinerConfig,
     TrainingError,
+    _sigmoid,
     adjust_probs,
     detect_noisy_negatives,
     forward,
@@ -252,8 +255,62 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="learning_rate"):
             fit(X, y, 2, config)
 
+    def test_non_finite_parameter_raises_at_its_epoch(self, monkeypatch):
+        # b1 -> -inf saturates tanh, so the loss over all rows stays finite
+        def infinite_b1(model, X, Y):
+            loss, grads = loss_and_gradients(model, X, Y)
+            grads["b1"] = np.full_like(grads["b1"], np.inf)
+            return loss, grads
+
+        monkeypatch.setattr(negatives, "loss_and_gradients", infinite_b1)
+        rng = np.random.default_rng(6)
+        X, y = separable_positives(10, rng)
+        config = MinerConfig(hidden_size=4, epochs=3, seed=1)
+        with pytest.raises(TrainingError, match="non-finite parameters at epoch 1;"):
+            fit(X, y, 2, config)
+
+    def test_non_finite_final_loss_raises(self, monkeypatch):
+        monkeypatch.setattr(negatives, "loss_value", lambda *args: float("nan"))
+        rng = np.random.default_rng(6)
+        X, y = separable_positives(10, rng)
+        config = MinerConfig(hidden_size=4, epochs=2, seed=1)
+        with pytest.raises(TrainingError, match="non-finite loss nan after the last epoch"):
+            fit(X, y, 2, config)
+
+    def test_one_full_set_forward_per_run(self, monkeypatch):
+        calls = {"forward": 0, "loss_and_gradients": 0}
+
+        def counted(name):
+            original = getattr(negatives, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(negatives, name, wrapper)
+
+        counted("forward")
+        counted("loss_and_gradients")
+        rng = np.random.default_rng(6)
+        X, y = separable_positives(11, rng)
+        config = MinerConfig(hidden_size=4, epochs=5, batch_size=4, seed=1)
+        fit(X, y, 2, config)
+        assert calls == {"forward": 1, "loss_and_gradients": 5 * math.ceil(22 / 4)}
+
 
 class TestForwardInvariants:
+    def test_sigmoid_matches_the_two_branch_formula_bitwise(self):
+        special = [0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0]
+        special += [800.0, -800.0, 1e-320, -1e-320]
+        x = np.concatenate([special, np.random.default_rng(11).normal(0, 50, size=10_000)])
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        np.testing.assert_array_equal(_sigmoid(x).view(np.int64), expected.view(np.int64))
+        assert np.isnan(_sigmoid(np.array([np.nan]))).all()
+
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(10)
         model = initialize_model(6, 12, 5, np.ones(5), 0.1, rng)

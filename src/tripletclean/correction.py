@@ -23,7 +23,7 @@ from tripletclean.core import (
     jsonl_text,
     read_jsonl,
 )
-from tripletclean.density import distance_matrix
+from tripletclean.density import _upper_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -77,13 +77,24 @@ class CorrectionRecord:
 
 
 def _kernel_scale(pool_features: np.ndarray, config: CorrectionConfig) -> float:
+    """``kernel_c``, or the median of the pool's m(m-1)/2 pairwise distances.
+
+    The distances above the diagonal are copied block by block, in
+    ``np.triu_indices`` order, into one array of that length; no m x m
+    matrix is built.
+    """
     if config.kernel_c is not None:
         return config.kernel_c
     m = pool_features.shape[0]
     if m < 2:
         return KERNEL_SCALE_FLOOR
-    pairwise = distance_matrix(pool_features)[np.triu_indices(m, k=1)]
-    return max(float(np.median(pairwise)), KERNEL_SCALE_FLOOR)
+    upper = np.empty(m * (m - 1) // 2)
+    filled = 0
+    for _, block in _upper_blocks(pool_features):
+        above = block[np.triu(np.ones(block.shape, dtype=bool), k=1)]
+        upper[filled : filled + above.size] = above
+        filled += above.size
+    return max(float(np.median(upper, overwrite_input=True)), KERNEL_SCALE_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +126,15 @@ def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) ->
     if len(pool) < config.min_neighbors:
         return VoteResult(label=None)
     diff = pool.features - np.asarray(query_feature, dtype=np.float64)[None, :]
-    dists = np.sum(diff * diff, axis=1)
-    order = np.argsort(dists, kind="stable")[: config.k]
+    diff *= diff
+    dists = np.sum(diff, axis=1)
+    # Every row within the k-th smallest distance, in row order: their
+    # stable sort starts with the same k rows, in the same order, as a
+    # stable sort of the whole pool.
+    k = min(config.k, len(pool))
+    kth = np.partition(dists, k - 1)[k - 1]
+    near = np.flatnonzero(dists <= kth)
+    order = near[np.argsort(dists[near], kind="stable")][:k]
 
     c = pool.scale
     d = dists[order]

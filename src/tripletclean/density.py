@@ -3,7 +3,7 @@
 For each predicate class the pairwise squared-Euclidean distance matrix is
 reduced to one local-density count per sample: the number of same-class
 samples strictly closer than a cutoff distance, where the cutoff is a
-percentile of all N*N sorted entries.  One-dimensional K-means over the
+percentile of all N*N entries.  One-dimensional K-means over the
 densities splits the class into subsets; the subset with the lowest mean
 density is flagged as noisy.
 """
@@ -64,48 +64,72 @@ class DensityConfig:
             raise DatasetError("min_class_size must be positive")
 
 
-def distance_matrix(features: np.ndarray) -> np.ndarray:
-    """All-pairs squared Euclidean distances, N x N with zero diagonal.
+def _upper_blocks(feats: np.ndarray):
+    """Yield ``(lo, block)`` over row blocks of a float64 N x d array.
 
-    Rows are filled one block at a time, so beyond the N x N float64
-    output the only temporary holds at most ``max(BLOCK_ELEMENTS, N * d)``
-    float64 values (one row of differences when a single row exceeds the
-    budget).
+    ``block[r, c]`` is the squared distance between rows ``lo + r`` and
+    ``lo + c``: each block pairs its rows with every row from ``lo`` on.
+    Together the blocks cover the upper triangle, diagonal included, and
+    below it only each block's own square on the diagonal.  The per-block
+    difference temporary holds at most ``max(BLOCK_ELEMENTS, N * d)``
+    float64 values.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise DatasetError(f"expected a 2-D feature array, got shape {feats.shape}")
     n, d = feats.shape
-    out = np.empty((n, n), dtype=np.float64)
     rows = max(1, BLOCK_ELEMENTS // max(1, n * d))
     for lo in range(0, n, rows):
         # Squared differences are reduced with np.sum's pairwise order so the
         # result is bit-identical to summing each pair's 1-D slice directly.
-        diff = feats[lo : lo + rows, None, :] - feats[None, :, :]
+        diff = feats[lo : lo + rows, None, :] - feats[None, lo:, :]
         diff *= diff
-        out[lo : lo + rows] = np.sum(diff, axis=-1)
+        block = np.sum(diff, axis=-1)
+        del diff  # not kept alive while the caller uses the block
+        yield lo, block
+
+
+def distance_matrix(features: np.ndarray) -> np.ndarray:
+    """All-pairs squared Euclidean distances, N x N with zero diagonal.
+
+    Each distance is computed once: the upper triangle row block by row
+    block, then mirrored below the diagonal.  The mirror is exact, because
+    IEEE subtraction gives fl(a - b) = -fl(b - a), squaring drops the sign
+    and the reduction over the d features runs in the same order.  Beyond
+    the N x N float64 output the only temporary holds at most
+    ``max(BLOCK_ELEMENTS, N * d)`` float64 values (one row of differences
+    when a single row exceeds the budget).
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2:
+        raise DatasetError(f"expected a 2-D feature array, got shape {feats.shape}")
+    n = feats.shape[0]
+    out = np.empty((n, n), dtype=np.float64)
+    for lo, block in _upper_blocks(feats):
+        hi = lo + block.shape[0]
+        out[lo:hi, lo:] = block
+        out[lo:hi, :lo] = out[:lo, lo:hi].T
     return out
 
 
 def cutoff_distance(matrix: np.ndarray, alpha: float, include_diagonal: bool = True) -> float:
-    """Distance ranked at alpha percent of the sorted entry pool.
+    """The rank-th smallest entry of the pool, found by selection.
 
-    The pool is every matrix entry, diagonal zeros included; the rank is
-    ceil(alpha/100 * pool size), 1-based.  Rank arithmetic goes through
-    Fraction so that percentages landing exactly on an integer rank are not
-    bumped by float rounding.
+    The pool is every matrix entry, diagonal zeros included, or only the
+    off-diagonal entries; the rank is ceil(alpha/100 * pool size), 1-based.
+    Rank arithmetic goes through Fraction so that percentages landing
+    exactly on an integer rank are not bumped by float rounding.
+    Partitioning the pool's one copy puts that rank in place; nothing is
+    sorted.
     """
     if not (0.0 < alpha <= 100.0):
         raise DatasetError(f"alpha must be in (0, 100], got {alpha}")
     if include_diagonal:
-        pool = np.sort(matrix, axis=None)
+        pool = matrix.flatten()
     else:
         n = matrix.shape[0]
-        off = matrix[~np.eye(n, dtype=bool)]
-        if off.size == 0:
+        pool = matrix[~np.eye(n, dtype=bool)]
+        if pool.size == 0:
             return 0.0
-        pool = np.sort(off)
     rank = int(math.ceil(Fraction(alpha) * pool.size / 100))
+    pool.partition(rank - 1)
     return float(pool[rank - 1])
 
 

@@ -236,9 +236,10 @@ PARAMS = ("W1", "b1", "W2", "b2", "w3", "b3")
 def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> ConfidenceModel:
     """Fit the confidence model on the labeled ``rows`` by mini-batch descent.
 
-    Deterministic given the seed.  Raises TrainingError when a parameter is
-    non-finite after an epoch, or the loss over all ``rows`` is non-finite
-    after the last epoch.
+    Deterministic given the seed.  Raises TrainingError when an operation
+    overflows or turns invalid, when a parameter is non-finite after an
+    epoch, or when the loss over all ``rows`` is non-finite after the last
+    epoch.
     """
     labels = dataset.labels[rows]
     if labels.size == 0:
@@ -259,18 +260,27 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
 
     n = labels.size
     remedy = f"reduce learning_rate ({config.learning_rate}) or batch size"
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            _, grads = loss_and_gradients(model, X[batch], Y[batch])
-            for name in PARAMS:
-                setattr(model, name, getattr(model, name) - config.learning_rate * grads[name])
-        if not all(np.isfinite(getattr(model, name)).all() for name in PARAMS):
-            raise TrainingError(f"non-finite parameters at epoch {epoch + 1}; {remedy}")
-
-    P, C = forward(model, X)
-    final_loss = loss_value(P, Y, C, class_weights, config.lam)
+    try:
+        # a floating-point fault stops training at the operation, so no later
+        # batch runs on its values
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(config.epochs):
+                at = f"at epoch {epoch + 1}"
+                order = rng.permutation(n)
+                for start in range(0, n, config.batch_size):
+                    batch = order[start : start + config.batch_size]
+                    _, grads = loss_and_gradients(model, X[batch], Y[batch])
+                    for name in PARAMS:
+                        step = config.learning_rate * grads[name]
+                        setattr(model, name, getattr(model, name) - step)
+                # an infinite gradient raises no flag, so check what it left
+                if not all(np.isfinite(getattr(model, name)).all() for name in PARAMS):
+                    raise TrainingError(f"non-finite parameters {at}; {remedy}")
+            at = "after the last epoch"
+            P, C = forward(model, X)
+            final_loss = loss_value(P, Y, C, class_weights, config.lam)
+    except FloatingPointError as exc:
+        raise TrainingError(f"non-finite values {at}; {remedy}") from exc
     if not np.isfinite(final_loss):
         raise TrainingError(f"non-finite loss {final_loss} after the last epoch; {remedy}")
     logger.info(

@@ -304,6 +304,19 @@ class TestArgumentHandling:
         assert run_cli("train-negnsd", "--data", str(data), "--out", str(tmp_path)) == 1
         assert "error: cannot train on empty positives" in capsys.readouterr().err
 
+    def test_diverging_training_is_one_runtime_error_line(self, workspace, capsys):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        path = tmp_path / "config.json"
+        settings = json.loads(path.read_text())
+        settings["neg_nsd"].update({"learning_rate": 1e308, "lambda": 10.0})
+        path.write_text(json.dumps(settings))
+        capsys.readouterr()
+        assert run_cli("run", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: neg_nsd: non-finite values at epoch 1;")
+        assert err.count("\n") == 1 and "Warning" not in err
+
 
 class TestFlagsEditTheConfig:
     def test_unknown_stage_fails_like_an_unknown_key(self, workspace, capsys):

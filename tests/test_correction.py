@@ -1,12 +1,13 @@
 """Tests for the weighted-KNN correction stage."""
 
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from tripletclean.core import NO_LABEL, Dataset, DatasetError
-from tripletclean import correction
+from tripletclean import correction, density
 from tripletclean.correction import (
     KERNEL_SCALE_FLOOR,
     CorrectionConfig,
@@ -179,6 +180,84 @@ class TestKnnVote:
         config = CorrectionConfig(k=2, kernel_c=1.0)
         vote = knn_vote(np.array([0.0]), pool_of(pool, config), config)
         assert vote.label == 4
+
+
+def oracle_vote(query, pool, config):
+    """knn_vote with a stable sort of the whole pool."""
+    if len(pool) < config.min_neighbors:
+        return correction.VoteResult(label=None)
+    dists = np.array([np.sum((f - query) ** 2) for f in pool.features])
+    order = np.argsort(dists, kind="stable")[: config.k]
+    d = dists[order]
+    c = pool.scale
+    weights = config.kernel_a * np.exp(-((d - config.kernel_b) ** 2) / (2.0 * c * c))
+    score, total = {}, {}
+    for i, w in zip(order, weights):
+        label = int(pool.labels[i])
+        score[label] = score.get(label, 0.0) + float(w)
+        total[label] = total.get(label, 0.0) + float(dists[i])
+    winner = min(score, key=lambda v: (-score[v], total[v], v))
+    return correction.VoteResult(
+        winner, tuple(pool.ids[i] for i in order), tuple(float(w) for w in weights)
+    )
+
+
+class TestKnnVoteTies:
+    """Integer-grid features, so that many pool rows lie at equal distances."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("above_k", [-1, 0, 1, None])
+    def test_matches_full_stable_sort(self, k, above_k):
+        # pools of k - 1, k, k + 1 and 50 rows
+        m = 50 if above_k is None else k + above_k
+        rng = np.random.default_rng([k, m])
+        query = rng.integers(-2, 3, size=2).astype(np.float64)
+        feats = rng.integers(-2, 3, size=(m, 2)).astype(np.float64)
+        feats[::4] = query  # duplicates of the query, at distance 0
+        labels = rng.integers(0, 4, size=m)
+        config = CorrectionConfig(k=k, kernel_c=2.0)
+        pool = Pool.build([f"r{i}" for i in range(m)], labels, feats, config)
+        for q in (query, query + 1.0, np.zeros(2)):
+            assert knn_vote(q, pool, config) == oracle_vote(q, pool, config)
+
+    def test_equal_distances_keep_pool_order(self):
+        # eight rows at squared distance 1, four nearer ones at 0
+        feats = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1]] * 2 + [[0.0, 0]] * 4)
+        config = CorrectionConfig(k=6, kernel_c=1.0)
+        pool = Pool.build([f"r{i:02d}" for i in range(12)], [0] * 12, feats, config)
+        vote = knn_vote(np.zeros(2), pool, config)
+        assert vote.neighbor_ids == ("r08", "r09", "r10", "r11", "r00", "r01")
+
+
+class TestPoolMedian:
+    @pytest.mark.parametrize("m", [2, 3, 17, 40])
+    @pytest.mark.parametrize("block_rows", [1, 2, 5])
+    def test_matches_triangle_of_the_matrix(self, monkeypatch, m, block_rows):
+        d = 3
+        feats = np.random.default_rng(m).integers(-3, 4, size=(m, d)).astype(np.float64)
+        upper = density.distance_matrix(feats)[np.triu_indices(m, k=1)]
+        expected = max(np.median(upper), KERNEL_SCALE_FLOOR)
+        # blocks of 1, 2 and 5 rows, the last one short when they do not divide m
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", block_rows * m * d)
+        pool = pool_of([rec(f"r{i}", 0, f) for i, f in enumerate(feats)], CorrectionConfig())
+        assert pool.scale == expected
+
+    def test_identical_features_take_the_floor(self):
+        feats = [rec(f"r{i}", 0, [1.5, -2.0]) for i in range(6)]
+        assert pool_of(feats, CorrectionConfig()).scale == KERNEL_SCALE_FLOOR
+
+    def test_no_m_by_m_matrix_is_built(self):
+        m, d = 2000, 8
+        feats = np.random.default_rng(5).normal(size=(m, d))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            pool = Pool.build([""] * m, np.zeros(m), feats, CorrectionConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool.scale > 0
+        assert peak < m * m * 8
 
 
 class TestCorrect:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ class TestCutoffDistance:
             cutoff_distance(np.zeros((2, 2)), 0.0)
         with pytest.raises(DatasetError):
             cutoff_distance(np.zeros((2, 2)), 101.0)
+
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    def test_every_rank_boundary_matches_sort_oracle(self, include_diagonal):
+        # integer grid points, so that many entries are equal
+        feats = np.random.default_rng(18).integers(0, 3, size=(6, 2)).astype(np.float64)
+        mat = distance_matrix(feats)
+        pool = mat.ravel() if include_diagonal else mat[~np.eye(6, dtype=bool)]
+        ordered = np.sort(pool)
+        for r in range(1, pool.size + 1):
+            alpha = 100 * r / pool.size
+            rank = int(np.ceil(Fraction(alpha) * pool.size / 100))
+            assert cutoff_distance(mat, alpha, include_diagonal) == ordered[rank - 1]
 
     def test_exclude_diagonal_pool(self):
         mat = distance_matrix(np.array([[0.0], [1.0], [10.0]]))

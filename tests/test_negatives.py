@@ -252,7 +252,7 @@ class TestTrain:
         rng = np.random.default_rng(6)
         X, y = separable_positives(20, rng)
         config = MinerConfig(hidden_size=4, epochs=3, learning_rate=1e308, lam=10.0, seed=1)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="learning_rate"):
+        with pytest.raises(TrainingError, match="non-finite values at epoch 1; reduce learning_rate"):
             fit(X, y, 2, config)
 
     def test_non_finite_parameter_raises_at_its_epoch(self, monkeypatch):

@@ -150,7 +150,7 @@ class TestRun:
     def test_runtime_failure_in_a_stage_is_a_pipeline_error(self):
         ds, _ = noisy_dataset()
         diverging = MinerConfig(hidden_size=4, epochs=3, learning_rate=1e308, lam=10.0, seed=1)
-        with np.errstate(all="ignore"), pytest.raises(PipelineError, match="neg_nsd: non-finite"):
+        with pytest.raises(PipelineError, match="neg_nsd: non-finite"):
             run(fast_config(neg_nsd=diverging), dataset=ds)
 
     def test_rerun_is_identical(self):

@@ -11,7 +11,9 @@ head/body/tail frequency partition used by the detection stages.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -290,17 +292,30 @@ FEATURE_TYPES = {int, float, bool}
 
 
 def _feature_row(values: list, where: str) -> np.ndarray:
-    """One line's feature list as float64; DatasetError unless non-empty and
-    all finite numbers."""
+    """One line's feature list as float64; DatasetError unless non-empty,
+    all finite numbers, and small enough that every squared distance
+    between two such rows is finite.
+
+    A squared distance over d features is at most d * (2 * max|x|)**2, so
+    max|x| may not exceed sqrt(float_max / (4 * d)); the limit is lowered by
+    one part in a million to absorb rounding in the differences and sums.
+    """
     row = None
     if values and set(map(type, values)) <= FEATURE_TYPES:
         try:
             row = np.asarray(values, dtype=np.float64)
         except OverflowError:  # an integer beyond the float range
             pass
+    if row is not None:
+        limit = math.sqrt(sys.float_info.max / (4 * row.size)) * (1 - 1e-6)
+        # NaN and infinities fail this one comparison too
+        if np.abs(row).max() <= limit:
+            return row
     if row is None or not np.isfinite(row).all():
         raise DatasetError(f"{where}: feature must be a non-empty list of finite numbers")
-    return row
+    raise DatasetError(
+        f"{where}: feature magnitude exceeds {limit:.6g}, so squared distances would overflow"
+    )
 
 
 def load_dataset(

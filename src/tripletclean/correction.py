@@ -11,7 +11,7 @@ applied, so corrections never feed each other within a pass.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -214,16 +214,8 @@ def correct(
     return replace(dataset, labels=new_labels), tuple(ledger)
 
 
-def ledger_to_text(ledger: Sequence[CorrectionRecord]) -> str:
-    """One ledger entry per line, keys in field order."""
-    return jsonl_text(map(asdict, ledger))
-
-
-def save_ledger(ledger: Sequence[CorrectionRecord], path: str) -> None:
-    atomic_write_text(path, ledger_to_text(ledger))
-
-
-# ledger key -> the type its decoded value must have
+# ledger key, in CorrectionRecord field order -> the type its decoded
+# value must have
 LEDGER_FIELDS = {
     "id": str,
     "old_label": int,
@@ -232,6 +224,15 @@ LEDGER_FIELDS = {
     "neighbor_ids": list,
     "weights": list,
 }
+
+
+def ledger_to_text(ledger: Sequence[CorrectionRecord]) -> str:
+    """One ledger entry per line, keys in field order."""
+    return jsonl_text({key: getattr(entry, key) for key in LEDGER_FIELDS} for entry in ledger)
+
+
+def save_ledger(ledger: Sequence[CorrectionRecord], path: str) -> None:
+    atomic_write_text(path, ledger_to_text(ledger))
 
 
 def load_ledger(path: str) -> tuple[CorrectionRecord, ...]:

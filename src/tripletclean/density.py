@@ -6,6 +6,13 @@ samples strictly closer than a cutoff distance, where the cutoff is a
 percentile of all N*N entries.  One-dimensional K-means over the
 densities splits the class into subsets; the subset with the lowest mean
 density is flagged as noisy.
+
+Memory: one class's N x N float64 matrix is held at a time, in one buffer
+sized for the largest class.  The cutoff is found by exact bracketed
+selection and the densities are counted, both over row blocks of the
+matrix, so nothing else of size N x N is built; the other temporaries are
+row blocks of at most ``BLOCK_ELEMENTS`` entries, the cutoff's sample of
+about pool**(2/3) entries and its bracket, a few times that.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ logger = logging.getLogger(__name__)
 
 KMEANS_MAX_ITER = 200
 
-# Element budget of distance_matrix's per-block difference temporary (8 MB).
-BLOCK_ELEMENTS = 1 << 20
+# Element budget of every per-block temporary: distance_matrix's
+# differences, the cutoff and density passes' row blocks (1 MB of float64).
+BLOCK_ELEMENTS = 1 << 17
 
 DEFAULT_ALPHA = {Part.HEAD: 12.5, Part.BODY: 25.0, Part.TAIL: 50.0}
 
@@ -86,8 +94,9 @@ def _upper_blocks(feats: np.ndarray):
         yield lo, block
 
 
-def distance_matrix(features: np.ndarray) -> np.ndarray:
-    """All-pairs squared Euclidean distances, N x N with zero diagonal.
+def distance_matrix(features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs squared Euclidean distances, N x N with zero diagonal,
+    written into ``out`` (an N x N float64 array) when given.
 
     Each distance is computed once: the upper triangle row block by row
     block, then mirrored below the diagonal.  The mirror is exact, because
@@ -101,7 +110,8 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
     if feats.ndim != 2:
         raise DatasetError(f"expected a 2-D feature array, got shape {feats.shape}")
     n = feats.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
+    if out is None:
+        out = np.empty((n, n), dtype=np.float64)
     for lo, block in _upper_blocks(feats):
         hi = lo + block.shape[0]
         out[lo:hi, lo:] = block
@@ -109,38 +119,127 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_blocks(matrix: np.ndarray, skip_diagonal: bool):
+    """Yield ``(block, diag)`` over row blocks of at most ``BLOCK_ELEMENTS``
+    entries (one row when a row is larger).
+
+    Each block is a view of ``matrix``, never a copy.  ``diag`` is the
+    column of the block's first-row diagonal entry when the diagonal is
+    left out of the pool, else None.
+    """
+    n_rows, n_cols = matrix.shape
+    rows = max(1, BLOCK_ELEMENTS // max(1, n_cols))
+    for lo in range(0, n_rows, rows):
+        yield matrix[lo : lo + rows], lo if skip_diagonal else None
+
+
+def _drop_diagonal(mask: np.ndarray, diag: int | None) -> np.ndarray:
+    """Clear a block mask's diagonal entries (in place) unless ``diag`` is None."""
+    if diag is not None:
+        r = np.arange(min(mask.shape[0], mask.shape[1] - diag))
+        mask[r, diag + r] = False
+    return mask
+
+
+def _select_rank(blocks, rank: int, size: int, sample: np.ndarray) -> float:
+    """The rank-th smallest (1-based) of the ``size`` pool entries in the
+    ``(block, diag)`` pairs that each call of ``blocks()`` yields, as
+    ``_row_blocks`` does; NaN sorts last.
+
+    ``sample``, some of the pool's entries, is sorted in place; its
+    quantiles bracket the rank with a margin of four standard errors.  One
+    pass counts the entries below the bracket and gathers those inside it;
+    when the rank falls among the gathered entries, partitioning them
+    places it.  Otherwise the margin widens fourfold and the pass repeats,
+    up to (-inf, +inf), so the result is always exact.  The sample only
+    sets how many entries are gathered.
+    """
+    sample.sort()
+    m = sample.size
+    center = rank / size * m
+    margin = 4 * math.sqrt(center * (1 - rank / size)) + 2
+    while True:
+        i, j = math.floor(center - margin), math.ceil(center + margin)
+        lo = float(sample[i]) if i >= 0 else -math.inf
+        hi = float(sample[j]) if j < m else math.inf
+        # a NaN sample entry bounds nothing
+        lo = -math.inf if math.isnan(lo) else lo
+        hi = math.inf if math.isnan(hi) else hi
+        below = 0
+        inside = []
+        for block, diag in blocks():
+            low = _drop_diagonal(block < lo, diag)
+            below += np.count_nonzero(low)
+            keep = block <= hi
+            keep ^= low  # lo <= hi, so this leaves lo <= entry <= hi
+            # extract works on the raveled block, much faster than a 2-D mask
+            inside.append(np.extract(_drop_diagonal(keep, diag), block))
+        if below < rank <= below + sum(map(len, inside)):
+            pool = np.concatenate(inside)
+            pool.partition(rank - below - 1)
+            return float(pool[rank - below - 1])
+        if lo == -math.inf and hi == math.inf:
+            return math.nan  # the rank lies among the NaN entries
+        margin *= 4
+
+
+def _sample(matrix: np.ndarray, size: int) -> np.ndarray:
+    """About ``size ** (2/3)`` entries of the matrix on a golden-ratio lattice.
+
+    Entry k sits in row k * n_rows // m and at column fraction frac(k * phi),
+    so the sample pairs many distinct rows with many distinct columns and
+    never aliases with the matrix's shape.  Only the sampled entries are
+    copied.
+    """
+    n_rows, n_cols = matrix.shape
+    k = np.arange(math.ceil(size ** (2 / 3)))
+    cols = k * 0.6180339887498949
+    cols %= 1.0
+    cols *= n_cols
+    rows = k * n_rows
+    rows //= k.size
+    return matrix[rows, cols.astype(np.intp)]
+
+
 def cutoff_distance(matrix: np.ndarray, alpha: float, include_diagonal: bool = True) -> float:
-    """The rank-th smallest entry of the pool, found by selection.
+    """The rank-th smallest entry of the pool, found by exact bracketed
+    selection.
 
     The pool is every matrix entry, diagonal zeros included, or only the
     off-diagonal entries; the rank is ceil(alpha/100 * pool size), 1-based.
     Rank arithmetic goes through Fraction so that percentages landing
-    exactly on an integer rank are not bumped by float rounding.
-    Partitioning the pool's one copy puts that rank in place; nothing is
-    sorted.
+    exactly on an integer rank are not bumped by float rounding.  A sample
+    of about pool**(2/3) entries brackets the rank; one pass over row
+    blocks counts the entries below the bracket and gathers those inside
+    it, and partitioning the gathered entries places the rank.  A bracket
+    that misses widens until it holds the rank, so the result is always the
+    entry that sorting the whole pool would give (NaN sorts last).  Neither
+    the pool nor the matrix is copied.
     """
     if not (0.0 < alpha <= 100.0):
         raise DatasetError(f"alpha must be in (0, 100], got {alpha}")
-    if include_diagonal:
-        pool = matrix.flatten()
-    else:
-        n = matrix.shape[0]
-        pool = matrix[~np.eye(n, dtype=bool)]
-        if pool.size == 0:
-            return 0.0
-    rank = int(math.ceil(Fraction(alpha) * pool.size / 100))
-    pool.partition(rank - 1)
-    return float(pool[rank - 1])
+    size = matrix.size if include_diagonal else matrix.size - matrix.shape[0]
+    if size == 0:
+        return 0.0
+    rank = int(math.ceil(Fraction(alpha) * size / 100))
+    return _select_rank(
+        lambda: _row_blocks(matrix, not include_diagonal), rank, size, _sample(matrix, size)
+    )
 
 
 def local_density(matrix: np.ndarray, d_c: float, include_self: bool = True) -> np.ndarray:
-    """Per-sample count of samples strictly closer than the cutoff."""
+    """Per-sample count of samples strictly closer than the cutoff, counted
+    row block by row block; ``include_self=False`` leaves the diagonal out."""
     if d_c < 0:
         raise DatasetError(f"cutoff must be non-negative, got {d_c}")
-    closer = matrix < d_c
-    if not include_self:
-        np.fill_diagonal(closer, False)
-    return closer.sum(axis=1).astype(np.int64)
+    rho = np.empty(matrix.shape[0], dtype=np.int64)
+    filled = 0
+    for block, diag in _row_blocks(matrix, not include_self):
+        rho[filled : filled + len(block)] = np.count_nonzero(
+            _drop_diagonal(block < d_c, diag), axis=1
+        )
+        filled += len(block)
+    return rho
 
 
 def kmeans_1d(values: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,10 +341,15 @@ def detect_noisy_positives(
     classes = []
     noisy: list[np.ndarray] = []
     clean: list[np.ndarray] = []
-    for k in np.unique(labels).tolist():
+    class_ids, sizes = np.unique(labels, return_counts=True)
+    # Every class's matrix in turn fills the front of one buffer sized for
+    # the largest class: one N x N matrix is held at a time, and no freed
+    # matrix lingers in the allocator's heap beside the next one.
+    buffer = np.empty(int(sizes.max(initial=0)) ** 2)
+    for k, n in zip(class_ids.tolist(), sizes.tolist()):
         members = rows[labels == k]
         alpha = config.alpha[dataset.partition.part(k)]
-        dmat = distance_matrix(dataset.features[members])
+        dmat = distance_matrix(dataset.features[members], out=buffer[: n * n].reshape(n, n))
         d_c = cutoff_distance(dmat, alpha, include_diagonal=include)
         rho = local_density(dmat, d_c, include_self=include)
         if len(members) < config.min_class_size:

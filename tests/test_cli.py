@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -303,6 +304,28 @@ class TestArgumentHandling:
         assert "error: neg_nsd: cannot train on empty positives" in capsys.readouterr().err
         assert run_cli("train-negnsd", "--data", str(data), "--out", str(tmp_path)) == 1
         assert "error: cannot train on empty positives" in capsys.readouterr().err
+
+    def test_features_whose_distances_overflow_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "huge.jsonl"
+        rows = [
+            {"id": f"r{i}", "image_id": "im", "subject_class": 0, "object_class": 1,
+             "predicate": f"p{i % 2}", "feature": [(-1.0) ** i * 1e200, 1e200]}
+            for i in range(12)
+        ]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "out"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "io": {"input": str(data), "out_dir": str(out)}, "stages": {"neg_nsd": False},
+        }))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("run", "--config", str(config)) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: line 1: feature magnitude exceeds")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_diverging_training_is_one_runtime_error_line(self, workspace, capsys):
         tmp_path, config = workspace

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tripletclean.core import (
     save_dataset,
     save_vocab,
 )
+from tripletclean.density import distance_matrix
 
 
 def small_dataset(ids=("a", "b"), labels=(0, NO_LABEL), dim=4):
@@ -136,6 +138,25 @@ class TestLoadDataset:
         write_lines(path, rows)
         with pytest.raises(DatasetError, match="line 1: feature must be a non-empty list"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("factor, ok", [(0.999, True), (1.001, False)])
+    def test_features_whose_squared_distances_overflow_are_rejected(
+        self, tmp_path, factor, ok
+    ):
+        # two dimensions: the largest squared distance is 2 * (2 * x)**2
+        x = factor * math.sqrt(np.finfo(np.float64).max / 8)
+        rows = sample_rows()
+        rows[1]["feature"] = [x, x]
+        rows[2]["feature"] = [-x, -x]
+        path = tmp_path / "huge.jsonl"
+        write_lines(path, rows)
+        if not ok:
+            with pytest.raises(DatasetError, match="line 2: feature magnitude exceeds"):
+                load_dataset(str(path))
+            return
+        features = load_dataset(str(path)).features
+        with np.errstate(all="raise"):
+            assert np.isfinite(distance_matrix(features)).all()
 
     def test_inconsistent_feature_dim_rejected(self, tmp_path):
         rows = sample_rows()

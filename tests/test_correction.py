@@ -452,6 +452,17 @@ class TestLedgerExport:
         }
         assert rows[0]["changed"] is True
 
+    def test_text_matches_asdict_rows(self):
+        import dataclasses
+
+        from tripletclean.core import jsonl_text
+
+        cleans = [rec(f"c{i}", 6 - i % 2, [float(i) * 0.01], pair=(1, 2)) for i in range(6)]
+        noisy = [rec("bad", 3, [0.02], pair=(1, 2)), rec("lone", 3, [0.0], pair=(4, 5))]
+        ds = build_dataset(cleans + noisy)
+        _, ledger = correct_ids(["bad", "lone"], ds, [c.id for c in cleans], CorrectionConfig())
+        assert ledger_to_text(ledger) == jsonl_text(map(dataclasses.asdict, ledger))
+
 
 class TestConfigValidation:
     def test_bad_k(self):

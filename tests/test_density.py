@@ -57,6 +57,32 @@ def oracle_cutoff(matrix, alpha):
     return entries[rank - 1]
 
 
+def pool_of(matrix, include_diagonal):
+    """The cutoff's pool as one flat array, diagonal dropped when asked."""
+    n = matrix.shape[0]
+    return matrix.ravel() if include_diagonal else matrix[~np.eye(n, dtype=bool)]
+
+
+def boundary_ranks(ordered):
+    """1-based ranks on both sides of every change of value, and the ends."""
+    change = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return sorted({1, ordered.size, *change.tolist(), *(change + 1).tolist()})
+
+
+def alpha_for(rank, size):
+    """An alpha whose Fraction rank arithmetic lands on ``rank``, half a
+    rank clear of float rounding."""
+    alpha = 100 * (rank - 0.5) / size
+    assert int(np.ceil(Fraction(alpha) * size / 100)) == rank
+    return alpha
+
+
+def grid_matrix(seed, n=60):
+    """Distances between integer grid points: few distinct values, many ties."""
+    feats = np.random.default_rng(seed).integers(0, 4, size=(n, 2)).astype(np.float64)
+    return distance_matrix(feats)
+
+
 def best_two_split(values):
     """Exhaustive lowest-cost contiguous 2-way split of sorted scalars."""
     vals = np.sort(np.asarray(values, dtype=np.float64))
@@ -109,6 +135,12 @@ class TestDistanceMatrix:
     def test_bad_shape_rejected(self):
         with pytest.raises(DatasetError):
             distance_matrix(np.zeros(5))
+
+    def test_writes_into_a_given_buffer(self):
+        feats = np.random.default_rng(15).normal(size=(9, 3))
+        out = np.full(100, np.nan)[:81].reshape(9, 9)
+        assert distance_matrix(feats, out=out) is out
+        np.testing.assert_array_equal(out, oracle_distance_matrix(feats))
 
     @pytest.mark.parametrize("budget", [1, 2 * 17 * 6, 5 * 17 * 6 + 1])
     def test_row_blocks_match_loop_oracle_exactly(self, monkeypatch, budget):
@@ -180,6 +212,68 @@ class TestCutoffDistance:
         # off-diagonal pool sorted: [1, 1, 81, 81, 100, 100]; rank ceil(3)=3
         assert cutoff_distance(mat, 50.0, include_diagonal=False) == 81.0
 
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    def test_grid_rank_boundaries_in_row_blocks(self, monkeypatch, rows, include_diagonal):
+        mat = grid_matrix(30)
+        if rows is not None:
+            monkeypatch.setattr(density, "BLOCK_ELEMENTS", rows * mat.shape[1])
+        ordered = np.sort(pool_of(mat, include_diagonal))
+        for rank in boundary_ranks(ordered):
+            alpha = alpha_for(rank, ordered.size)
+            assert cutoff_distance(mat, alpha, include_diagonal) == ordered[rank - 1], rank
+
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    def test_non_symmetric_and_transposed_matrices(self, monkeypatch, include_diagonal):
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", 5 * 45)
+        base = np.random.default_rng(31).integers(0, 9, size=(45, 45)).astype(np.float64)
+        for mat in (base, base.T):
+            ordered = np.sort(pool_of(mat, include_diagonal))
+            for rank in boundary_ranks(ordered):
+                alpha = alpha_for(rank, ordered.size)
+                assert cutoff_distance(mat, alpha, include_diagonal) == ordered[rank - 1]
+
+    @pytest.mark.parametrize(
+        "sample",
+        [np.full(4, 1e9), np.full(4, -1.0), np.zeros(1), np.full(3, np.nan), np.arange(2.0)],
+    )
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    def test_a_missed_bracket_widens_to_the_exact_entry(
+        self, monkeypatch, sample, include_diagonal
+    ):
+        # a sample unlike the pool puts the first bracket beside the rank
+        monkeypatch.setattr(density, "_sample", lambda matrix, size: sample.copy())
+        mat = grid_matrix(32)
+        ordered = np.sort(pool_of(mat, include_diagonal))
+        for rank in boundary_ranks(ordered):
+            alpha = alpha_for(rank, ordered.size)
+            assert cutoff_distance(mat, alpha, include_diagonal) == ordered[rank - 1]
+
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    def test_nan_entries_sort_last(self, monkeypatch, include_diagonal):
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", 3 * 20)
+        mat = grid_matrix(33, n=20)
+        mat[[0, 3, 3, 7, 19], [5, 3, 9, 1, 0]] = np.nan
+        mat[[2, 4, 6], [8, 11, 6]] = [np.inf, np.inf, -np.inf]
+        ordered = np.sort(pool_of(mat, include_diagonal))
+        for rank in [*boundary_ranks(ordered[~np.isnan(ordered)]), ordered.size - 1]:
+            alpha = alpha_for(rank, ordered.size)
+            np.testing.assert_equal(
+                cutoff_distance(mat, alpha, include_diagonal), ordered[rank - 1]
+            )
+
+    def test_does_not_copy_a_transposed_matrix(self):
+        mat = distance_matrix(np.random.default_rng(34).normal(size=(1000, 4))).T
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            cut = cutoff_distance(mat, 12.5, include_diagonal=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cut == np.sort(pool_of(mat, False))[int(np.ceil(0.125 * (1000 * 999))) - 1]
+        assert peak < mat.nbytes / 4
+
 
 class TestLocalDensity:
     def test_reference_values(self):
@@ -223,6 +317,15 @@ class TestLocalDensity:
         with_self = local_density(mat, d_c, include_self=True)
         without = local_density(mat, d_c, include_self=False)
         np.testing.assert_array_equal(with_self - 1, without)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_grid_cutoffs_in_row_blocks(self, monkeypatch, rows, include_self):
+        mat = grid_matrix(35)
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", rows * mat.shape[1])
+        for d_c in [*np.unique(mat).tolist(), 0.5, float(mat.max()) + 1]:
+            expected = oracle_density(mat, d_c) - (0 if include_self else int(d_c > 0))
+            np.testing.assert_array_equal(local_density(mat, d_c, include_self), expected)
 
 
 class TestSplitSubsets:
@@ -331,6 +434,21 @@ class TestDetectNoisyPositives:
         by_class = {c.class_index: c for c in report.classes}
         assert by_class[0].alpha == 12.5
         assert by_class[1].alpha == 50.0
+
+    @pytest.mark.parametrize("sizes", [(2000,), (1500, 1500)])
+    def test_peak_memory_is_one_class_matrix(self, sizes):
+        # the largest class's N x N float64 matrix, plus bounded temporaries
+        labels = [k for k, n in enumerate(sizes) for _ in range(n)]
+        ds = labeled_dataset(np.random.default_rng(29).normal(size=(len(labels), 8)), labels)
+        rows = np.arange(len(ds))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            detect_noisy_positives(ds, rows, DensityConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * max(sizes) ** 2 * 8
 
 
 class TestReportExport:

@@ -44,7 +44,6 @@ class CorrectionConfig:
     kernel_a: float = 1.0
     kernel_b: float = 0.0
     kernel_c: float | None = None
-    min_neighbors: int = 1
 
     def __post_init__(self):
         if self.k < 1:
@@ -53,8 +52,6 @@ class CorrectionConfig:
             raise DatasetError("kernel_a must be positive")
         if self.kernel_c is not None and self.kernel_c <= 0:
             raise DatasetError("kernel_c must be positive when given")
-        if self.min_neighbors < 1:
-            raise DatasetError("min_neighbors must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -118,12 +115,12 @@ class Pool:
 
 
 def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) -> VoteResult:
-    """Weighted vote of the nearest pool members; None if the pool is short.
+    """Weighted vote of the nearest pool members; None if the pool is empty.
 
     Ties between classes are resolved toward the class whose voting
     neighbors lie closer in total, then toward the lower predicate index.
     """
-    if len(pool) < config.min_neighbors:
+    if not len(pool):
         return VoteResult(label=None)
     diff = pool.features - np.asarray(query_feature, dtype=np.float64)[None, :]
     diff *= diff
@@ -193,22 +190,31 @@ def correct(
 
     new_labels = labels.copy()
     ledger: list[CorrectionRecord] = []
-    for row in sorted(noisy.tolist(), key=ids.__getitem__):
-        old = int(labels[row])
-        vote = knn_vote(dataset.features[row], pools.get(pair_of[row], no_pool), config)
-        changed = vote.label is not None and vote.label != old
-        if changed:
-            new_labels[row] = vote.label
-        ledger.append(
-            CorrectionRecord(
-                id=ids[row],
-                old_label=old,
-                new_label=vote.label if changed else old,
-                changed=changed,
-                neighbor_ids=vote.neighbor_ids,
-                weights=vote.weights,
+    # a kernel weight that overflows, turns invalid or divides by zero (a
+    # kernel_c whose 2c^2 underflows) stops the vote at that record, so no
+    # NaN reaches a score or the ledger
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for row in sorted(noisy.tolist(), key=ids.__getitem__):
+            old = int(labels[row])
+            try:
+                vote = knn_vote(dataset.features[row], pools.get(pair_of[row], no_pool), config)
+            except FloatingPointError as exc:
+                raise DatasetError(
+                    f"record {ids[row]!r}: kernel weights are not finite ({exc})"
+                ) from None
+            changed = vote.label is not None and vote.label != old
+            if changed:
+                new_labels[row] = vote.label
+            ledger.append(
+                CorrectionRecord(
+                    id=ids[row],
+                    old_label=old,
+                    new_label=vote.label if changed else old,
+                    changed=changed,
+                    neighbor_ids=vote.neighbor_ids,
+                    weights=vote.weights,
+                )
             )
-        )
     changed_count = sum(1 for entry in ledger if entry.changed)
     logger.info("corrected %d of %d flagged records", changed_count, len(ledger))
     return replace(dataset, labels=new_labels), tuple(ledger)

@@ -2,8 +2,9 @@
 
 For each predicate class the pairwise squared-Euclidean distance matrix is
 reduced to one local-density count per sample: the number of same-class
-samples strictly closer than a cutoff distance, where the cutoff is a
-percentile of all N*N entries.  One-dimensional K-means over the
+samples strictly closer than a cutoff distance, the sample itself included
+when the cutoff is positive, where the cutoff is a percentile of all N*N
+entries, the diagonal zeros included.  One-dimensional K-means over the
 densities splits the class into subsets; the subset with the lowest mean
 density is flagged as noisy.
 
@@ -57,7 +58,6 @@ class DensityConfig:
     alpha: dict[Part, float] = field(default_factory=lambda: dict(DEFAULT_ALPHA))
     n_subsets: int = 3
     min_class_size: int = 5
-    exclude_self: bool = False
 
     def __post_init__(self):
         for part in Part:
@@ -119,32 +119,18 @@ def distance_matrix(features: np.ndarray, out: np.ndarray | None = None) -> np.n
     return out
 
 
-def _row_blocks(matrix: np.ndarray, skip_diagonal: bool):
-    """Yield ``(block, diag)`` over row blocks of at most ``BLOCK_ELEMENTS``
-    entries (one row when a row is larger).
-
-    Each block is a view of ``matrix``, never a copy.  ``diag`` is the
-    column of the block's first-row diagonal entry when the diagonal is
-    left out of the pool, else None.
-    """
+def _row_blocks(matrix: np.ndarray):
+    """Yield row blocks of at most ``BLOCK_ELEMENTS`` entries (one row when
+    a row is larger), each a view of ``matrix``, never a copy."""
     n_rows, n_cols = matrix.shape
     rows = max(1, BLOCK_ELEMENTS // max(1, n_cols))
     for lo in range(0, n_rows, rows):
-        yield matrix[lo : lo + rows], lo if skip_diagonal else None
-
-
-def _drop_diagonal(mask: np.ndarray, diag: int | None) -> np.ndarray:
-    """Clear a block mask's diagonal entries (in place) unless ``diag`` is None."""
-    if diag is not None:
-        r = np.arange(min(mask.shape[0], mask.shape[1] - diag))
-        mask[r, diag + r] = False
-    return mask
+        yield matrix[lo : lo + rows]
 
 
 def _select_rank(blocks, rank: int, size: int, sample: np.ndarray) -> float:
     """The rank-th smallest (1-based) of the ``size`` pool entries in the
-    ``(block, diag)`` pairs that each call of ``blocks()`` yields, as
-    ``_row_blocks`` does; NaN sorts last.
+    blocks that each call of ``blocks()`` yields; NaN sorts last.
 
     ``sample``, some of the pool's entries, is sorted in place; its
     quantiles bracket the rank with a margin of four standard errors.  One
@@ -167,13 +153,13 @@ def _select_rank(blocks, rank: int, size: int, sample: np.ndarray) -> float:
         hi = math.inf if math.isnan(hi) else hi
         below = 0
         inside = []
-        for block, diag in blocks():
-            low = _drop_diagonal(block < lo, diag)
+        for block in blocks():
+            low = block < lo
             below += np.count_nonzero(low)
             keep = block <= hi
             keep ^= low  # lo <= hi, so this leaves lo <= entry <= hi
             # extract works on the raveled block, much faster than a 2-D mask
-            inside.append(np.extract(_drop_diagonal(keep, diag), block))
+            inside.append(np.extract(keep, block))
         if below < rank <= below + sum(map(len, inside)):
             pool = np.concatenate(inside)
             pool.partition(rank - below - 1)
@@ -201,12 +187,12 @@ def _sample(matrix: np.ndarray, size: int) -> np.ndarray:
     return matrix[rows, cols.astype(np.intp)]
 
 
-def cutoff_distance(matrix: np.ndarray, alpha: float, include_diagonal: bool = True) -> float:
+def cutoff_distance(matrix: np.ndarray, alpha: float) -> float:
     """The rank-th smallest entry of the pool, found by exact bracketed
     selection.
 
-    The pool is every matrix entry, diagonal zeros included, or only the
-    off-diagonal entries; the rank is ceil(alpha/100 * pool size), 1-based.
+    The pool is every matrix entry, diagonal zeros included; the rank is
+    ceil(alpha/100 * pool size), 1-based.
     Rank arithmetic goes through Fraction so that percentages landing
     exactly on an integer rank are not bumped by float rounding.  A sample
     of about pool**(2/3) entries brackets the rank; one pass over row
@@ -218,26 +204,22 @@ def cutoff_distance(matrix: np.ndarray, alpha: float, include_diagonal: bool = T
     """
     if not (0.0 < alpha <= 100.0):
         raise DatasetError(f"alpha must be in (0, 100], got {alpha}")
-    size = matrix.size if include_diagonal else matrix.size - matrix.shape[0]
+    size = matrix.size
     if size == 0:
         return 0.0
     rank = int(math.ceil(Fraction(alpha) * size / 100))
-    return _select_rank(
-        lambda: _row_blocks(matrix, not include_diagonal), rank, size, _sample(matrix, size)
-    )
+    return _select_rank(lambda: _row_blocks(matrix), rank, size, _sample(matrix, size))
 
 
-def local_density(matrix: np.ndarray, d_c: float, include_self: bool = True) -> np.ndarray:
-    """Per-sample count of samples strictly closer than the cutoff, counted
-    row block by row block; ``include_self=False`` leaves the diagonal out."""
+def local_density(matrix: np.ndarray, d_c: float) -> np.ndarray:
+    """Per-sample count of samples strictly closer than the cutoff, the
+    sample itself included, counted row block by row block."""
     if d_c < 0:
         raise DatasetError(f"cutoff must be non-negative, got {d_c}")
     rho = np.empty(matrix.shape[0], dtype=np.int64)
     filled = 0
-    for block, diag in _row_blocks(matrix, not include_self):
-        rho[filled : filled + len(block)] = np.count_nonzero(
-            _drop_diagonal(block < d_c, diag), axis=1
-        )
+    for block in _row_blocks(matrix):
+        rho[filled : filled + len(block)] = np.count_nonzero(block < d_c, axis=1)
         filled += len(block)
     return rho
 
@@ -337,7 +319,6 @@ def detect_noisy_positives(
     if np.any(labels < 0):
         raise DatasetError(f"record {dataset.ids[rows[labels < 0][0]]!r} has no label")
 
-    include = not config.exclude_self
     classes = []
     noisy: list[np.ndarray] = []
     clean: list[np.ndarray] = []
@@ -350,8 +331,8 @@ def detect_noisy_positives(
         members = rows[labels == k]
         alpha = config.alpha[dataset.partition.part(k)]
         dmat = distance_matrix(dataset.features[members], out=buffer[: n * n].reshape(n, n))
-        d_c = cutoff_distance(dmat, alpha, include_diagonal=include)
-        rho = local_density(dmat, d_c, include_self=include)
+        d_c = cutoff_distance(dmat, alpha)
+        rho = local_density(dmat, d_c)
         if len(members) < config.min_class_size:
             subset = np.full(len(members), -1, dtype=np.int64)
             noisy_subset = None

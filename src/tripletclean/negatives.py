@@ -50,10 +50,9 @@ class TrainingError(Exception):
 class MinerConfig:
     """Thresholds and training controls for the negative-mining stage.
 
-    A threshold of ``DISABLED`` (None) means records predicted into that
-    part are never promoted.  In ``quantile`` mode the threshold is read as
-    a quantile level of the scored confidences within the part instead of
-    an absolute cutoff.
+    A record is promoted when its confidence is at least the threshold of
+    its predicted class's part; a threshold of ``DISABLED`` (None) means
+    records predicted into that part are never promoted.
     """
 
     thresholds: dict[Part, float | None] = field(
@@ -67,7 +66,6 @@ class MinerConfig:
     learning_rate: float = 0.5
     batch_size: int = 64
     seed: int = 0
-    threshold_mode: str = "absolute"
 
     def __post_init__(self):
         for part in Part:
@@ -78,8 +76,6 @@ class MinerConfig:
                 raise DatasetError(f"threshold for {part.value} must be in [0, 1], got {th}")
         if self.lam < 0:
             raise DatasetError("lambda must be non-negative")
-        if self.threshold_mode not in ("absolute", "quantile"):
-            raise DatasetError(f"unknown threshold_mode {self.threshold_mode!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_size < 1:
             raise DatasetError("epochs, batch_size and hidden_size must be positive")
         if self.learning_rate <= 0:
@@ -318,6 +314,11 @@ def detect_noisy_negatives(
         raise DatasetError(
             f"feature dimension {X.shape[1]} does not match model input {model.input_dim}"
         )
+    if model.n_classes != len(dataset.vocab):
+        raise DatasetError(
+            f"model predicts {model.n_classes} classes, but the vocabulary has "
+            f"{len(dataset.vocab)}"
+        )
     P, C = forward(model, X)
     predicted = np.argmax(P, axis=1)
     parts = np.array([p.value for p in dataset.partition.part_of])[predicted]
@@ -325,12 +326,8 @@ def detect_noisy_negatives(
     promote = np.zeros(rows.size, dtype=bool)
     for part in Part:
         theta = config.thresholds[part]
-        in_part = parts == part.value
-        if theta is DISABLED or not in_part.any():
-            continue
-        if config.threshold_mode == "quantile":
-            theta = np.quantile(C[in_part], theta)
-        promote |= in_part & (C >= theta)
+        if theta is not DISABLED:
+            promote |= (parts == part.value) & (C >= theta)
     chosen = sorted(np.flatnonzero(promote), key=lambda i: dataset.ids[rows[i]])
     logger.info("promoted %d of %d negatives", len(chosen), rows.size)
     return Promotions(rows[chosen], predicted[chosen], C[chosen])
@@ -377,9 +374,18 @@ def load_model(path: str) -> ConfidenceModel:
             class_weights=np.asarray(payload["class_weights"], dtype=np.float64),
             lam=float(payload["lambda"]),
         )
-        expected = ((dims["input"], dims["hidden"]), (dims["hidden"], dims["classes"]))
+        hidden, classes = dims["hidden"], dims["classes"]
+        expected = {
+            "W1": (dims["input"], hidden),
+            "b1": (hidden,),
+            "W2": (hidden, classes),
+            "b2": (classes,),
+            "w3": (hidden,),
+            "class_weights": (classes,),
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{path}: malformed model parameters ({exc!r})") from None
-    if (model.W1.shape, model.W2.shape) != expected:
-        raise DatasetError(f"{path}: dimensions header does not match parameters")
+    wrong = [name for name, shape in expected.items() if getattr(model, name).shape != shape]
+    if wrong:
+        raise DatasetError(f"{path}: dimensions header does not match parameters {wrong}")
     return model

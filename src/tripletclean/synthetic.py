@@ -306,6 +306,12 @@ def score(
     pos_precision = _ratio(len(flagged & noisy_pos), len(flagged))
 
     names = cleaned.vocab.names
+    for entry in ledger:
+        if not (0 <= entry.old_label < len(names) and 0 <= entry.new_label < len(names)):
+            raise DatasetError(
+                f"ledger entry {entry.id!r}: label index outside the vocabulary of "
+                f"{len(names)} predicates"
+            )
     changed = [entry for entry in ledger if entry.changed]
     correction_acc = _ratio(
         sum(

@@ -42,6 +42,28 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def model_text(classes=4, **params):
+    """A zero-weight confidence model file for the workspace's 6 features,
+    with 2 hidden units; ``params`` replace parameter lists, class weights
+    included."""
+    lists = {
+        "W1": [[0.0] * 2] * 6,
+        "b1": [0.0] * 2,
+        "W2": [[0.0] * classes] * 2,
+        "b2": [0.0] * classes,
+        "w3": [0.0] * 2,
+        "b3": 0.0,
+        "class_weights": [1.0] * classes,
+        **params,
+    }
+    class_weights = lists.pop("class_weights")
+    return json.dumps({
+        "format": "confidence-model", "version": 1,
+        "dims": {"input": 6, "hidden": 2, "classes": classes},
+        "lambda": 0.1, "class_weights": class_weights, "params": lists,
+    })
+
+
 class TestSynth:
     def test_generates_dataset_and_truth(self, workspace):
         tmp_path, config = workspace
@@ -249,7 +271,15 @@ class TestArgumentHandling:
         assert "error: nsc.k" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text", ["not json {", '{"format": "confidence-model", "version": 1}']
+        "text",
+        [
+            "not json {",
+            '{"format": "confidence-model", "version": 1}',
+            pytest.param(model_text(b1=[0.0] * 3), id="b1-length"),
+            pytest.param(model_text(b2=[0.0] * 3), id="b2-length"),
+            pytest.param(model_text(w3=[0.0] * 5), id="w3-length"),
+            pytest.param(model_text(class_weights=[1.0] * 10), id="class-weights-length"),
+        ],
     )
     def test_bad_model_file_exits_1(self, workspace, capsys, text):
         tmp_path, config = workspace
@@ -260,6 +290,19 @@ class TestArgumentHandling:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(model) in err
+
+    def test_model_of_another_class_count_exits_1(self, workspace, capsys):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        model = tmp_path / "model.json"
+        argv = ("detect-neg", "--config", config, "--model", str(model), "--out", str(tmp_path))
+        model.write_text(model_text())
+        assert run_cli(*argv) == 0
+        model.write_text(model_text(classes=10))
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: model predicts 10 classes, but the vocabulary has 4\n"
 
     def test_bad_density_report_exits_1(self, workspace, capsys):
         tmp_path, config = workspace
@@ -284,6 +327,24 @@ class TestArgumentHandling:
         assert run_cli(*argv, "--truth", str(truth)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{corrupt}: line 1: missing fields" in err
+
+    @pytest.mark.parametrize(
+        "key, index", [("new_label", 99), ("new_label", -1), ("old_label", 4)]
+    )
+    def test_ledger_label_outside_the_vocabulary_exits_1(self, workspace, capsys, key, index):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        assert run_cli("run", "--config", config) == 0
+        ledger = tmp_path / "out" / "correction_ledger.jsonl"
+        first, *rest = ledger.read_text().splitlines(keepends=True)
+        entry = json.loads(first)
+        entry[key] = index
+        ledger.write_text(json.dumps(entry) + "\n" + "".join(rest))
+        capsys.readouterr()
+        argv = ("eval", "--config", config, "--run-dir", str(tmp_path / "out"))
+        assert run_cli(*argv, "--truth", str(tmp_path / "synth" / "truth.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ledger entry {entry['id']!r}: label index outside")
 
     def test_missing_input_data_exits_1(self, tmp_path):
         config = tmp_path / "c.json"
@@ -324,6 +385,31 @@ class TestArgumentHandling:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: line 1: feature magnitude exceeds")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_kernel_weights_that_overflow_exit_1(self, tmp_path, capsys):
+        # squared distances near 1e201 are finite, but the kernel squares them again
+        data = tmp_path / "far.jsonl"
+        rows = [
+            {"id": f"r{i}", "image_id": "im", "subject_class": 0, "object_class": 1,
+             "predicate": f"p{i % 2}",
+             "feature": [(-1.0) ** (i // 2) * 1e100, (-1.0) ** (i // 3) * 1e100]}
+            for i in range(12)
+        ]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "out"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "io": {"input": str(data), "out_dir": str(out)}, "stages": {"neg_nsd": False},
+            "pos_nsd": {"min_class_size": 1},
+        }))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("run", "--config", str(config)) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("error: nsc: record 'r1': kernel weights are not finite")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -67,7 +67,7 @@ def oracle_ledger(noisy_ids, dataset, clean_ids, config):
             for i, cid in enumerate(dataset.ids)
             if cid in clean and tuple(dataset.pairs[i]) == tuple(dataset.pairs[q])
         ]
-        if len(pool) < config.min_neighbors:
+        if not pool:
             out.append((rid, old, old, (), ()))
             continue
         feats = [dataset.features[i] for i in pool]
@@ -124,10 +124,9 @@ class TestKnnVote:
         np.testing.assert_allclose(w["a"], np.exp(-0.005), rtol=1e-12)
         np.testing.assert_allclose(w["b1"], np.exp(-12.5), rtol=1e-12)
 
-    def test_short_pool_returns_none(self):
-        pool = [rec("a", 1, [0.5])]
-        config = CorrectionConfig(min_neighbors=2)
-        vote = knn_vote(np.array([0.0]), pool_of(pool, config), config)
+    def test_empty_pool_returns_none(self):
+        config = CorrectionConfig()
+        vote = knn_vote(np.array([0.0]), pool_of([], config), config)
         assert vote.label is None
         assert vote.neighbor_ids == ()
 
@@ -184,7 +183,7 @@ class TestKnnVote:
 
 def oracle_vote(query, pool, config):
     """knn_vote with a stable sort of the whole pool."""
-    if len(pool) < config.min_neighbors:
+    if not len(pool):
         return correction.VoteResult(label=None)
     dists = np.array([np.sum((f - query) ** 2) for f in pool.features])
     order = np.argsort(dists, kind="stable")[: config.k]
@@ -358,6 +357,12 @@ class TestCorrect:
         ds = build_dataset(cleans + [neg])
         with pytest.raises(DatasetError, match="flagged record 'neg' has no label"):
             correct_ids(["neg"], ds, [c.id for c in cleans], CorrectionConfig())
+
+    def test_kernel_scale_that_underflows_is_rejected(self):
+        # 2 * c * c underflows to 0, so every weight would divide by zero
+        ds, noisy_ids, clean_ids = self.surrounded_dataset()
+        with pytest.raises(DatasetError, match="record 'bad': kernel weights are not finite"):
+            correct_ids(noisy_ids, ds, clean_ids, CorrectionConfig(kernel_c=1e-200))
 
     def test_ledger_sorted_by_id(self):
         cleans = [rec(f"c{i}", 6, [float(i) * 0.01], pair=(1, 2)) for i in range(8)]

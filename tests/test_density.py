@@ -57,12 +57,6 @@ def oracle_cutoff(matrix, alpha):
     return entries[rank - 1]
 
 
-def pool_of(matrix, include_diagonal):
-    """The cutoff's pool as one flat array, diagonal dropped when asked."""
-    n = matrix.shape[0]
-    return matrix.ravel() if include_diagonal else matrix[~np.eye(n, dtype=bool)]
-
-
 def boundary_ranks(ordered):
     """1-based ranks on both sides of every change of value, and the ends."""
     change = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
@@ -195,83 +189,68 @@ class TestCutoffDistance:
         with pytest.raises(DatasetError):
             cutoff_distance(np.zeros((2, 2)), 101.0)
 
-    @pytest.mark.parametrize("include_diagonal", [True, False])
-    def test_every_rank_boundary_matches_sort_oracle(self, include_diagonal):
+    def test_every_rank_boundary_matches_sort_oracle(self):
         # integer grid points, so that many entries are equal
         feats = np.random.default_rng(18).integers(0, 3, size=(6, 2)).astype(np.float64)
         mat = distance_matrix(feats)
-        pool = mat.ravel() if include_diagonal else mat[~np.eye(6, dtype=bool)]
-        ordered = np.sort(pool)
-        for r in range(1, pool.size + 1):
-            alpha = 100 * r / pool.size
-            rank = int(np.ceil(Fraction(alpha) * pool.size / 100))
-            assert cutoff_distance(mat, alpha, include_diagonal) == ordered[rank - 1]
-
-    def test_exclude_diagonal_pool(self):
-        mat = distance_matrix(np.array([[0.0], [1.0], [10.0]]))
-        # off-diagonal pool sorted: [1, 1, 81, 81, 100, 100]; rank ceil(3)=3
-        assert cutoff_distance(mat, 50.0, include_diagonal=False) == 81.0
+        ordered = np.sort(mat.ravel())
+        for r in range(1, ordered.size + 1):
+            alpha = 100 * r / ordered.size
+            rank = int(np.ceil(Fraction(alpha) * ordered.size / 100))
+            assert cutoff_distance(mat, alpha) == ordered[rank - 1]
 
     @pytest.mark.parametrize("rows", [None, 1, 7])
-    @pytest.mark.parametrize("include_diagonal", [True, False])
-    def test_grid_rank_boundaries_in_row_blocks(self, monkeypatch, rows, include_diagonal):
+    def test_grid_rank_boundaries_in_row_blocks(self, monkeypatch, rows):
         mat = grid_matrix(30)
         if rows is not None:
             monkeypatch.setattr(density, "BLOCK_ELEMENTS", rows * mat.shape[1])
-        ordered = np.sort(pool_of(mat, include_diagonal))
+        ordered = np.sort(mat.ravel())
         for rank in boundary_ranks(ordered):
             alpha = alpha_for(rank, ordered.size)
-            assert cutoff_distance(mat, alpha, include_diagonal) == ordered[rank - 1], rank
+            assert cutoff_distance(mat, alpha) == ordered[rank - 1], rank
 
-    @pytest.mark.parametrize("include_diagonal", [True, False])
-    def test_non_symmetric_and_transposed_matrices(self, monkeypatch, include_diagonal):
+    def test_non_symmetric_and_transposed_matrices(self, monkeypatch):
         monkeypatch.setattr(density, "BLOCK_ELEMENTS", 5 * 45)
         base = np.random.default_rng(31).integers(0, 9, size=(45, 45)).astype(np.float64)
         for mat in (base, base.T):
-            ordered = np.sort(pool_of(mat, include_diagonal))
+            ordered = np.sort(mat.ravel())
             for rank in boundary_ranks(ordered):
                 alpha = alpha_for(rank, ordered.size)
-                assert cutoff_distance(mat, alpha, include_diagonal) == ordered[rank - 1]
+                assert cutoff_distance(mat, alpha) == ordered[rank - 1]
 
     @pytest.mark.parametrize(
         "sample",
         [np.full(4, 1e9), np.full(4, -1.0), np.zeros(1), np.full(3, np.nan), np.arange(2.0)],
     )
-    @pytest.mark.parametrize("include_diagonal", [True, False])
-    def test_a_missed_bracket_widens_to_the_exact_entry(
-        self, monkeypatch, sample, include_diagonal
-    ):
+    def test_a_missed_bracket_widens_to_the_exact_entry(self, monkeypatch, sample):
         # a sample unlike the pool puts the first bracket beside the rank
         monkeypatch.setattr(density, "_sample", lambda matrix, size: sample.copy())
         mat = grid_matrix(32)
-        ordered = np.sort(pool_of(mat, include_diagonal))
+        ordered = np.sort(mat.ravel())
         for rank in boundary_ranks(ordered):
             alpha = alpha_for(rank, ordered.size)
-            assert cutoff_distance(mat, alpha, include_diagonal) == ordered[rank - 1]
+            assert cutoff_distance(mat, alpha) == ordered[rank - 1]
 
-    @pytest.mark.parametrize("include_diagonal", [True, False])
-    def test_nan_entries_sort_last(self, monkeypatch, include_diagonal):
+    def test_nan_entries_sort_last(self, monkeypatch):
         monkeypatch.setattr(density, "BLOCK_ELEMENTS", 3 * 20)
         mat = grid_matrix(33, n=20)
         mat[[0, 3, 3, 7, 19], [5, 3, 9, 1, 0]] = np.nan
         mat[[2, 4, 6], [8, 11, 6]] = [np.inf, np.inf, -np.inf]
-        ordered = np.sort(pool_of(mat, include_diagonal))
+        ordered = np.sort(mat.ravel())
         for rank in [*boundary_ranks(ordered[~np.isnan(ordered)]), ordered.size - 1]:
             alpha = alpha_for(rank, ordered.size)
-            np.testing.assert_equal(
-                cutoff_distance(mat, alpha, include_diagonal), ordered[rank - 1]
-            )
+            np.testing.assert_equal(cutoff_distance(mat, alpha), ordered[rank - 1])
 
     def test_does_not_copy_a_transposed_matrix(self):
         mat = distance_matrix(np.random.default_rng(34).normal(size=(1000, 4))).T
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            cut = cutoff_distance(mat, 12.5, include_diagonal=False)
+            cut = cutoff_distance(mat, 12.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cut == np.sort(pool_of(mat, False))[int(np.ceil(0.125 * (1000 * 999))) - 1]
+        assert cut == np.sort(mat.ravel())[int(np.ceil(0.125 * mat.size)) - 1]
         assert peak < mat.nbytes / 4
 
 
@@ -310,22 +289,12 @@ class TestLocalDensity:
         mat = distance_matrix(rng.normal(size=(10, 3)))
         assert np.all(local_density(mat, 1e-9) >= 1)
 
-    def test_exclude_self_lowers_by_one(self):
-        rng = np.random.default_rng(19)
-        mat = distance_matrix(rng.normal(size=(10, 3)))
-        d_c = float(np.median(mat))
-        with_self = local_density(mat, d_c, include_self=True)
-        without = local_density(mat, d_c, include_self=False)
-        np.testing.assert_array_equal(with_self - 1, without)
-
     @pytest.mark.parametrize("rows", [1, 7])
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_grid_cutoffs_in_row_blocks(self, monkeypatch, rows, include_self):
+    def test_grid_cutoffs_in_row_blocks(self, monkeypatch, rows):
         mat = grid_matrix(35)
         monkeypatch.setattr(density, "BLOCK_ELEMENTS", rows * mat.shape[1])
         for d_c in [*np.unique(mat).tolist(), 0.5, float(mat.max()) + 1]:
-            expected = oracle_density(mat, d_c) - (0 if include_self else int(d_c > 0))
-            np.testing.assert_array_equal(local_density(mat, d_c, include_self), expected)
+            np.testing.assert_array_equal(local_density(mat, d_c), oracle_density(mat, d_c))
 
 
 class TestSplitSubsets:

@@ -381,19 +381,6 @@ class TestDetect:
             counts.append(len(promoted.rows))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
-    def test_quantile_mode_selects_top_scores(self):
-        rng = np.random.default_rng(13)
-        model = initialize_model(2, 6, 2, np.ones(2), 0.1, rng)
-        ds = negatives_dataset([f"n{i:02d}" for i in range(40)], rng.normal(size=(40, 2)) * 3, 2)
-        config = MinerConfig(
-            thresholds={Part.HEAD: 0.9, Part.BODY: 0.9, Part.TAIL: 0.9},
-            threshold_mode="quantile",
-        )
-        promoted, kept = detect(model, ds, config)
-        assert 0 < len(promoted.rows) <= 8
-        if kept.size:
-            assert promoted.confidence.min() >= forward(model, ds.features[kept])[1].max()
-
     def test_subset_of_rows_is_scored(self):
         model = constant_model(2, logits=[1.0, 0.0], conf_logit=3.0)
         ds = negatives_dataset(["a", "b", "c"], np.zeros((3, 2)), 2)
@@ -508,7 +495,3 @@ class TestConfigValidation:
     def test_negative_lambda_rejected(self):
         with pytest.raises(DatasetError):
             MinerConfig(lam=-0.5)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DatasetError):
-            MinerConfig(threshold_mode="percentile")

@@ -367,12 +367,16 @@ class TestConfigParsing:
         assert thresholds[2] == 0.6
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(DatasetError, match="unknown keys"):
-            config_from_dict({"negnsd": {}})
-        with pytest.raises(DatasetError, match="unknown keys"):
-            config_from_dict({"nsc": {"K": 3}})
-        with pytest.raises(DatasetError, match="unknown keys"):
-            config_from_dict({"pos_nsd": {"seed": 0}})
+        for raw in (
+            {"negnsd": {}},
+            {"nsc": {"K": 3}},
+            {"pos_nsd": {"seed": 0}},
+            {"neg_nsd": {"threshold_mode": "absolute"}},
+            {"pos_nsd": {"exclude_self": False}},
+            {"nsc": {"min_neighbors": 1}},
+        ):
+            with pytest.raises(DatasetError, match="unknown keys"):
+                config_from_dict(raw)
 
     @pytest.mark.parametrize(
         "raw",

@@ -388,4 +388,8 @@ def load_model(path: str) -> ConfidenceModel:
     wrong = [name for name, shape in expected.items() if getattr(model, name).shape != shape]
     if wrong:
         raise DatasetError(f"{path}: dimensions header does not match parameters {wrong}")
+    values.update({"class_weights": model.class_weights, "lambda": model.lam})
+    bad = [name for name, value in values.items() if not np.isfinite(value).all()]
+    if bad:
+        raise DatasetError(f"{path}: non-finite model parameters {bad}")
     return model

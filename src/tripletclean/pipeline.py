@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -142,7 +143,8 @@ def _coerce(value: Any, tp: Any, where: str) -> Any:
     A dataclass reads an object holding only its fields' JSON names; a part
     map must name every part and reads ``"disabled"`` as null; int map keys
     are parsed from their JSON strings; a boolean never passes as a number,
-    nor a number as a boolean.
+    nor a number as a boolean, and a number must be finite (``json`` reads
+    ``NaN`` and ``Infinity``).
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -186,6 +188,8 @@ def _coerce(value: Any, tp: Any, where: str) -> Any:
             }
         except ValueError:
             raise DatasetError(f"{where} keys must be integers: {sorted(value)}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DatasetError(f"{where} must be a finite number, got {value!r}")
     return tp(value)
 
 

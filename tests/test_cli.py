@@ -270,6 +270,12 @@ class TestArgumentHandling:
         assert run_cli("run", "--config", str(config)) == 1
         assert "error: nsc.k" in capsys.readouterr().err
 
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"nsc": {"kernel_c": float("nan")}}))
+        assert run_cli("run", "--config", str(config)) == 1
+        assert capsys.readouterr().err == "error: nsc.kernel_c must be a finite number, got nan\n"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -279,6 +285,12 @@ class TestArgumentHandling:
             pytest.param(model_text(b2=[0.0] * 3), id="b2-length"),
             pytest.param(model_text(w3=[0.0] * 5), id="w3-length"),
             pytest.param(model_text(class_weights=[1.0] * 10), id="class-weights-length"),
+            pytest.param(model_text(W1=[[float("nan")] * 2] * 6), id="W1-nan"),
+            pytest.param(model_text(b3=float("inf")), id="b3-inf"),
+            pytest.param(
+                model_text(class_weights=[1.0, float("nan"), 1.0, 1.0]), id="class-weights-nan"
+            ),
+            pytest.param(model_text().replace('"lambda": 0.1', '"lambda": NaN'), id="lambda-nan"),
         ],
     )
     def test_bad_model_file_exits_1(self, workspace, capsys, text):

@@ -400,6 +400,23 @@ class TestConfigParsing:
         with pytest.raises(DatasetError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "raw, where",
+        [
+            ({"nsc": {"kernel_c": float("nan")}}, "nsc.kernel_c"),
+            ({"nsc": {"kernel_a": float("inf")}}, "nsc.kernel_a"),
+            ({"neg_nsd": {"lambda": float("-inf")}}, "neg_nsd.lambda"),
+            ({"neg_nsd": {"learning_rate": float("nan")}}, "neg_nsd.learning_rate"),
+            (
+                {"neg_nsd": {"thresholds": {"head": 0.9, "body": float("nan"), "tail": 0.9}}},
+                "neg_nsd.thresholds.body",
+            ),
+        ],
+    )
+    def test_non_finite_number_rejected(self, raw, where):
+        with pytest.raises(DatasetError, match=f"^{where} must be a finite number"):
+            config_from_dict(raw)
+
     def test_seed_override_wins(self, tmp_path):
         config = cli_config(tmp_path, {"seed": 3}, "--seed", "11")
         assert config.seed == 11

@@ -1,6 +1,7 @@
 """Command-line entry points for dataset cleaning and the synthetic bench.
 
-Exit codes: 0 success, 1 invalid input or arguments, 2 runtime failure.
+Exit codes, the same for every subcommand: 0 success, 1 invalid input or
+arguments (a DatasetError or a missing file), 2 any other failure.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from tripletclean.core import (
     save_dataset,
     save_vocab,
 )
-from tripletclean.correction import correct, load_ledger, save_ledger
-from tripletclean.density import detect_noisy_positives, load_flagged, save_density_report
+from tripletclean.correction import correct, ledger_to_text, load_ledger
+from tripletclean.density import density_report_to_text, detect_noisy_positives, load_flagged
 from tripletclean.negatives import (
-    TrainingError,
     detect_noisy_negatives,
     load_model,
     save_model,
@@ -41,7 +41,6 @@ from tripletclean.pipeline import (
     TRUTH_FILE,
     VOCAB_FILE,
     PipelineConfig,
-    PipelineError,
     config_from_dict,
     load_input,
     load_mined,
@@ -61,57 +60,6 @@ class CliParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="path to the JSON config file")
-    parser.add_argument("--seed", type=int, help="override the global seed")
-    parser.add_argument("--out", help="output directory")
-
-
-def build_parser() -> CliParser:
-    parser = CliParser(prog="tripletclean", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
-
-    p_run = sub.add_parser("run", help="execute the full cleaning pipeline")
-    _add_common(p_run)
-    p_run.add_argument(
-        "--stage-toggle",
-        action="append",
-        default=[],
-        metavar="STAGE=on|off",
-        help="override a stage toggle (neg_nsd, pos_nsd, nsc); repeatable",
-    )
-
-    p_train = sub.add_parser("train-negnsd", help="train the confidence model only")
-    _add_common(p_train)
-    p_train.add_argument("--data", help="dataset file (defaults to io.input)")
-
-    p_dneg = sub.add_parser("detect-neg", help="score negatives with a trained model")
-    _add_common(p_dneg)
-    p_dneg.add_argument("--data", help="dataset file (defaults to io.input)")
-    p_dneg.add_argument("--model", required=True, help="trained model file")
-
-    p_dpos = sub.add_parser("detect-pos", help="flag labeled records by local density")
-    _add_common(p_dpos)
-    p_dpos.add_argument("--data", help="dataset file (defaults to io.input)")
-
-    p_corr = sub.add_parser("correct", help="re-vote labels of flagged records")
-    _add_common(p_corr)
-    p_corr.add_argument("--data", help="dataset file (defaults to io.input)")
-    p_corr.add_argument(
-        "--density-report", required=True, help="flag file from detect-pos"
-    )
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic noisy dataset")
-    _add_common(p_synth)
-
-    p_eval = sub.add_parser("eval", help="score a run directory against a truth file")
-    _add_common(p_eval)
-    p_eval.add_argument("--run-dir", required=True, help="directory written by run")
-    p_eval.add_argument("--truth", required=True, help="truth sidecar file")
-
-    return parser
 
 
 def _toggle(item: str) -> tuple[str, bool]:
@@ -182,7 +130,9 @@ def cmd_detect_pos(args) -> int:
     dataset = load_input(config)
     positives = dataset.positives()
     report = detect_noisy_positives(dataset, positives, config.pos_nsd)
-    save_density_report(report, os.path.join(config.io.out_dir, DENSITY_FILE))
+    atomic_write_text(
+        os.path.join(config.io.out_dir, DENSITY_FILE), density_report_to_text(report)
+    )
     print(f"flagged {len(report.noisy_rows)} of {len(positives)} labeled records")
     return 0
 
@@ -198,7 +148,7 @@ def cmd_correct(args) -> int:
     clean = np.flatnonzero(~is_flagged & (dataset.labels >= 0))
     fixed, ledger = correct(np.flatnonzero(is_flagged), dataset, clean, config.nsc)
     save_dataset(fixed, os.path.join(config.io.out_dir, CLEANED_FILE))
-    save_ledger(ledger, os.path.join(config.io.out_dir, LEDGER_FILE))
+    atomic_write_text(os.path.join(config.io.out_dir, LEDGER_FILE), ledger_to_text(ledger))
     changed = sum(1 for e in ledger if e.changed)
     print(f"relabeled {changed} of {len(ledger)} flagged records")
     return 0
@@ -242,30 +192,59 @@ def cmd_eval(args) -> int:
     return 0
 
 
-HANDLERS = {
-    "run": cmd_run,
-    "train-negnsd": cmd_train,
-    "detect-neg": cmd_detect_neg,
-    "detect-pos": cmd_detect_pos,
-    "correct": cmd_correct,
-    "synth": cmd_synth,
-    "eval": cmd_eval,
+# flag -> its add_argument options; every subcommand takes the first three
+FLAGS = {
+    "--config": dict(help="path to the JSON config file"),
+    "--seed": dict(type=int, help="override the global seed"),
+    "--out": dict(help="output directory"),
+    "--data": dict(help="dataset file (defaults to io.input)"),
+    "--stage-toggle": dict(
+        action="append",
+        default=[],
+        metavar="STAGE=on|off",
+        help="override a stage toggle (neg_nsd, pos_nsd, nsc); repeatable",
+    ),
+    "--model": dict(required=True, help="trained model file"),
+    "--density-report": dict(required=True, help="flag file from detect-pos"),
+    "--run-dir": dict(required=True, help="directory written by run"),
+    "--truth": dict(required=True, help="truth sidecar file"),
 }
+# name, handler, help, and the flags beyond the first three
+COMMANDS = (
+    ("run", cmd_run, "execute the full cleaning pipeline", "--stage-toggle"),
+    ("train-negnsd", cmd_train, "train the confidence model only", "--data"),
+    ("detect-neg", cmd_detect_neg, "score negatives with a trained model", "--data", "--model"),
+    ("detect-pos", cmd_detect_pos, "flag labeled records by local density", "--data"),
+    ("correct", cmd_correct, "re-vote labels of flagged records", "--data", "--density-report"),
+    ("synth", cmd_synth, "generate a synthetic noisy dataset"),
+    ("eval", cmd_eval, "score a run directory against a truth file", "--run-dir", "--truth"),
+)
+
+
+def build_parser() -> CliParser:
+    parser = CliParser(prog="tripletclean", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
+    for name, handler, help_text, *flags in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        for flag in ("--config", "--seed", "--out", *flags):
+            command.add_argument(flag, **FLAGS[flag])
+    return parser
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("TRIPLETCLEAN_LOGLEVEL", "WARNING"))
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return HANDLERS[args.command](args)
+        logging.basicConfig(level=os.environ.get("TRIPLETCLEAN_LOGLEVEL", "WARNING"))
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DatasetError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PipelineError, TrainingError, OSError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:  # one stderr line; the traceback is logged at DEBUG
+        logger.debug("command failed", exc_info=True)
+        if isinstance(exc, (DatasetError, FileNotFoundError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

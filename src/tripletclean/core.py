@@ -71,14 +71,12 @@ class PredicateVocab:
 class FrequencyPartition:
     """Predicate index -> head/body/tail assignment by training count.
 
-    A predicate with count strictly above ``head_min`` is HEAD, strictly
-    below ``tail_max`` is TAIL, and BODY otherwise; counts exactly at a
-    boundary therefore fall in BODY.
+    With the bounds given to ``partition_predicates``, a predicate with
+    count strictly above ``head_min`` is HEAD, strictly below ``tail_max``
+    is TAIL, and BODY otherwise; counts exactly at a boundary fall in BODY.
     """
 
     part_of: tuple[Part, ...]
-    head_min: int = DEFAULT_HEAD_MIN
-    tail_max: int = DEFAULT_TAIL_MAX
 
     def part(self, predicate: int) -> Part:
         return self.part_of[predicate]
@@ -100,7 +98,7 @@ def partition_predicates(
             parts.append(Part.TAIL)
         else:
             parts.append(Part.BODY)
-    return FrequencyPartition(tuple(parts), head_min, tail_max)
+    return FrequencyPartition(tuple(parts))
 
 
 NO_LABEL = -1

@@ -19,7 +19,6 @@ import numpy as np
 from tripletclean.core import (
     Dataset,
     DatasetError,
-    atomic_write_text,
     jsonl_text,
     read_jsonl,
 )
@@ -235,10 +234,6 @@ LEDGER_FIELDS = {
 def ledger_to_text(ledger: Sequence[CorrectionRecord]) -> str:
     """One ledger entry per line, keys in field order."""
     return jsonl_text({key: getattr(entry, key) for key in LEDGER_FIELDS} for entry in ledger)
-
-
-def save_ledger(ledger: Sequence[CorrectionRecord], path: str) -> None:
-    atomic_write_text(path, ledger_to_text(ledger))
 
 
 def load_ledger(path: str) -> tuple[CorrectionRecord, ...]:

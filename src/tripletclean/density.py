@@ -30,7 +30,6 @@ from tripletclean.core import (
     Dataset,
     DatasetError,
     Part,
-    atomic_write_text,
     jsonl_text,
     read_jsonl,
 )
@@ -381,10 +380,6 @@ def density_report_to_text(report: DensityReport) -> str:
         for cls in report.classes
         for row, rho, subset in zip(cls.rows.tolist(), cls.rho, cls.subset)
     )
-
-
-def save_density_report(report: DensityReport, path: str) -> None:
-    atomic_write_text(path, density_report_to_text(report))
 
 
 def load_flagged(path: str) -> frozenset[str]:

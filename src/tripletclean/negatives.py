@@ -80,6 +80,8 @@ class MinerConfig:
             raise DatasetError("epochs, batch_size and hidden_size must be positive")
         if self.learning_rate <= 0:
             raise DatasetError("learning_rate must be positive")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -38,6 +38,9 @@ class NoiseTag(str, Enum):
     MISSING = "missing"
 
 
+TAGS = tuple(NoiseTag)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Shape and corruption controls for one generated dataset.
@@ -75,6 +78,8 @@ class SynthConfig:
             raise DatasetError("cluster_spread must be positive")
         if self.class_separation < 0 or self.n_background < 0:
             raise DatasetError("class_separation and n_background must be non-negative")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be non-negative, got {self.seed}")
         for rate, name in (
             (self.eta_common, "eta_common"),
             (self.eta_syn, "eta_syn"),
@@ -172,54 +177,34 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
         bg_center
         + rng.normal(0.0, config.cluster_spread, (config.n_background, config.feature_dim))
     )
-    labels = [k for k in range(config.n_classes) for _ in range(counts[k])]
-    pairs = [pair_of[k] for k in labels]
-    pairs += [pair_of[i % config.n_classes] for i in range(config.n_background)]
-    labels += [NO_LABEL] * config.n_background
-    ids = [f"r{i:06d}" for i in range(len(labels))]
+    classes = np.repeat(np.arange(config.n_classes), counts)
+    true_labels = np.concatenate([classes, np.full(config.n_background, NO_LABEL)])
+    # background record i takes the pair of class i mod n_classes
+    pair_class = np.concatenate([classes, np.arange(config.n_background) % config.n_classes])
+    pairs = np.array([pair_of[k] for k in range(config.n_classes)])[pair_class]
+    ids = [f"r{i:06d}" for i in range(len(true_labels))]
     names = [f"p{k}" for k in range(config.n_classes)]
-    true_names = {rid: names[k] if k != NO_LABEL else None for rid, k in zip(ids, labels)}
 
-    tags = {rid: NoiseTag.NONE for rid in ids}
-    partner = _synonym_partner_map(config)
+    labels = true_labels.copy()
+    tags = np.zeros(len(labels), dtype=np.int64)  # indexes TAGS; 0 is NoiseTag.NONE
+    # synonym class -> its partner classes, sorted
+    links = [*config.synonym_pairs, *[(b, a) for a, b in config.synonym_pairs]]
+    partner = {a: sorted({y for x, y in links if x == a}) for a, _ in links}
 
-    def inject(eligible: list[int], rate: float, apply):
-        order = rng.permutation(len(eligible))
-        n_hit = int(np.floor(rate * len(eligible)))
-        for pos in order[:n_hit]:
-            apply(eligible[pos])
+    def hit(eligible: np.ndarray, rate: float, tag: NoiseTag) -> np.ndarray:
+        """Tag floor(rate * n) of the n eligible rows that are labeled and
+        untouched, chosen by one permutation; returns them in its order."""
+        rows = np.flatnonzero(eligible & (labels != NO_LABEL) & (tags == 0))
+        chosen = rows[rng.permutation(len(rows))[: int(np.floor(rate * len(rows)))]]
+        tags[chosen] = TAGS.index(tag)
+        return chosen
 
-    untouched = lambda i: labels[i] != NO_LABEL and tags[ids[i]] is NoiseTag.NONE
-
-    def flip_common(i):
-        labels[i] = config.coarse_of[labels[i]]
-        tags[ids[i]] = NoiseTag.COMMON
-
-    def flip_synonym(i):
-        options = sorted(partner[labels[i]])
-        choice = options[rng.integers(len(options))] if len(options) > 1 else options[0]
-        labels[i] = choice
-        tags[ids[i]] = NoiseTag.SYNONYM
-
-    def demote(i):
-        labels[i] = NO_LABEL
-        tags[ids[i]] = NoiseTag.MISSING
-
-    inject(
-        [i for i in range(len(ids)) if untouched(i) and labels[i] in config.coarse_of],
-        config.eta_common,
-        flip_common,
-    )
-    inject(
-        [i for i in range(len(ids)) if untouched(i) and labels[i] in partner],
-        config.eta_syn,
-        flip_synonym,
-    )
-    inject(
-        [i for i in range(len(ids)) if untouched(i)],
-        config.eta_neg,
-        demote,
-    )
+    flipped = hit(np.isin(labels, list(config.coarse_of)), config.eta_common, NoiseTag.COMMON)
+    labels[flipped] = [config.coarse_of[k] for k in labels[flipped].tolist()]
+    for i in hit(np.isin(labels, list(partner)), config.eta_syn, NoiseTag.SYNONYM):
+        options = partner[labels[i]]
+        labels[i] = options[rng.integers(len(options))] if len(options) > 1 else options[0]
+    labels[hit(labels != NO_LABEL, config.eta_neg, NoiseTag.MISSING)] = NO_LABEL
 
     dataset = Dataset.counted(
         ids,
@@ -229,22 +214,17 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
         labels,
         names,
     )
-    truth = GroundTruth(true_names, tags)
+    truth = GroundTruth(
+        dict(zip(ids, [names[k] if k != NO_LABEL else None for k in true_labels.tolist()])),
+        dict(zip(ids, [TAGS[t] for t in tags.tolist()])),
+    )
     logger.info(
         "generated %d records (%d background), tags: %s",
         len(dataset),
         config.n_background,
-        {t.value: len(truth.tagged(t)) for t in NoiseTag},
+        {t.value: int(np.sum(tags == i)) for i, t in enumerate(TAGS)},
     )
     return dataset, truth
-
-
-def _synonym_partner_map(config: SynthConfig) -> dict[int, set[int]]:
-    partner: dict[int, set[int]] = {}
-    for a, b in config.synonym_pairs:
-        partner.setdefault(a, set()).add(b)
-        partner.setdefault(b, set()).add(a)
-    return partner
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import logging
 import os
 import warnings
 
 import pytest
 
+from tripletclean import cli
 from tripletclean.cli import main
 
 
@@ -437,6 +439,99 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("runtime error: neg_nsd: non-finite values at epoch 1;")
         assert err.count("\n") == 1 and "Warning" not in err
+
+
+class TestNegativeSeed:
+    """np.random.default_rng takes only non-negative seeds, so -1 is invalid
+    input for every command that seeds a stage."""
+
+    @pytest.mark.parametrize("command", ["run", "synth", "train-negnsd"])
+    def test_negative_seed_exits_1(self, workspace, capsys, command):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        capsys.readouterr()
+        argv = (command, "--config", config, "--seed", "-1", "--out", str(tmp_path / "neg"))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "neg").exists()
+
+
+# subcommand -> (callee it looks up in tripletclean.cli, the flags it needs)
+FAULT_CASES = [
+    ("run", "run", ()),
+    ("run", "write_outputs", ()),
+    ("train-negnsd", "train", ()),
+    ("detect-neg", "detect_noisy_negatives", ("--model", "{model}")),
+    ("detect-pos", "detect_noisy_positives", ()),
+    ("correct", "correct", ("--density-report", "{report}")),
+    ("synth", "generate", ()),
+    ("eval", "score", ("--run-dir", "{out}", "--truth", "{synth}/truth.jsonl")),
+]
+
+
+class TestOneFaultPath:
+    """Every subcommand maps a fault the same way: exit 2, one stderr line."""
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            # an empty message is replaced by the exception's type name
+            (RuntimeError("boom"), "runtime error: boom\n"),
+            (MemoryError(), "runtime error: MemoryError\n"),
+        ],
+        ids=["RuntimeError", "MemoryError"],
+    )
+    @pytest.mark.parametrize(
+        "command, callee, flags", FAULT_CASES, ids=[f"{c}-{f}" for c, f, _ in FAULT_CASES]
+    )
+    def test_fault_is_one_runtime_error_line(
+        self, workspace, capsys, monkeypatch, command, callee, flags, error, line
+    ):
+        tmp_path, config = workspace
+        assert run_cli("synth", "--config", config, "--out", str(tmp_path / "synth")) == 0
+        if command == "eval":
+            assert run_cli("run", "--config", config) == 0
+        paths = {"model": tmp_path / "model.json", "report": tmp_path / "report.jsonl"}
+        paths["model"].write_text(model_text())
+        paths["report"].write_text(json.dumps({"id": "r000000", "flagged": True}) + "\n")
+        paths.update(out=tmp_path / "out", synth=tmp_path / "synth")
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, callee, fail)
+        argv = [flag.format(**paths) for flag in flags]
+        assert run_cli(command, "--config", config, *argv, "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == line
+
+    def test_traceback_is_logged_at_debug(self, workspace, capsys, monkeypatch, caplog):
+        tmp_path, config = workspace
+        monkeypatch.setattr(cli, "generate", lambda synth: 1 / 0)
+        with caplog.at_level(logging.DEBUG, logger="tripletclean.cli"):
+            assert run_cli("synth", "--config", config) == 2
+        assert capsys.readouterr().err == "runtime error: division by zero\n"
+        (record,) = caplog.records
+        assert record.exc_info[0] is ZeroDivisionError
+
+    def test_keyboard_interrupt_propagates(self, workspace, monkeypatch):
+        tmp_path, config = workspace
+
+        def interrupt(synth):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "generate", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("synth", "--config", config)
+
+
+STAGE_COMMANDS = ["train-negnsd", "detect-neg", "detect-pos", "correct"]
+
+
+@pytest.mark.parametrize("command", ["run", *STAGE_COMMANDS, "synth", "eval"])
+def test_help_exits_0_and_only_stage_commands_take_data(capsys, command):
+    assert run_cli(command, "--help") == 0
+    assert ("--data" in capsys.readouterr().out) == (command in STAGE_COMMANDS)
 
 
 class TestFlagsEditTheConfig:

@@ -495,3 +495,8 @@ class TestConfigValidation:
     def test_negative_lambda_rejected(self):
         with pytest.raises(DatasetError):
             MinerConfig(lam=-0.5)
+
+    def test_negative_seed_rejected(self):
+        # np.random.default_rng accepts only non-negative seeds
+        with pytest.raises(DatasetError, match="seed must be non-negative, got -1"):
+            MinerConfig(seed=-1)

@@ -1,11 +1,12 @@
 """Tests for the synthetic generator and truth-based scoring."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tripletclean.core import DatasetError
+from tripletclean.core import DatasetError, dataset_to_text
 from tripletclean.correction import CorrectionRecord
 from tripletclean.synthetic import (
     GroundTruth,
@@ -19,6 +20,7 @@ from tripletclean.synthetic import (
     load_truth,
     save_truth,
     score,
+    truth_to_text,
 )
 
 
@@ -126,6 +128,35 @@ class TestGenerate:
         np.testing.assert_array_equal(ds_a.labels, ds_b.labels)
         np.testing.assert_array_equal(ds_a.features, ds_b.features)
 
+    # SHA-256 of dataset_to_text + truth_to_text, pinned when the generator
+    # still built per-record lists: the column rewrite must keep every draw
+    @pytest.mark.parametrize(
+        "settings, digest",
+        [
+            (
+                dict(
+                    n_classes=6, n_pairs=3, feature_dim=8, samples_per_class=40,
+                    imbalance=0.5, eta_common=0.3, eta_syn=0.4, eta_neg=0.2,
+                    synonym_pairs=((0, 1), (1, 2), (3, 4)), coarse_of={1: 0, 4: 3, 5: 3},
+                    n_background=10, seed=4,
+                ),
+                "e53d79847525909e44007335b1d343d31171a9c8454ebc51d2f9863fe31a6ff7",
+            ),
+            (
+                dict(
+                    n_classes=8, feature_dim=8, imbalance=0.3, eta_syn=0.1, eta_neg=0.1,
+                    synonym_pairs=((0, 1), (2, 3)), samples_per_class=30,
+                    n_background=12, seed=7,
+                ),
+                "68b07a5d31b119a8db31ffb2c63ed78ed71e33d95988b3ffa665033f4f53d1f1",
+            ),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, settings, digest):
+        ds, truth = generate(SynthConfig(**settings))
+        text = dataset_to_text(ds) + truth_to_text(truth, ds.ids)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_different_seeds_differ(self):
         ds_a, _ = generate(base_config(seed=1))
         ds_b, _ = generate(base_config(seed=2))
@@ -156,6 +187,10 @@ class TestGenerate:
     def test_coarse_cycle_rejected(self):
         with pytest.raises(DatasetError, match="cycle"):
             base_config(coarse_of={0: 1, 1: 0})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="seed must be non-negative, got -1"):
+            base_config(seed=-1)
 
     def test_feature_dim_must_cover_classes(self):
         with pytest.raises(DatasetError, match="feature_dim"):

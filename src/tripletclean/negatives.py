@@ -136,9 +136,11 @@ def initialize_model(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place in ``logits`` and returned."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -155,8 +157,12 @@ def forward(model: ConfidenceModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _forward_cached(model, X):
-    A = np.tanh(X @ model.W1 + model.b1)
-    P = _softmax(A @ model.W2 + model.b2)
+    A = X @ model.W1
+    A += model.b1
+    np.tanh(A, out=A)
+    logits = A @ model.W2
+    logits += model.b2
+    P = _softmax(logits)
     C = _sigmoid(A @ model.w3 + model.b3)
     return P, C, A
 
@@ -190,33 +196,66 @@ def loss_value(
 def loss_and_gradients(
     model: ConfidenceModel, X: np.ndarray, Y: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch loss and its analytic gradient for every parameter."""
+    """Batch loss and its analytic gradient for every parameter.
+
+    ``Y`` must be one-hot: one row per row of ``X``, one column per class,
+    a single 1.0 in each row and zeros elsewhere; anything else raises
+    DatasetError.  So dL/dP_adj is non-zero only in each row's label column,
+    and the loss and gradients are computed from that column alone.  They
+    equal, bit for bit and signs of zeros included, what the formula gives
+    when evaluated over every column.
+    """
     n = X.shape[0]
+    Y = np.asarray(Y)
+    if Y.shape != (n, model.n_classes):
+        raise DatasetError(
+            f"targets of shape {Y.shape} do not match {n} rows of {model.n_classes} classes"
+        )
+    rows = np.arange(n)
+    labels = Y.argmax(axis=1)
+    if np.count_nonzero(Y) != n or not (Y[rows, labels] == 1.0).all():
+        raise DatasetError("targets must be one-hot: a single 1.0 in each row, zeros elsewhere")
     P, C, A = _forward_cached(model, X)
-    w = model.class_weights
+    w = model.class_weights[labels]
+    p = P[rows, labels]
 
-    P_adj = C[:, None] * P + (1.0 - C[:, None]) * Y
-    clamped = np.maximum(P_adj, LOG_FLOOR)
-    loss = loss_value(P, Y, C, w, model.lam)
+    p_adj = C * p + (1.0 - C)
+    clamped = np.maximum(p_adj, LOG_FLOOR)
+    ce = -(w * np.log(clamped))
+    penalty = -model.lam * np.log(np.maximum(C, LOG_FLOOR))
+    loss = float(np.mean(ce + penalty))
 
-    # dL/dP_adj, zero where the clamp is active (the floor is constant there)
-    G = np.where(P_adj > LOG_FLOOR, -(w[None, :] * Y) / clamped, 0.0) / n
-    dP = G * C[:, None]
-    dC = np.sum(G * (P - Y), axis=1)
+    # dL/dP_adj in the label column, zero where the clamp is active (the
+    # floor is constant there)
+    g = np.where(p_adj > LOG_FLOOR, -w / clamped, 0.0) / n
+    dp = g * C
+    # Off the label column the dense terms are signed zeros: they add nothing
+    # to the row sums dC and s, and dP - s is -s there.  They can change only
+    # the sign of a zero, which the gradients lose: each is a sum from +0.0.
+    dC = g * (p - 1.0)
     dC -= (model.lam / n) * np.where(C > LOG_FLOOR, 1.0 / np.maximum(C, LOG_FLOOR), 0.0)
-
-    dU = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
+    s = dp * p
+    dU = P * -s[:, None]
+    dU[rows, labels] = p * (dp - s)
     dV = dC * C * (1.0 - C)
 
-    dA = dU @ model.W2.T + dV[:, None] * model.w3[None, :]
-    dZ = dA * (1.0 - A * A)
+    dW2 = A.T @ dU
+    dw3 = A.T @ dV
+    dA = dU @ model.W2.T
+    # faster than np.outer, whose products it matches but for making a -0.0
+    # +0.0; dA is a sum from +0.0, never -0.0, so either zero adds the same
+    dA += np.einsum("i,j->ij", dV, model.w3)
+    # A has no further use, so it holds tanh's derivative 1 - A*A
+    A *= A
+    np.subtract(1.0, A, out=A)
+    dA *= A
 
     grads = {
-        "W1": X.T @ dZ,
-        "b1": dZ.sum(axis=0),
-        "W2": A.T @ dU,
+        "W1": X.T @ dA,
+        "b1": dA.sum(axis=0),
+        "W2": dW2,
         "b2": dU.sum(axis=0),
-        "w3": A.T @ dV,
+        "w3": dw3,
         "b3": float(dV.sum()),
     }
     return loss, grads
@@ -269,8 +308,12 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
                     batch = order[start : start + config.batch_size]
                     _, grads = loss_and_gradients(model, X[batch], Y[batch])
                     for name in PARAMS:
-                        step = config.learning_rate * grads[name]
-                        setattr(model, name, getattr(model, name) - step)
+                        # in place for the arrays; b3 is a float, so set it back
+                        step = grads[name]
+                        step *= config.learning_rate
+                        param = getattr(model, name)
+                        param -= step
+                        setattr(model, name, param)
                 # an infinite gradient raises no flag, so check what it left
                 if not all(np.isfinite(getattr(model, name)).all() for name in PARAMS):
                     raise TrainingError(f"non-finite parameters {at}; {remedy}")

@@ -123,6 +123,12 @@ class PipelineConfig:
     nsc: CorrectionConfig = field(default_factory=CorrectionConfig)
     synth: SynthConfig | None = None
 
+    def __post_init__(self):
+        # a stage seed set in the file does not take the global one, so
+        # check the global seed here, not only where a stage copies it
+        if self.seed < 0:
+            raise DatasetError(f"seed must be non-negative, got {self.seed}")
+
 
 # dataclass field -> JSON key, where the two differ
 JSON_NAMES = {"lam": "lambda"}

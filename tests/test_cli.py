@@ -455,6 +455,19 @@ class TestNegativeSeed:
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert not (tmp_path / "neg").exists()
 
+    def test_negative_global_seed_in_the_file_exits_1(self, workspace, capsys):
+        # every seeded stage has its own seed, so only the global check sees -1
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        raw = json.loads((tmp_path / "config.json").read_text())
+        raw.update(seed=-1, neg_nsd={**raw["neg_nsd"], "seed": 0})
+        del raw["synth"]
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert run_cli("run", "--config", config) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "out").exists()
+
 
 # subcommand -> (callee it looks up in tripletclean.cli, the flags it needs)
 FAULT_CASES = [

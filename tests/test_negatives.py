@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from tripletclean import negatives
 from tripletclean.core import NO_LABEL, Dataset, DatasetError, Part
 from tripletclean.negatives import (
     DISABLED,
+    LOG_FLOOR,
+    PARAMS,
     ConfidenceModel,
     MinerConfig,
     TrainingError,
@@ -74,6 +77,56 @@ def separable_positives(n_per_class, rng, spread=0.3):
         [center + rng.normal(0, spread, size=2) for center in centers for _ in range(n_per_class)]
     )
     return X, np.repeat([0, 1], n_per_class)
+
+
+def dense_forward(model, X):
+    """The forward pass as it stood before it worked in place."""
+    A = np.tanh(X @ model.W1 + model.b1)
+    logits = A @ model.W2 + model.b2
+    expd = np.exp(logits - logits.max(axis=1, keepdims=True))
+    P = expd / expd.sum(axis=1, keepdims=True)
+    C = _sigmoid(A @ model.w3 + model.b3)
+    return P, C, A
+
+
+def dense_loss_and_gradients(model, X, Y):
+    """Oracle: the loss and gradients by the dense formula over every
+    column of ``Y``, as ``loss_and_gradients`` computed them before it
+    worked on the label column alone."""
+    n = X.shape[0]
+    P, C, A = dense_forward(model, X)
+    w = model.class_weights
+
+    P_adj = C[:, None] * P + (1.0 - C[:, None]) * Y
+    clamped = np.maximum(P_adj, LOG_FLOOR)
+    loss = loss_value(P, Y, C, w, model.lam)
+
+    G = np.where(P_adj > LOG_FLOOR, -(w[None, :] * Y) / clamped, 0.0) / n
+    dP = G * C[:, None]
+    dC = np.sum(G * (P - Y), axis=1)
+    dC -= (model.lam / n) * np.where(C > LOG_FLOOR, 1.0 / np.maximum(C, LOG_FLOOR), 0.0)
+
+    dU = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
+    dV = dC * C * (1.0 - C)
+
+    dA = dU @ model.W2.T + dV[:, None] * model.w3[None, :]
+    dZ = dA * (1.0 - A * A)
+
+    grads = {
+        "W1": X.T @ dZ,
+        "b1": dZ.sum(axis=0),
+        "W2": A.T @ dU,
+        "b2": dU.sum(axis=0),
+        "w3": A.T @ dV,
+        "b3": float(dV.sum()),
+    }
+    return loss, grads
+
+
+def same_bytes(a, b):
+    """Equal dtype, shape and bytes, so the signs of zeros count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestAdjustProbs:
@@ -191,7 +244,124 @@ class TestGradients:
                 assert np.linalg.norm(ga - gf) / denom < 1e-4, name
 
 
+    def random_net(self, rng, case):
+        """A net and batch; ``case`` cycles through the edges of the formula."""
+        n = 1 if case % 5 == 0 else int(rng.integers(2, 80))
+        d, h, k = (int(v) for v in rng.integers(1, 7, size=3))
+        scale = float(rng.choice([0.1, 1.0, 10.0, 100.0]))
+        normal = lambda *shape: rng.normal(0.0, scale, size=shape)
+        model = ConfidenceModel(
+            W1=normal(d, h),
+            b1=normal(h),
+            W2=normal(h, k),
+            b2=normal(k),
+            w3=normal(h),
+            b3=float(normal()),
+            class_weights=rng.uniform(0.01, 3.0, size=k),
+            lam=[0.0, 0.1, 5.0][case % 3],
+        )
+        if case % 4 == 1:  # confidence saturates at exactly 1.0, or at 0.0
+            model.w3[:] = 0.0
+            model.b3 = [40.0, -800.0][case % 8 // 4]
+        if case % 4 == 3:  # p_adj = p at C = 1.0, so a vanishing p floors it
+            model.w3[:] = 0.0
+            model.b3 = 40.0
+            model.b2[:] = rng.choice([0.0, -40.0, -800.0], size=k)
+        Y = one_hot(rng.integers(0, k, size=n), k)
+        return model, rng.normal(size=(n, d)), Y
+
+    def test_label_column_matches_the_dense_formula_bitwise(self):
+        rng = np.random.default_rng(20)
+        seen = {"C == 1": 0, "p_adj < floor": 0, "lam == 0": 0, "n == 1": 0}
+        for case in range(240):
+            model, X, Y = self.random_net(rng, case)
+            P, C, _ = dense_forward(model, X)
+            p_adj = C * P[Y == 1.0] + (1.0 - C)
+            seen["C == 1"] += bool((C == 1.0).any())
+            seen["p_adj < floor"] += bool((p_adj < LOG_FLOOR).any())
+            seen["lam == 0"] += model.lam == 0.0
+            seen["n == 1"] += len(X) == 1
+
+            expected_loss, expected = dense_loss_and_gradients(model, X, Y)
+            loss, grads = loss_and_gradients(model, X, Y)
+            assert same_bytes(loss, expected_loss), case
+            assert list(grads) == list(expected)
+            assert type(grads["b3"]) is float
+            for name in expected:
+                assert same_bytes(grads[name], expected[name]), (case, name)
+        assert min(seen.values()) >= 20, seen
+
+
+class TestOneHotTargets:
+    @pytest.mark.parametrize(
+        "Y",
+        [
+            np.full((2, 3), 1 / 3),
+            np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, np.nan]]),
+        ],
+        ids=["soft", "two-ones", "all-zero-row", "a-two", "nan"],
+    )
+    def test_not_one_hot_rejected(self, Y):
+        model = initialize_model(4, 5, 3, np.ones(3), 0.1, np.random.default_rng(21))
+        with pytest.raises(DatasetError, match="targets must be one-hot"):
+            loss_and_gradients(model, np.zeros((2, 4)), Y)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (2,), (2, 3, 1)])
+    def test_shape_not_matching_P_rejected(self, shape):
+        model = initialize_model(4, 5, 3, np.ones(3), 0.1, np.random.default_rng(22))
+        Y = np.zeros(shape)
+        with pytest.raises(DatasetError, match=re.escape(f"targets of shape {shape} ")):
+            loss_and_gradients(model, np.zeros((2, 4)), Y)
+
+
+def out_of_place_train(dataset, rows, config):
+    """Oracle: the training loop as it stood before it stepped in place,
+    over the dense gradient formula."""
+    labels = dataset.labels[rows]
+    X = dataset.features[rows]
+    n_classes = len(dataset.vocab)
+    class_weights = 1.0 / np.maximum(np.bincount(labels, minlength=n_classes), 1)
+    rng = np.random.default_rng(config.seed)
+    model = initialize_model(
+        X.shape[1], config.hidden_size, n_classes, class_weights, config.lam, rng
+    )
+    Y = one_hot(labels, n_classes)
+    n = labels.size
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            _, grads = negatives.loss_and_gradients(model, X[batch], Y[batch])
+            for name in PARAMS:
+                step = config.learning_rate * grads[name]
+                setattr(model, name, getattr(model, name) - step)
+    return model
+
+
 class TestTrain:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # 45 rows in batches of 8 end in a batch of 5
+            MinerConfig(hidden_size=8, epochs=4, batch_size=8, seed=3),
+            MinerConfig(hidden_size=16, epochs=3, batch_size=15, lam=0.0, learning_rate=0.9, seed=5),
+        ],
+        ids=["short-last-batch", "whole-batches"],
+    )
+    def test_same_parameters_as_the_out_of_place_dense_trainer(self, monkeypatch, config):
+        rng = np.random.default_rng(23)
+        dataset = make_dataset(rng.normal(size=(45, 5)), rng.integers(0, 4, size=45), 4)
+        rows = np.arange(45)
+        model = train(dataset, rows, config)
+        monkeypatch.setattr(negatives, "loss_and_gradients", dense_loss_and_gradients)
+        expected = out_of_place_train(dataset, rows, config)
+        for name in PARAMS:
+            assert same_bytes(getattr(model, name), getattr(expected, name)), name
+        assert type(model.b3) is float
+
     def test_loss_decreases_on_separable_data(self):
         rng = np.random.default_rng(6)
         X, y = separable_positives(100, rng)

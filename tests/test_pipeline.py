@@ -417,6 +417,11 @@ class TestConfigParsing:
         with pytest.raises(DatasetError, match=f"^{where} must be a finite number"):
             config_from_dict(raw)
 
+    def test_negative_global_seed_rejected(self):
+        # no stage copies the global seed here, so no stage check sees it
+        with pytest.raises(DatasetError, match="^seed must be non-negative, got -1$"):
+            config_from_dict({"seed": -1, "neg_nsd": {"seed": 0}})
+
     def test_seed_override_wins(self, tmp_path):
         config = cli_config(tmp_path, {"seed": 3}, "--seed", "11")
         assert config.seed == 11

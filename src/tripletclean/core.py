@@ -67,38 +67,23 @@ class PredicateVocab:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class FrequencyPartition:
-    """Predicate index -> head/body/tail assignment by training count.
-
-    With the bounds given to ``partition_predicates``, a predicate with
-    count strictly above ``head_min`` is HEAD, strictly below ``tail_max``
-    is TAIL, and BODY otherwise; counts exactly at a boundary fall in BODY.
-    """
-
-    part_of: tuple[Part, ...]
-
-    def part(self, predicate: int) -> Part:
-        return self.part_of[predicate]
-
-
 def partition_predicates(
     vocab: PredicateVocab,
     head_min: int = DEFAULT_HEAD_MIN,
     tail_max: int = DEFAULT_TAIL_MAX,
-) -> FrequencyPartition:
-    """Assign every predicate to exactly one frequency part."""
+) -> tuple[Part, ...]:
+    """Each predicate's frequency part, indexed by predicate.
+
+    A predicate with count strictly above ``head_min`` is HEAD, strictly
+    below ``tail_max`` is TAIL, and BODY otherwise; counts exactly at a
+    boundary fall in BODY.
+    """
     if tail_max > head_min:
         raise DatasetError(f"tail_max ({tail_max}) must not exceed head_min ({head_min})")
-    parts = []
-    for count in vocab.counts:
-        if count > head_min:
-            parts.append(Part.HEAD)
-        elif count < tail_max:
-            parts.append(Part.TAIL)
-        else:
-            parts.append(Part.BODY)
-    return FrequencyPartition(tuple(parts))
+    return tuple(
+        Part.HEAD if count > head_min else Part.TAIL if count < tail_max else Part.BODY
+        for count in vocab.counts
+    )
 
 
 NO_LABEL = -1
@@ -121,7 +106,7 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     vocab: PredicateVocab
-    partition: FrequencyPartition
+    partition: tuple[Part, ...]
 
     def __post_init__(self):
         n = len(self.ids)
@@ -225,11 +210,13 @@ def read_jsonl(
     """Yield ``(physical line number, object)`` for each non-blank line.
 
     ``required`` maps each key a line must hold to the exact types its
-    decoded value may have (so a boolean never passes as an integer).  A
-    line that is not a JSON object, or breaks ``required``, raises
-    DatasetError naming the path and the line.
+    decoded value may have (so a boolean never passes as an integer); it
+    must name ``id``.  A line that is not a JSON object, breaks
+    ``required``, or repeats an earlier line's id raises DatasetError
+    naming the path and the line.
     """
     kinds = {key: k if isinstance(k, tuple) else (k,) for key, k in required.items()}
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
@@ -242,8 +229,12 @@ def read_jsonl(
                     problem = f"malformed JSON ({exc.msg})"
                 else:
                     problem = _row_problem(obj, kinds)
+                if not problem:
+                    rid = str(obj["id"])
+                    problem = f"duplicate record id {rid!r}" if rid in seen else None
                 if problem:
                     raise DatasetError(f"{path}: line {lineno}: {problem}")
+                seen.add(rid)
                 yield lineno, obj
         except UnicodeDecodeError as exc:
             raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -339,17 +330,12 @@ def load_dataset(
     image_ids: list[str] = []
     pairs: list[tuple[int, int]] = []
     labels: list[int] = []
-    seen: set[str] = set()
     rows: list[np.ndarray] = []
     for lineno, obj in read_jsonl(path, DATASET_FIELDS):
         where = f"{path}: line {lineno}"
         row = _feature_row(obj["feature"], where)
         if rows and row.size != rows[0].size:
             raise DatasetError(f"{where}: feature dimension {row.size} != {rows[0].size}")
-        rid = str(obj["id"])
-        if rid in seen:
-            raise DatasetError(f"{where}: duplicate record id {rid!r}")
-        seen.add(rid)
         pred = obj["predicate"]
         if pred is None:
             label = NO_LABEL
@@ -366,7 +352,7 @@ def load_dataset(
                 f"{where}: subject_class and object_class must be signed 64-bit integers"
             )
         rows.append(row)
-        ids.append(rid)
+        ids.append(str(obj["id"]))
         image_ids.append(str(obj["image_id"]))
         pairs.append(pair)
         labels.append(label)

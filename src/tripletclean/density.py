@@ -328,7 +328,7 @@ def detect_noisy_positives(
     buffer = np.empty(int(sizes.max(initial=0)) ** 2)
     for k, n in zip(class_ids.tolist(), sizes.tolist()):
         members = rows[labels == k]
-        alpha = config.alpha[dataset.partition.part(k)]
+        alpha = config.alpha[dataset.partition[k]]
         dmat = distance_matrix(dataset.features[members], out=buffer[: n * n].reshape(n, n))
         d_c = cutoff_distance(dmat, alpha)
         rho = local_density(dmat, d_c)

@@ -33,9 +33,6 @@ logger = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-12
 
-# Sentinel for "never promote into this frequency part".
-DISABLED = None
-
 DEFAULT_THRESHOLDS = {Part.HEAD: 0.95, Part.BODY: 0.90, Part.TAIL: 0.60}
 
 MODEL_FORMAT = "confidence-model"
@@ -51,8 +48,8 @@ class MinerConfig:
     """Thresholds and training controls for the negative-mining stage.
 
     A record is promoted when its confidence is at least the threshold of
-    its predicted class's part; a threshold of ``DISABLED`` (None) means
-    records predicted into that part are never promoted.
+    its predicted class's part; a threshold of None means records predicted
+    into that part are never promoted.
     """
 
     thresholds: dict[Part, float | None] = field(
@@ -72,7 +69,7 @@ class MinerConfig:
             if part not in self.thresholds:
                 raise DatasetError(f"thresholds missing entry for part {part.value!r}")
             th = self.thresholds[part]
-            if th is not DISABLED and not (0.0 <= th <= 1.0):
+            if th is not None and not (0.0 <= th <= 1.0):
                 raise DatasetError(f"threshold for {part.value} must be in [0, 1], got {th}")
         if self.lam < 0:
             raise DatasetError("lambda must be non-negative")
@@ -366,13 +363,11 @@ def detect_noisy_negatives(
         )
     P, C = forward(model, X)
     predicted = np.argmax(P, axis=1)
-    parts = np.array([p.value for p in dataset.partition.part_of])[predicted]
-
-    promote = np.zeros(rows.size, dtype=bool)
-    for part in Part:
-        theta = config.thresholds[part]
-        if theta is not DISABLED:
-            promote |= (parts == part.value) & (C >= theta)
+    # a disabled part's cut is +inf, which no confidence reaches; not NaN, so
+    # that no comparison meets a NaN
+    cut = {part: np.inf if th is None else th for part, th in config.thresholds.items()}
+    theta = np.array([cut[p] for p in dataset.partition], dtype=np.float64)
+    promote = C >= theta[predicted]
     chosen = sorted(np.flatnonzero(promote), key=lambda i: dataset.ids[rows[i]])
     logger.info("promoted %d of %d negatives", len(chosen), rows.size)
     return Promotions(rows[chosen], predicted[chosen], C[chosen])

@@ -265,10 +265,17 @@ def score(
 
     ``mined`` maps promoted negative ids to their pseudo predicate name;
     ``flagged_ids`` is the density stage's noisy set; ``ledger`` the
-    correction outcomes.  Labels are compared by predicate name.
+    correction outcomes.  Labels are compared by predicate name.  An id in
+    any of the three that the dataset lacks raises DatasetError.
     """
-    if set(cleaned.ids) != set(truth.true_predicate):
+    known = set(cleaned.ids)
+    if known != set(truth.true_predicate):
         raise DatasetError("dataset ids do not match ground truth ids")
+    given = (("mined", mined), ("flagged", flagged_ids), ("ledger", [e.id for e in ledger]))
+    for what, ids in given:
+        unknown = sorted(set(ids) - known)
+        if unknown:
+            raise DatasetError(f"{what} ids not in the dataset ({len(unknown)}): {unknown[:5]}")
 
     missing = truth.tagged(NoiseTag.MISSING)
     mined_ids = set(mined)
@@ -297,7 +304,7 @@ def score(
         sum(
             1
             for entry in changed
-            if truth.true_predicate.get(entry.id) == names[entry.new_label]
+            if truth.true_predicate[entry.id] == names[entry.new_label]
         ),
         len(changed),
     )

@@ -177,6 +177,19 @@ class TestRunAndEval:
         assert code == 1
         assert "ids" in capsys.readouterr().err
 
+    def test_eval_flagged_id_outside_the_dataset_fails(self, workspace, capsys):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        assert run_cli("run", "--config", config) == 0
+        report = tmp_path / "out" / "density_report.jsonl"
+        ghost = {"id": "ghost", "class": 0, "rho": 1, "d_c": 0.5, "subset": 0, "flagged": True}
+        report.write_text(report.read_text() + json.dumps(ghost) + "\n")
+        capsys.readouterr()
+        argv = ("eval", "--config", config, "--run-dir", str(tmp_path / "out"))
+        assert run_cli(*argv, "--truth", str(tmp_path / "synth" / "truth.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: flagged ids not in the dataset (1): ['ghost']")
+
 
 def same_bytes(dir_a, dir_b, names):
     for name in names:

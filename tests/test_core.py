@@ -220,28 +220,28 @@ class TestPartition:
     def test_reference_counts(self):
         vocab = PredicateVocab(("a", "b", "c"), (20_000, 3_000, 100))
         fp = partition_predicates(vocab)
-        assert fp.part(0) is Part.HEAD
-        assert fp.part(1) is Part.BODY
-        assert fp.part(2) is Part.TAIL
+        assert fp[0] is Part.HEAD
+        assert fp[1] is Part.BODY
+        assert fp[2] is Part.TAIL
 
     def test_boundary_count_goes_to_body(self):
         vocab = PredicateVocab(("a",), (10_000,))
-        assert partition_predicates(vocab).part(0) is Part.BODY
+        assert partition_predicates(vocab)[0] is Part.BODY
         vocab = PredicateVocab(("a",), (500,))
-        assert partition_predicates(vocab).part(0) is Part.BODY
+        assert partition_predicates(vocab)[0] is Part.BODY
 
     def test_all_zero_counts_are_tail(self):
         vocab = PredicateVocab(("a", "b", "c"), (0, 0, 0))
         fp = partition_predicates(vocab)
-        assert all(fp.part(i) is Part.TAIL for i in range(3))
+        assert all(fp[i] is Part.TAIL for i in range(3))
 
     def test_every_predicate_gets_exactly_one_part(self):
         rng = np.random.default_rng(7)
         counts = tuple(int(c) for c in rng.integers(0, 30_000, size=50))
         vocab = PredicateVocab(tuple(f"p{i}" for i in range(50)), counts)
         fp = partition_predicates(vocab)
-        assert len(fp.part_of) == 50
-        assert all(isinstance(p, Part) for p in fp.part_of)
+        assert len(fp) == 50
+        assert all(isinstance(p, Part) for p in fp)
 
     def test_crossed_thresholds_rejected(self):
         vocab = PredicateVocab(("a",), (10,))
@@ -285,4 +285,4 @@ class TestDataset:
     def test_vocab_counts_are_labeled_rows(self):
         ds = small_dataset(ids=("a", "b", "c"), labels=(0, NO_LABEL, 0))
         assert ds.vocab.counts == (2,)
-        assert ds.partition.part(0) is Part.TAIL
+        assert ds.partition[0] is Part.TAIL

@@ -10,7 +10,6 @@ import pytest
 from tripletclean import negatives
 from tripletclean.core import NO_LABEL, Dataset, DatasetError, Part
 from tripletclean.negatives import (
-    DISABLED,
     LOG_FLOOR,
     PARAMS,
     ConfidenceModel,
@@ -514,11 +513,68 @@ class TestDetect:
         model = constant_model(2, logits=[5.0, 0.0], conf_logit=9.0)
         ds = negatives_dataset([f"n{i}" for i in range(4)], [[0.1, 0.2]] * 4, 2)
         config = MinerConfig(
-            thresholds={Part.HEAD: DISABLED, Part.BODY: DISABLED, Part.TAIL: DISABLED}
+            thresholds={Part.HEAD: None, Part.BODY: None, Part.TAIL: None}
         )
         promoted, kept = detect(model, ds, config)
         assert promoted.rows.size == 0
         assert len(kept) == 4
+
+    def test_threshold_lookup_matches_per_part_loop(self):
+        """The class-indexed threshold lookup promotes exactly the rows that
+        an OR over each enabled part's mask promotes."""
+
+        def per_part_loop(model, rows, dataset, config):
+            P, C = forward(model, dataset.features[rows])
+            predicted = np.argmax(P, axis=1)
+            parts = np.array([p.value for p in dataset.partition])[predicted]
+            promote = np.zeros(rows.size, dtype=bool)
+            for part in Part:
+                theta = config.thresholds[part]
+                if theta is not None:
+                    promote |= (parts == part.value) & (C >= theta)
+            chosen = sorted(np.flatnonzero(promote), key=lambda i: dataset.ids[rows[i]])
+            return rows[chosen], predicted[chosen], C[chosen]
+
+        kinds_seen, disabled_counts = set(), set()
+        at_attained = 0
+        for seed in range(240):
+            rng = np.random.default_rng(seed)
+            n_classes, dim, n = (int(v) for v in rng.integers((1, 1, 1), (6, 4, 40)))
+            model = initialize_model(dim, 5, n_classes, np.ones(n_classes), 0.1, rng)
+            ids = [f"n{i:02d}" for i in rng.permutation(n)]
+            ds = negatives_dataset(ids, rng.normal(scale=2.0, size=(n, dim)), n_classes)
+            ds = dataclasses.replace(
+                ds, partition=tuple(list(Part)[i] for i in rng.integers(0, 3, n_classes))
+            )
+            _, C = forward(model, ds.features)
+            thresholds = {}
+            for part in Part:
+                kind = "none" if seed % 10 == 0 else rng.choice(
+                    ["none", "zero", "one", "uniform", "attained"]
+                )
+                kinds_seen.add(kind)
+                thresholds[part] = {
+                    "none": None,
+                    "zero": 0.0,
+                    "one": 1.0,
+                    "uniform": float(rng.uniform(C.min(), C.max())),
+                    "attained": float(C[rng.integers(n)]),
+                }[kind]
+            config = MinerConfig(thresholds=thresholds)
+            rows = np.arange(n)
+            got = detect_noisy_negatives(model, rows, ds, config)
+            want = per_part_loop(model, rows, ds, config)
+            for actual, expected in zip(got, want):
+                np.testing.assert_array_equal(actual, expected)
+            disabled_counts.add(sum(th is None for th in thresholds.values()))
+            at_attained += sum(
+                c == thresholds[ds.partition[k]]
+                for k, c in zip(got.labels.tolist(), got.confidence.tolist())
+            )
+        assert kinds_seen == {"none", "zero", "one", "uniform", "attained"}
+        assert {1, len(Part)} <= disabled_counts
+        # some promoted row sits exactly on its part's threshold
+        assert at_attained > 0
 
     def test_promoted_rows_are_in_id_order(self):
         rng = np.random.default_rng(11)

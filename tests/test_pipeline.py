@@ -301,6 +301,16 @@ class TestArtifactReaders:
         with pytest.raises(DatasetError, match=re.escape(f"{path}: line 3: ")):
             reader(str(path))
 
+    @pytest.mark.parametrize("reader", list(VALID_LINES), ids=lambda f: f.__name__)
+    def test_duplicate_id_rejected(self, tmp_path, reader):
+        row = VALID_LINES[reader]
+        path = tmp_path / "artifact.jsonl"
+        path.write_text(json.dumps(row) + "\n\n" + json.dumps(row) + "\n")
+        with pytest.raises(
+            DatasetError, match=re.escape(f"{path}: line 3: duplicate record id 'first'")
+        ):
+            reader(str(path))
+
     @pytest.mark.parametrize(
         "reader, key", [(load_dataset, "subject_class"), (load_ledger, "old_label")]
     )

@@ -1,6 +1,7 @@
 """Tests for the synthetic generator and truth-based scoring."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -275,6 +276,20 @@ class TestScore:
         )
         with pytest.raises(DatasetError, match="ids"):
             score(ds, bad_truth, {}, frozenset(), ())
+
+    @pytest.mark.parametrize("which", ["mined", "flagged", "ledger"])
+    def test_ids_outside_the_dataset_rejected(self, which):
+        ds, truth = self.noisy_setup()
+        ghosts = [f"ghost{i}" for i in range(7)]
+        inputs = {"mined": {}, "flagged": frozenset(), "ledger": ()}
+        inputs[which] = {
+            "mined": {rid: ds.vocab.names[0] for rid in ghosts},
+            "flagged": frozenset(ghosts),
+            "ledger": tuple(CorrectionRecord(rid, 0, 1, True, (), ()) for rid in ghosts),
+        }[which]
+        expected = f"{which} ids not in the dataset (7): {ghosts[:5]}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            score(ds, truth, inputs["mined"], inputs["flagged"], inputs["ledger"])
 
     def test_metrics_serialize(self):
         ds, truth = self.noisy_setup()

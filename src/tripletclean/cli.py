@@ -7,7 +7,6 @@ arguments (a DatasetError or a missing file), 2 any other failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -168,12 +167,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_cli_config(args)
+    _load_cli_config(args)  # checked like every command's, though score reads none of it
     run_dir = args.run_dir
     cleaned = load_dataset(
-        os.path.join(run_dir, CLEANED_FILE),
-        vocab_path=os.path.join(run_dir, VOCAB_FILE),
-        **dataclasses.asdict(config.partition),
+        os.path.join(run_dir, CLEANED_FILE), vocab_path=os.path.join(run_dir, VOCAB_FILE)
     )
     truth = load_truth(args.truth)
     mined = load_mined(os.path.join(run_dir, MINED_FILE))

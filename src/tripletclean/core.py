@@ -138,10 +138,9 @@ class Dataset:
         features,
         labels,
         names: Sequence[str],
-        head_min: int = DEFAULT_HEAD_MIN,
-        tail_max: int = DEFAULT_TAIL_MAX,
     ) -> Dataset:
-        """Dataset whose vocabulary counts are its labeled rows."""
+        """Dataset whose vocabulary counts are its labeled rows, in the
+        default bands."""
         labels = np.asarray(labels, dtype=np.int64)
         counts = np.bincount(labels[labels >= 0], minlength=len(names))
         vocab = PredicateVocab(tuple(names), tuple(counts.tolist()))
@@ -152,7 +151,7 @@ class Dataset:
             np.asarray(features, dtype=np.float64),
             labels,
             vocab,
-            partition_predicates(vocab, head_min, tail_max),
+            partition_predicates(vocab),
         )
 
     def __len__(self) -> int:
@@ -307,13 +306,9 @@ def _feature_row(values: list, where: str) -> np.ndarray:
     )
 
 
-def load_dataset(
-    path: str,
-    vocab_path: str | None = None,
-    head_min: int = DEFAULT_HEAD_MIN,
-    tail_max: int = DEFAULT_TAIL_MAX,
-) -> Dataset:
-    """Load a line-delimited dataset, computing vocabulary and partition.
+def load_dataset(path: str, vocab_path: str | None = None) -> Dataset:
+    """Load a line-delimited dataset, computing vocabulary and the default
+    partition.
 
     Each line holds one record with fields ``id``, ``image_id``,
     ``subject_class``, ``object_class``, ``predicate`` (string or null for
@@ -358,9 +353,7 @@ def load_dataset(
         labels.append(label)
     if not ids:
         raise DatasetError(f"{path}: empty dataset")
-    return Dataset.counted(
-        ids, image_ids, pairs, np.stack(rows), labels, names, head_min, tail_max
-    )
+    return Dataset.counted(ids, image_ids, pairs, np.stack(rows), labels, names)
 
 
 def dataset_to_text(dataset: Dataset) -> str:

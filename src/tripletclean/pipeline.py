@@ -32,6 +32,7 @@ from tripletclean.core import (
     dataset_to_text,
     jsonl_text,
     load_dataset,
+    partition_predicates,
     read_json,
     read_jsonl,
     save_vocab,
@@ -146,11 +147,10 @@ JSON_KINDS = {
 def _coerce(value: Any, tp: Any, where: str) -> Any:
     """Check one JSON value against a field annotation and convert it.
 
-    A dataclass reads an object holding only its fields' JSON names; a part
-    map must name every part and reads ``"disabled"`` as null; int map keys
-    are parsed from their JSON strings; a boolean never passes as a number,
-    nor a number as a boolean, and a number must be finite (``json`` reads
-    ``NaN`` and ``Infinity``).
+    A dataclass reads an object holding only its fields' JSON names; map
+    keys are parsed from their JSON strings into parts or ints; a boolean
+    never passes as a number, nor a number as a boolean, and a number must
+    be finite (``json`` reads ``NaN`` and ``Infinity``).
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -180,20 +180,13 @@ def _coerce(value: Any, tp: Any, where: str) -> Any:
         )
     if origin is dict:
         key_tp, value_tp = args
-        if key_tp is Part:
-            if set(value) != {p.value for p in Part}:
-                parts = [p.value for p in Part]
-                raise DatasetError(f"{where} must define exactly {parts}: {sorted(value)}")
-            value = {
-                p.value: None if value[p.value] == "disabled" else value[p.value]
-                for p in Part
-            }
         try:
             return {
                 key_tp(k): _coerce(v, value_tp, f"{where}.{k}") for k, v in value.items()
             }
         except ValueError:
-            raise DatasetError(f"{where} keys must be integers: {sorted(value)}") from None
+            keys = " or ".join(repr(p.value) for p in Part) if key_tp is Part else "integers"
+            raise DatasetError(f"{where} keys must be {keys}: {sorted(value)}") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise DatasetError(f"{where} must be a finite number, got {value!r}")
     return tp(value)
@@ -242,11 +235,17 @@ def config_to_dict(config: PipelineConfig) -> dict:
     return {key: value for key, value in _to_json(config).items() if value is not None}
 
 
+def _banded(dataset: Dataset, config: PipelineConfig) -> Dataset:
+    """``dataset`` with its head/body/tail bands drawn by ``config.partition``."""
+    bands = partition_predicates(dataset.vocab, **asdict(config.partition))
+    return replace(dataset, partition=bands)
+
+
 def load_input(config: PipelineConfig) -> Dataset:
     """The dataset that ``config.io`` names, banded by ``config.partition``."""
     if config.io.input is None:
         raise DatasetError("no dataset given: set io.input in the config")
-    return load_dataset(config.io.input, config.io.vocab, **asdict(config.partition))
+    return _banded(load_dataset(config.io.input, config.io.vocab), config)
 
 
 @dataclass(frozen=True)
@@ -331,12 +330,12 @@ def _stage(name: str, timings: dict[str, float]):
 def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
     """Execute the enabled stages on the input and report set sizes.
 
-    Nothing touches the filesystem here; use :func:`write_outputs` for
-    persistence.  A stage failure names the stage: invalid input raises
+    A given dataset is re-banded by ``config.partition``, like a loaded
+    one.  Nothing touches the filesystem here; use :func:`write_outputs`
+    for persistence.  A stage failure names the stage: invalid input raises
     DatasetError, anything else PipelineError.
     """
-    if dataset is None:
-        dataset = load_input(config)
+    dataset = load_input(config) if dataset is None else _banded(dataset, config)
 
     timings: dict[str, float] = {}
     started = time.perf_counter()

@@ -594,3 +594,72 @@ class TestFlagsEditTheConfig:
         assert echo["seed"] == 4 and echo["neg_nsd"]["seed"] == 4
         assert echo["io"]["out_dir"] == str(out)
         assert echo["stages"] == {"neg_nsd": True, "pos_nsd": True, "nsc": True}
+
+
+class TestBandsFromTheConfigFile:
+    def test_stage_commands_and_run_use_the_body_threshold(self, workspace, capsys):
+        tmp_path, config = workspace
+        raw = json.loads((tmp_path / "config.json").read_text())
+        # every class holds 38 to 44 labeled records, so all are body; in the
+        # default split all are tail, where nothing would be promoted
+        raw["partition"] = {"head_min": 60, "tail_max": 20}
+        raw["neg_nsd"]["thresholds"] = {"head": None, "body": 0.0, "tail": None}
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        stage_dir = str(tmp_path / "stages")
+        assert run_cli("train-negnsd", "--config", config, "--out", stage_dir) == 0
+        model = os.path.join(stage_dir, "model.json")
+        capsys.readouterr()
+        argv = ("detect-neg", "--config", config, "--model", model, "--out", stage_dir)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == "promoted 52 of 52 negatives\n"
+        assert run_cli("run", "--config", config) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["counts"]["mined_negatives"] == report["counts"]["negatives"] == 52
+        assert report["config"]["partition"] == raw["partition"]
+
+
+def record(i, predicate, feature, pair=(0, 1)):
+    return {"id": f"r{i}", "image_id": "im", "subject_class": pair[0],
+            "object_class": pair[1], "predicate": predicate, "feature": feature}
+
+
+# small inputs at the edges of what a dataset may hold
+DEGENERATE = {
+    "identical_features_in_two_classes": [
+        record(i, f"p{i % 2}" if i < 8 else None, [1.0, 2.0]) for i in range(10)
+    ],
+    "single_record": [record(0, "p0", [1.0, 2.0])],
+    "all_zero_features": [
+        record(i, f"p{i % 2}" if i < 8 else None, [0.0] * 3) for i in range(10)
+    ],
+    "extreme_class_ids": [
+        record(i, f"p{i % 2}" if i < 8 else None, [float(i), 1.0], (-(2**63), 2**63 - 1))
+        for i in range(10)
+    ],
+    "one_class_plus_negatives": [
+        record(i, "p0" if i < 6 else None, [float(i % 3), 1.0]) for i in range(10)
+    ],
+}
+
+
+@pytest.mark.parametrize("mining", ["on", "off"])
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_input_runs_and_keeps_the_count_identities(tmp_path, name, mining):
+    rows = DEGENERATE[name]
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "out"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "io": {"input": str(data), "out_dir": str(out)},
+        "neg_nsd": {"hidden_size": 4, "epochs": 3, "batch_size": 4},
+        "pos_nsd": {"min_class_size": 2},
+    }))
+    assert run_cli("run", "--config", str(config), "--stage-toggle", f"neg_nsd={mining}") == 0
+    c = json.loads((out / "report.json").read_text())["counts"]
+    assert c["total"] == len(rows)
+    assert c["composed"] == c["positives"] + c["mined_negatives"]
+    assert c["flagged"] + c["unflagged"] == c["composed"]
+    assert c["relabeled"] + c["kept_flagged"] == c["flagged"]
+    assert c["total"] == c["unflagged"] + c["flagged"] + c["kept_negatives"]

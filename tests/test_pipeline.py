@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tripletclean
-from tripletclean.cli import _load_cli_config, build_parser
+from tripletclean.cli import _load_cli_config, build_parser, main
 from tripletclean.core import (
     NO_LABEL,
     Dataset,
@@ -17,11 +17,13 @@ from tripletclean.core import (
     Part,
     dataset_to_text,
     load_dataset,
+    partition_predicates,
 )
 from tripletclean.negatives import MinerConfig
 from tripletclean.pipeline import (
     CleaningReport,
     IOConfig,
+    PartitionConfig,
     PipelineConfig,
     PipelineError,
     StagesConfig,
@@ -160,6 +162,35 @@ class TestRun:
         assert dataset_to_text(a.dataset) == dataset_to_text(b.dataset)
         assert a.report.to_text() == b.report.to_text()
         assert a.ledger == b.ledger
+
+
+class TestBands:
+    """``run`` draws a given dataset's bands from ``config.partition`` too."""
+
+    def test_partition_of_the_config_bands_a_given_dataset(self):
+        # 32, 30, 33 and 33 labeled records: every class is body in [20, 35]
+        ds, _ = generate(SynthConfig(
+            n_classes=4, n_pairs=2, feature_dim=6, samples_per_class=40, eta_neg=0.2, seed=1
+        ))
+        body_only = {Part.HEAD: None, Part.BODY: 0.0, Part.TAIL: None}
+        config = fast_config(
+            partition=PartitionConfig(head_min=35, tail_max=20),
+            neg_nsd=MinerConfig(thresholds=body_only, seed=1, **FAST_MINER),
+        )
+        result = run(config, dataset=ds)
+        assert ds.partition == (Part.TAIL,) * 4  # the loaders' default split
+        assert result.report.negatives == 32
+        assert result.report.mined_negatives == 32
+        echoed = result.report.config_echo["partition"]
+        assert echoed == {"head_min": 35, "tail_max": 20}
+        assert result.dataset.partition == partition_predicates(ds.vocab, **echoed)
+        assert result.dataset.partition == (Part.BODY,) * 4
+
+    def test_crossed_bounds_rejected_for_a_given_dataset(self):
+        ds, _ = noisy_dataset()
+        config = fast_config(partition=PartitionConfig(head_min=5, tail_max=10))
+        with pytest.raises(DatasetError, match=r"^tail_max \(10\) must not exceed head_min"):
+            run(config, dataset=ds)
 
 
 class TestWriteOutputs:
@@ -365,16 +396,26 @@ class TestConfigParsing:
         assert config.neg_nsd.seed == 7
         assert config.nsc.k == 5 and config.nsc.kernel_c == 2.0
 
-    def test_disabled_threshold_sentinel(self):
-        raw = {
-            "neg_nsd": {
-                "thresholds": {"head": "disabled", "body": None, "tail": 0.6}
-            }
-        }
-        config = config_from_dict(raw)
-        thresholds = list(config.neg_nsd.thresholds.values())
-        assert thresholds[0] is None and thresholds[1] is None
-        assert thresholds[2] == 0.6
+    def test_disabled_threshold_sentinel(self, tmp_path, capsys):
+        # null is the only way to disable a band; the "disabled" string is a bad number
+        raw = {"neg_nsd": {"thresholds": {"head": None, "body": None, "tail": 0.6}}}
+        thresholds = config_from_dict(raw).neg_nsd.thresholds
+        assert thresholds == {Part.HEAD: None, Part.BODY: None, Part.TAIL: 0.6}
+        path = tmp_path / "config.json"
+        for bands, message in (
+            (
+                {"head": "disabled", "body": None, "tail": 0.6},
+                "neg_nsd.thresholds.head must be a number, got 'disabled'",
+            ),
+            (
+                {"head": None, "body": None, "tail": 0.6, "rare": 0.5},
+                "neg_nsd.thresholds keys must be 'head' or 'body' or 'tail': "
+                "['body', 'head', 'rare', 'tail']",
+            ),
+        ):
+            path.write_text(json.dumps({"neg_nsd": {"thresholds": bands}}))
+            assert main(["run", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_key_rejected(self):
         for raw in (

@@ -4,8 +4,8 @@ A dataset is an ordered collection of subject-predicate-object samples held
 as row-aligned columns: ids, subject-object pairs, feature rows and predicate
 labels.  Labeled rows form the positive set, unlabeled ones the negative
 set; the two partition the input.
-Predicates are indexed through a vocabulary whose training counts induce the
-head/body/tail frequency partition used by the detection stages.
+Predicates are indexed through a vocabulary; their labeled-row counts induce
+the head/body/tail frequency partition used by the detection stages.
 """
 
 from __future__ import annotations
@@ -48,41 +48,38 @@ class Part(str, Enum):
 
 @dataclass(frozen=True)
 class PredicateVocab:
-    """Ordered predicate identifiers plus their training-sample counts."""
+    """Ordered, unique, non-empty predicate names."""
 
     names: tuple[str, ...]
-    counts: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.names) != len(set(self.names)):
             raise DatasetError("predicate names must be unique")
         if any(not n for n in self.names):
             raise DatasetError("predicate names must be non-empty")
-        if len(self.counts) != len(self.names):
-            raise DatasetError("counts and names must have the same length")
-        if any(c < 0 for c in self.counts):
-            raise DatasetError("predicate counts must be non-negative")
 
     def __len__(self) -> int:
         return len(self.names)
 
 
 def partition_predicates(
-    vocab: PredicateVocab,
+    labels: np.ndarray,
+    n_classes: int,
     head_min: int = DEFAULT_HEAD_MIN,
     tail_max: int = DEFAULT_TAIL_MAX,
 ) -> tuple[Part, ...]:
     """Each predicate's frequency part, indexed by predicate.
 
-    A predicate with count strictly above ``head_min`` is HEAD, strictly
-    below ``tail_max`` is TAIL, and BODY otherwise; counts exactly at a
-    boundary fall in BODY.
+    A predicate's count is its number of entries in ``labels``, where
+    ``NO_LABEL`` counts for none.  A count strictly above ``head_min`` is
+    HEAD, strictly below ``tail_max`` is TAIL, and BODY otherwise; counts
+    exactly at a boundary fall in BODY.
     """
     if tail_max > head_min:
         raise DatasetError(f"tail_max ({tail_max}) must not exceed head_min ({head_min})")
     return tuple(
         Part.HEAD if count > head_min else Part.TAIL if count < tail_max else Part.BODY
-        for count in vocab.counts
+        for count in np.bincount(labels[labels >= 0], minlength=n_classes).tolist()
     )
 
 
@@ -126,6 +123,8 @@ class Dataset:
         bad = self.labels[(self.labels < NO_LABEL) | (self.labels >= len(self.vocab))]
         if bad.size:
             raise DatasetError(f"label index {bad[0]} out of range")
+        if len(self.partition) != len(self.vocab):
+            raise DatasetError(f"{len(self.partition)} bands for {len(self.vocab)} predicates")
         for column in (self.pairs, self.features, self.labels):
             column.flags.writeable = False
 
@@ -139,19 +138,16 @@ class Dataset:
         labels,
         names: Sequence[str],
     ) -> Dataset:
-        """Dataset whose vocabulary counts are its labeled rows, in the
-        default bands."""
+        """Dataset in the default bands of its labeled rows."""
         labels = np.asarray(labels, dtype=np.int64)
-        counts = np.bincount(labels[labels >= 0], minlength=len(names))
-        vocab = PredicateVocab(tuple(names), tuple(counts.tolist()))
         return cls(
             tuple(ids),
             tuple(image_ids),
             np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
             np.asarray(features, dtype=np.float64),
             labels,
-            vocab,
-            partition_predicates(vocab),
+            PredicateVocab(tuple(names)),
+            partition_predicates(labels, len(names)),
         )
 
     def __len__(self) -> int:
@@ -192,8 +188,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def jsonl_text(rows: Iterable[dict]) -> str:
     """One compact JSON object per line; empty text for no rows."""
-    lines = [json.dumps(row) for row in rows]
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(json.dumps(row) + "\n" for row in rows)
 
 
 # JSON names of the Python types that json.loads produces
@@ -314,8 +309,8 @@ def load_dataset(path: str, vocab_path: str | None = None) -> Dataset:
     ``subject_class``, ``object_class``, ``predicate`` (string or null for
     negatives), and ``feature``.  When no vocabulary sidecar is given, the
     vocabulary is inferred in first-appearance order of predicate names.
-    Vocabulary counts are taken over annotated records only.  Each feature
-    list becomes a float64 row as its line is read.
+    The default bands count annotated records only.  Each feature list
+    becomes a float64 row as its line is read.
     """
     explicit_names = load_vocab(vocab_path) if vocab_path is not None else None
     names: list[str] = list(explicit_names) if explicit_names is not None else []

@@ -169,7 +169,11 @@ def _coerce(value: Any, tp: Any, where: str) -> Any:
         hints = get_type_hints(tp)
         # the file's top-level keys are named bare in errors
         path = lambda key: key if tp is PipelineConfig else f"{where}.{key}"
-        return tp(**{names[k]: _coerce(v, hints[names[k]], path(k)) for k, v in value.items()})
+        kwargs = {names[k]: _coerce(v, hints[names[k]], path(k)) for k, v in value.items()}
+        try:
+            return tp(**kwargs)
+        except DatasetError as exc:  # a section's own check names the section
+            raise exc if tp is PipelineConfig else DatasetError(f"{where}: {exc}") from None
     if origin is tuple:
         item_types = [args[0]] * len(value) if args[-1] is Ellipsis else args
         if len(item_types) != len(value):
@@ -237,7 +241,7 @@ def config_to_dict(config: PipelineConfig) -> dict:
 
 def _banded(dataset: Dataset, config: PipelineConfig) -> Dataset:
     """``dataset`` with its head/body/tail bands drawn by ``config.partition``."""
-    bands = partition_predicates(dataset.vocab, **asdict(config.partition))
+    bands = partition_predicates(dataset.labels, len(dataset.vocab), **asdict(config.partition))
     return replace(dataset, partition=bands)
 
 

@@ -285,6 +285,12 @@ class TestArgumentHandling:
         assert run_cli("run", "--config", str(config)) == 1
         assert "error: nsc.k" in capsys.readouterr().err
 
+    def test_section_check_exits_1_naming_the_section(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"nsc": {"k": 0}}))
+        assert run_cli("run", "--config", str(config)) == 1
+        assert capsys.readouterr().err == "error: nsc: k must be at least 1\n"
+
     def test_non_finite_config_value_exits_1(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"nsc": {"kernel_c": float("nan")}}))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from tripletclean.core import (
     Dataset,
     DatasetError,
     Part,
-    PredicateVocab,
     dataset_to_text,
+    jsonl_text,
     load_dataset,
     partition_predicates,
     save_dataset,
@@ -27,6 +28,12 @@ def small_dataset(ids=("a", "b"), labels=(0, NO_LABEL), dim=4):
     return Dataset.counted(
         ids, ["img0"] * n, [(1, 2)] * n, np.zeros((n, dim)), labels, ["on"]
     )
+
+
+def bands_at(ds, count):
+    """Bands with head_min == tail_max == count: BODY marks exactly the
+    predicates with ``count`` labeled rows, HEAD more and TAIL fewer."""
+    return partition_predicates(ds.labels, len(ds.vocab), head_min=count, tail_max=count)
 
 
 def write_lines(path, rows):
@@ -64,7 +71,9 @@ class TestLoadDataset:
         assert len(ds.positives()) == 3
         assert len(ds.negatives()) == 2
         assert ds.vocab.names == ("on", "near")
-        assert ds.vocab.counts == (2, 1)
+        # labeled counts (2, 1): the two negatives count for neither
+        assert bands_at(ds, 2) == (Part.BODY, Part.TAIL)
+        assert bands_at(ds, 1) == (Part.HEAD, Part.BODY)
         assert ds.feature_dim == 2
 
     def test_columns(self, tmp_path):
@@ -173,7 +182,10 @@ class TestLoadDataset:
         save_vocab(["near", "on", "under"], str(vocab_path))
         ds = load_dataset(str(path), vocab_path=str(vocab_path))
         assert ds.vocab.names == ("near", "on", "under")
-        assert ds.vocab.counts == (1, 2, 0)
+        # labeled counts (1, 2, 0)
+        assert bands_at(ds, 0) == (Part.HEAD, Part.HEAD, Part.BODY)
+        assert bands_at(ds, 1) == (Part.BODY, Part.HEAD, Part.TAIL)
+        assert bands_at(ds, 2) == (Part.TAIL, Part.BODY, Part.TAIL)
 
     def test_unknown_predicate_with_explicit_vocab(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -216,37 +228,57 @@ class TestRoundtrip:
         assert dataset_to_text(ds) == dataset_to_text(ds)
 
 
+class TestJsonlText:
+    def rows(self, n):
+        rng = np.random.default_rng(5)
+        return [{"id": f"r{i}", "feature": rng.normal(size=16).tolist()} for i in range(n)]
+
+    def test_one_object_per_line(self):
+        rows = self.rows(3)
+        assert jsonl_text(rows) == "\n".join(map(json.dumps, rows)) + "\n"
+        assert jsonl_text([]) == ""
+
+    def test_peak_memory_is_about_two_texts(self):
+        # the lines and their one join, with no further copy of the text
+        rows = self.rows(500)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            text = jsonl_text(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
+
+
 class TestPartition:
     def test_reference_counts(self):
-        vocab = PredicateVocab(("a", "b", "c"), (20_000, 3_000, 100))
-        fp = partition_predicates(vocab)
+        labels = np.repeat([0, 1, 2], [20_000, 3_000, 100])
+        fp = partition_predicates(labels, 3)
         assert fp[0] is Part.HEAD
         assert fp[1] is Part.BODY
         assert fp[2] is Part.TAIL
 
     def test_boundary_count_goes_to_body(self):
-        vocab = PredicateVocab(("a",), (10_000,))
-        assert partition_predicates(vocab)[0] is Part.BODY
-        vocab = PredicateVocab(("a",), (500,))
-        assert partition_predicates(vocab)[0] is Part.BODY
+        assert partition_predicates(np.repeat(0, 10_000), 1)[0] is Part.BODY
+        assert partition_predicates(np.repeat(0, 500), 1)[0] is Part.BODY
 
     def test_all_zero_counts_are_tail(self):
-        vocab = PredicateVocab(("a", "b", "c"), (0, 0, 0))
-        fp = partition_predicates(vocab)
-        assert all(fp[i] is Part.TAIL for i in range(3))
+        for labels in (np.full(4, NO_LABEL), np.empty(0, dtype=np.int64)):
+            fp = partition_predicates(labels, 3)
+            assert len(fp) == 3
+            assert all(fp[i] is Part.TAIL for i in range(3))
 
     def test_every_predicate_gets_exactly_one_part(self):
         rng = np.random.default_rng(7)
-        counts = tuple(int(c) for c in rng.integers(0, 30_000, size=50))
-        vocab = PredicateVocab(tuple(f"p{i}" for i in range(50)), counts)
-        fp = partition_predicates(vocab)
+        labels = np.repeat(np.arange(50), rng.integers(0, 30_000, size=50))
+        fp = partition_predicates(labels, 50)
         assert len(fp) == 50
         assert all(isinstance(p, Part) for p in fp)
 
     def test_crossed_thresholds_rejected(self):
-        vocab = PredicateVocab(("a",), (10,))
         with pytest.raises(DatasetError):
-            partition_predicates(vocab, head_min=100, tail_max=200)
+            partition_predicates(np.repeat(0, 10), 1, head_min=100, tail_max=200)
 
 
 class TestDataset:
@@ -284,5 +316,11 @@ class TestDataset:
 
     def test_vocab_counts_are_labeled_rows(self):
         ds = small_dataset(ids=("a", "b", "c"), labels=(0, NO_LABEL, 0))
-        assert ds.vocab.counts == (2,)
+        assert bands_at(ds, 2) == (Part.BODY,)
         assert ds.partition[0] is Part.TAIL
+
+    @pytest.mark.parametrize("partition", [(), (Part.TAIL, Part.TAIL)])
+    def test_partition_of_the_wrong_length_rejected(self, partition):
+        # one band for each predicate, so a stage never indexes past the end
+        with pytest.raises(DatasetError, match=f"^{len(partition)} bands for 1 predicates$"):
+            dataclasses.replace(small_dataset(), partition=partition)

@@ -15,8 +15,6 @@ from tripletclean.core import (
     Dataset,
     DatasetError,
     Part,
-    PredicateVocab,
-    partition_predicates,
 )
 from tripletclean.density import (
     DensityConfig,
@@ -398,8 +396,7 @@ class TestDetectNoisyPositives:
     def test_alpha_chosen_by_frequency_part(self):
         rng = np.random.default_rng(25)
         ds = labeled_dataset(rng.normal(size=(20, 3)), [0] * 10 + [1] * 10)
-        vocab = PredicateVocab(("big", "rare"), (20_000, 10))
-        report = flag(dataclasses.replace(ds, vocab=vocab, partition=partition_predicates(vocab)))
+        report = flag(dataclasses.replace(ds, partition=(Part.HEAD, Part.TAIL)))
         by_class = {c.class_index: c for c in report.classes}
         assert by_class[0].alpha == 12.5
         assert by_class[1].alpha == 50.0

@@ -183,8 +183,27 @@ class TestBands:
         assert result.report.mined_negatives == 32
         echoed = result.report.config_echo["partition"]
         assert echoed == {"head_min": 35, "tail_max": 20}
-        assert result.dataset.partition == partition_predicates(ds.vocab, **echoed)
+        assert result.dataset.partition == partition_predicates(ds.labels, len(ds.vocab), **echoed)
         assert result.dataset.partition == (Part.BODY,) * 4
+
+    def test_cleaned_data_bands_alike_in_memory_and_from_its_file(self, tmp_path):
+        # the first pass moves the labeled counts from 32, 30, 33 and 33 to
+        # 40 each, across the tail_max of 35
+        ds, _ = generate(SynthConfig(
+            n_classes=4, n_pairs=2, feature_dim=6, samples_per_class=40, eta_neg=0.2, seed=1
+        ))
+        config = fast_config(
+            partition=PartitionConfig(head_min=100, tail_max=35),
+            neg_nsd=MinerConfig(thresholds=dict.fromkeys(Part, 0.0), seed=1, **FAST_MINER),
+        )
+        first = run(config, dataset=ds)
+        assert first.dataset.partition == (Part.TAIL,) * 4
+        write_outputs(first, str(tmp_path))
+        in_memory = run(config, dataset=first.dataset)
+        io = IOConfig(input=str(tmp_path / "cleaned.jsonl"), vocab=str(tmp_path / "vocab.json"))
+        from_file = run(dataclasses.replace(config, io=io))
+        assert in_memory.dataset.partition == from_file.dataset.partition == (Part.BODY,) * 4
+        assert in_memory.report.counts() == from_file.report.counts()
 
     def test_crossed_bounds_rejected_for_a_given_dataset(self):
         ds, _ = noisy_dataset()
@@ -467,6 +486,26 @@ class TestConfigParsing:
     def test_non_finite_number_rejected(self, raw, where):
         with pytest.raises(DatasetError, match=f"^{where} must be a finite number"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (
+                {"neg_nsd": {"thresholds": {"head": 0.9, "body": 0.9}}},
+                "neg_nsd: thresholds missing entry for part 'tail'",
+            ),
+            ({"pos_nsd": {"n_subsets": 1}}, "pos_nsd: n_subsets must be at least 2"),
+            ({"nsc": {"k": 0}}, "nsc: k must be at least 1"),
+            (
+                {"synth": {"n_classes": 5, "feature_dim": 2}},
+                "synth: feature_dim (2) must be at least n_classes (5)",
+            ),
+        ],
+    )
+    def test_section_check_names_its_section(self, raw, message):
+        with pytest.raises(DatasetError) as err:
+            config_from_dict(raw)
+        assert str(err.value).startswith(message)
 
     def test_negative_global_seed_rejected(self):
         # no stage copies the global seed here, so no stage check sees it

@@ -8,12 +8,17 @@ entries, the diagonal zeros included.  One-dimensional K-means over the
 densities splits the class into subsets; the subset with the lowest mean
 density is flagged as noisy.
 
-Memory: one class's N x N float64 matrix is held at a time, in one buffer
-sized for the largest class.  The cutoff is found by exact bracketed
-selection and the densities are counted, both over row blocks of the
-matrix, so nothing else of size N x N is built; the other temporaries are
-row blocks of at most ``BLOCK_ELEMENTS`` entries, the cutoff's sample of
-about pool**(2/3) entries and its bracket, a few times that.
+Memory: a class whose N*N entries fit in ``BLOCK_ELEMENTS`` (N <= 362)
+gets its matrix, in one buffer sized for the largest such class; the
+cutoff is found by exact bracketed selection and the densities are
+counted over row blocks of it.  A larger class is streamed
+(``streamed_density``): one pass over the strictly-upper row blocks
+places the cutoff and counts the densities, and no N x N array is built,
+so memory stays bounded however large a class is.  The temporaries of
+either path are row blocks of at most ``BLOCK_ELEMENTS`` entries, the
+cutoff's sample of about pool**(2/3) entries and its bracket, a few times
+that; the streamed pass also keeps each gathered entry's place and one
+count per sample.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ KMEANS_MAX_ITER = 200
 
 # Element budget of every per-block temporary: distance_matrix's
 # differences, the cutoff and density passes' row blocks (1 MB of float64).
+# A class with more than this many N*N entries gets no matrix: it streams.
 BLOCK_ELEMENTS = 1 << 17
 
 DEFAULT_ALPHA = {Part.HEAD: 12.5, Part.BODY: 25.0, Part.TAIL: 50.0}
@@ -127,17 +133,18 @@ def _row_blocks(matrix: np.ndarray):
         yield matrix[lo : lo + rows]
 
 
-def _select_rank(blocks, rank: int, size: int, sample: np.ndarray) -> float:
-    """The rank-th smallest (1-based) of the ``size`` pool entries in the
-    blocks that each call of ``blocks()`` yields; NaN sorts last.
+def _select_rank(scan, rank: int, size: int, sample: np.ndarray) -> float:
+    """The rank-th smallest (1-based) of ``size`` pool entries; NaN sorts
+    last.
 
-    ``sample``, some of the pool's entries, is sorted in place; its
-    quantiles bracket the rank with a margin of four standard errors.  One
-    pass counts the entries below the bracket and gathers those inside it;
-    when the rank falls among the gathered entries, partitioning them
-    places it.  Otherwise the margin widens fourfold and the pass repeats,
-    up to (-inf, +inf), so the result is always exact.  The sample only
-    sets how many entries are gathered.
+    ``scan(lo, hi)`` makes one pass over the pool and returns how many
+    entries lie below ``lo`` and a list of arrays of those in
+    ``[lo, hi]``.  ``sample``, some of the pool's entries, is sorted in
+    place; its quantiles bracket the rank with a margin of four standard
+    errors.  When the rank falls among the gathered entries, partitioning
+    them places it.  Otherwise the margin widens fourfold and the pass
+    repeats, up to (-inf, +inf), so the result is always exact.  The sample
+    only sets how many entries are gathered.
     """
     sample.sort()
     m = sample.size
@@ -150,15 +157,7 @@ def _select_rank(blocks, rank: int, size: int, sample: np.ndarray) -> float:
         # a NaN sample entry bounds nothing
         lo = -math.inf if math.isnan(lo) else lo
         hi = math.inf if math.isnan(hi) else hi
-        below = 0
-        inside = []
-        for block in blocks():
-            low = block < lo
-            below += np.count_nonzero(low)
-            keep = block <= hi
-            keep ^= low  # lo <= hi, so this leaves lo <= entry <= hi
-            # extract works on the raveled block, much faster than a 2-D mask
-            inside.append(np.extract(keep, block))
+        below, inside = scan(lo, hi)
         if below < rank <= below + sum(map(len, inside)):
             pool = np.concatenate(inside)
             pool.partition(rank - below - 1)
@@ -168,22 +167,70 @@ def _select_rank(blocks, rank: int, size: int, sample: np.ndarray) -> float:
         margin *= 4
 
 
-def _sample(matrix: np.ndarray, size: int) -> np.ndarray:
-    """About ``size ** (2/3)`` entries of the matrix on a golden-ratio lattice.
+def _gather(blocks, lo: float, hi: float) -> tuple[int, list[np.ndarray]]:
+    """One ``_select_rank`` pass over whole blocks: the count of entries
+    below ``lo`` and the entries in ``[lo, hi]``."""
+    below = 0
+    inside = []
+    for block in blocks:
+        low = block < lo
+        below += np.count_nonzero(low)
+        keep = block <= hi
+        keep ^= low  # lo <= hi, so this leaves lo <= entry <= hi
+        # extract works on the raveled block, much faster than a 2-D mask
+        inside.append(np.extract(keep, block))
+    return below, inside
+
+
+def _lattice(n_rows: int, n_cols: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of about ``size ** (2/3)`` entries of an
+    n_rows x n_cols matrix on a golden-ratio lattice.
 
     Entry k sits in row k * n_rows // m and at column fraction frac(k * phi),
     so the sample pairs many distinct rows with many distinct columns and
-    never aliases with the matrix's shape.  Only the sampled entries are
-    copied.
+    never aliases with the matrix's shape.
     """
-    n_rows, n_cols = matrix.shape
     k = np.arange(math.ceil(size ** (2 / 3)))
     cols = k * 0.6180339887498949
     cols %= 1.0
     cols *= n_cols
     rows = k * n_rows
     rows //= k.size
-    return matrix[rows, cols.astype(np.intp)]
+    return rows, cols.astype(np.intp)
+
+
+def _sample(matrix: np.ndarray, size: int) -> np.ndarray:
+    """The matrix's entries on the lattice; only they are copied."""
+    return matrix[_lattice(*matrix.shape, size)]
+
+
+def _pair_sample(feats: np.ndarray, size: int) -> np.ndarray:
+    """Squared distances of the lattice's off-diagonal (i, j) pairs of an
+    N x d array, computed in chunks of at most ``BLOCK_ELEMENTS`` values.
+
+    The lattice spans the whole N x N matrix, so the sample is uniform over
+    the pairs; entry (i, j) equals entry (j, i).
+    """
+    n, d = feats.shape
+    rows, cols = _lattice(n, n, size)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    out = np.empty(rows.size)
+    step = max(1, BLOCK_ELEMENTS // max(1, d))
+    for lo in range(0, rows.size, step):
+        diff = feats[rows[lo : lo + step]] - feats[cols[lo : lo + step]]
+        diff *= diff
+        np.sum(diff, axis=-1, out=out[lo : lo + step])
+    return out
+
+
+def _rank(alpha: float, size: int) -> int:
+    """ceil(alpha/100 * size), 1-based.  Rank arithmetic goes through
+    Fraction so that percentages landing exactly on an integer rank are not
+    bumped by float rounding."""
+    if not (0.0 < alpha <= 100.0):
+        raise DatasetError(f"alpha must be in (0, 100], got {alpha}")
+    return int(math.ceil(Fraction(alpha) * size / 100))
 
 
 def cutoff_distance(matrix: np.ndarray, alpha: float) -> float:
@@ -191,23 +238,20 @@ def cutoff_distance(matrix: np.ndarray, alpha: float) -> float:
     selection.
 
     The pool is every matrix entry, diagonal zeros included; the rank is
-    ceil(alpha/100 * pool size), 1-based.
-    Rank arithmetic goes through Fraction so that percentages landing
-    exactly on an integer rank are not bumped by float rounding.  A sample
-    of about pool**(2/3) entries brackets the rank; one pass over row
-    blocks counts the entries below the bracket and gathers those inside
-    it, and partitioning the gathered entries places the rank.  A bracket
-    that misses widens until it holds the rank, so the result is always the
-    entry that sorting the whole pool would give (NaN sorts last).  Neither
-    the pool nor the matrix is copied.
+    ceil(alpha/100 * pool size), 1-based.  A sample of about pool**(2/3)
+    entries brackets the rank; one pass over row blocks counts the entries
+    below the bracket and gathers those inside it, and partitioning the
+    gathered entries places the rank.  A bracket that misses widens until
+    it holds the rank, so the result is always the entry that sorting the
+    whole pool would give (NaN sorts last).  Neither the pool nor the
+    matrix is copied.
     """
-    if not (0.0 < alpha <= 100.0):
-        raise DatasetError(f"alpha must be in (0, 100], got {alpha}")
     size = matrix.size
+    rank = _rank(alpha, size)
     if size == 0:
         return 0.0
-    rank = int(math.ceil(Fraction(alpha) * size / 100))
-    return _select_rank(lambda: _row_blocks(matrix), rank, size, _sample(matrix, size))
+    scan = lambda lo, hi: _gather(_row_blocks(matrix), lo, hi)
+    return _select_rank(scan, rank, size, _sample(matrix, size))
 
 
 def local_density(matrix: np.ndarray, d_c: float) -> np.ndarray:
@@ -221,6 +265,63 @@ def local_density(matrix: np.ndarray, d_c: float) -> np.ndarray:
         rho[filled : filled + len(block)] = np.count_nonzero(block < d_c, axis=1)
         filled += len(block)
     return rho
+
+
+def streamed_density(features: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """``cutoff_distance`` and ``local_density`` of the features' distance
+    matrix, bit for bit, from one pass that holds no N x N array.
+
+    The matrix holds N zeros on its diagonal and every off-diagonal entry
+    twice.  So its rank r is 0 when r <= N, and otherwise the
+    ceil((r - N) / 2)-th smallest strictly-upper entry, which
+    ``_select_rank`` finds over the strictly-upper part of each
+    ``_upper_blocks`` block.  A pass also counts each sample's entries
+    below the bracket, in its row and in its column, and keeps where each
+    gathered entry sits; once the cutoff is placed, the gathered entries
+    below it count for both their row and their column.  The diagonal adds
+    one to every count when the cutoff is positive.  Features must be
+    finite, so that the diagonal is zero.
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2:
+        raise DatasetError(f"expected a 2-D feature array, got shape {feats.shape}")
+    n = feats.shape[0]
+    rank = _rank(alpha, n * n)
+    if rank <= n:
+        return 0.0, np.zeros(n, dtype=np.int64)
+    near = np.empty(n, dtype=np.int64)
+    gathered = []
+
+    def scan(lo, hi):
+        near[:] = 0
+        gathered.clear()
+        strict = None
+        for start, block in _upper_blocks(feats):
+            r = block.shape[0]
+            if strict is None:
+                # only a block's own square reaches the diagonal and below it
+                strict = ~np.tri(r, dtype=bool)
+            low = block < lo
+            low[:, :r] &= strict[:r, :r]
+            near[start : start + r] += np.add.reduce(low, axis=1, dtype=np.int32)
+            near[start:] += np.add.reduce(low, axis=0, dtype=np.int32)
+            keep = block <= hi
+            keep[:, :r] &= strict[:r, :r]
+            keep ^= low
+            at = np.flatnonzero(keep)
+            gathered.append((start, block.shape[1], at, block.ravel()[at]))
+        # each entry below the bracket counts once in its row, once in its column
+        return int(near.sum()) // 2, [values for *_, values in gathered]
+
+    upper = n * (n - 1) // 2
+    d_c = _select_rank(scan, (rank - n + 1) // 2, upper, _pair_sample(feats, upper))
+    ends = []  # rank > n, so n >= 2 and there is at least one block
+    for start, width, at, values in gathered:
+        row, col = np.divmod(at[values < d_c], width)
+        ends += [row + start, col + start]
+    rho = near + np.bincount(np.concatenate(ends), minlength=n)
+    rho += d_c > 0
+    return d_c, rho
 
 
 def kmeans_1d(values: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,6 +413,7 @@ def detect_noisy_positives(
     Classes are handled independently in predicate-index order; within a
     class, rows keep their order in ``rows``.  Classes below the size
     guard, or degenerate under K-means, contribute all members to clean.
+    A record whose features are not all finite is rejected.
     """
     rows = np.asarray(rows, dtype=np.int64)
     labels = dataset.labels[rows]
@@ -322,16 +424,25 @@ def detect_noisy_positives(
     noisy: list[np.ndarray] = []
     clean: list[np.ndarray] = []
     class_ids, sizes = np.unique(labels, return_counts=True)
-    # Every class's matrix in turn fills the front of one buffer sized for
-    # the largest class: one N x N matrix is held at a time, and no freed
-    # matrix lingers in the allocator's heap beside the next one.
-    buffer = np.empty(int(sizes.max(initial=0)) ** 2)
+    # A class of at most one block's entries fills the front of one buffer
+    # sized for the largest such class, so no freed matrix lingers in the
+    # allocator's heap beside the next one.  A larger class is streamed.
+    small = sizes[sizes * sizes <= BLOCK_ELEMENTS]
+    buffer = np.empty(int(small.max(initial=0)) ** 2)
     for k, n in zip(class_ids.tolist(), sizes.tolist()):
         members = rows[labels == k]
+        feats = dataset.features[members]
+        finite = np.isfinite(feats).all(axis=1)
+        if not finite.all():
+            bad = dataset.ids[members[~finite][0]]
+            raise DatasetError(f"record {bad!r} has non-finite features")
         alpha = config.alpha[dataset.partition[k]]
-        dmat = distance_matrix(dataset.features[members], out=buffer[: n * n].reshape(n, n))
-        d_c = cutoff_distance(dmat, alpha)
-        rho = local_density(dmat, d_c)
+        if n * n > BLOCK_ELEMENTS:
+            d_c, rho = streamed_density(feats, alpha)
+        else:
+            dmat = distance_matrix(feats, out=buffer[: n * n].reshape(n, n))
+            d_c = cutoff_distance(dmat, alpha)
+            rho = local_density(dmat, d_c)
         if len(members) < config.min_class_size:
             subset = np.full(len(members), -1, dtype=np.int64)
             noisy_subset = None

@@ -25,6 +25,7 @@ from tripletclean.density import (
     kmeans_1d,
     local_density,
     split_subsets,
+    streamed_density,
 )
 
 
@@ -99,6 +100,30 @@ def labeled_dataset(features, labels, ids=None):
 def flag(dataset, config=None):
     """Density report over every row of ``dataset``."""
     return detect_noisy_positives(dataset, np.arange(len(dataset)), config or DensityConfig())
+
+
+def assert_streams_like_the_matrix(feats, alpha):
+    """``streamed_density`` equals distance_matrix -> cutoff_distance ->
+    local_density, the cutoff bit for bit and every count."""
+    mat = distance_matrix(feats)
+    d_c = cutoff_distance(mat, alpha)
+    rho = local_density(mat, d_c)
+    streamed_d_c, streamed_rho = streamed_density(feats, alpha)
+    assert streamed_d_c == d_c
+    assert streamed_rho.dtype == rho.dtype
+    np.testing.assert_array_equal(streamed_rho, rho)
+
+
+def report_values(report):
+    """Every field of a density report as plain values, for equality."""
+    plain = lambda v: v.tolist() if isinstance(v, np.ndarray) else v
+    return (
+        [{f.name: plain(getattr(c, f.name)) for f in dataclasses.fields(c)}
+         for c in report.classes],
+        report.noisy_rows.tolist(),
+        report.clean_rows.tolist(),
+        list(report.ids),
+    )
 
 
 class TestDistanceMatrix:
@@ -295,6 +320,68 @@ class TestLocalDensity:
             np.testing.assert_array_equal(local_density(mat, d_c), oracle_density(mat, d_c))
 
 
+class TestStreamedDensity:
+    def test_matches_the_matrix_on_random_classes(self):
+        # acceptance criterion 03's classes and alphas
+        rng = np.random.default_rng(303)
+        for trial in range(100):
+            n = int(rng.integers(2, 41))
+            dim = int(rng.integers(1, 9))
+            feats = rng.normal(scale=rng.uniform(0.5, 3.0), size=(n, dim))
+            alpha = 100.0 if trial % 10 == 0 else float(rng.uniform(0.1, 100.0))
+            assert_streams_like_the_matrix(feats, alpha)
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_matches_the_matrix_at_every_grid_rank_boundary(self, monkeypatch, rows):
+        # 60 points on a 4 x 4 grid: repeated points, many equal distances
+        feats = np.random.default_rng(36).integers(0, 4, size=(60, 2)).astype(np.float64)
+        if rows is not None:
+            monkeypatch.setattr(density, "BLOCK_ELEMENTS", rows * 60 * 2)
+        ordered = np.sort(distance_matrix(feats).ravel())
+        for rank in boundary_ranks(ordered):
+            assert_streams_like_the_matrix(feats, alpha_for(rank, ordered.size))
+
+    def test_zero_cutoff_past_the_diagonal_counts_nothing(self):
+        # two points repeated: ranks 6 to 9 of the 25 entries are still 0
+        feats = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+        for rank in range(1, 26):
+            assert_streams_like_the_matrix(feats, alpha_for(rank, 25))
+        d_c, rho = streamed_density(feats, alpha_for(9, 25))
+        assert d_c == 0.0 and rho.tolist() == [0] * 5
+        d_c, rho = streamed_density(feats, alpha_for(10, 25))
+        assert d_c == 1.0 and rho.tolist() == [2, 2, 2, 2, 1]
+
+    @pytest.mark.parametrize("n", [30, 31])
+    def test_ranks_at_and_just_past_the_diagonal(self, n):
+        feats = np.random.default_rng(n).normal(size=(n, 3))
+        for rank in (1, n, n + 1, n + 2, n + 3, n * n):
+            assert_streams_like_the_matrix(feats, alpha_for(rank, n * n))
+        assert_streams_like_the_matrix(feats, 100.0)
+        assert streamed_density(feats, alpha_for(n, n * n))[0] == 0.0
+        assert streamed_density(feats, alpha_for(n + 1, n * n))[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "sample",
+        [np.full(4, 1e9), np.full(4, -1.0), np.zeros(1), np.full(3, np.nan), np.arange(2.0)],
+    )
+    def test_a_missed_bracket_widens_to_the_exact_entry(self, monkeypatch, sample):
+        monkeypatch.setattr(density, "_pair_sample", lambda feats, size: sample.copy())
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", 5 * 32 * 2)
+        feats = np.random.default_rng(32).integers(0, 4, size=(32, 2)).astype(np.float64)
+        ordered = np.sort(distance_matrix(feats).ravel())
+        for rank in boundary_ranks(ordered):
+            assert_streams_like_the_matrix(feats, alpha_for(rank, ordered.size))
+
+    def test_single_sample_bad_shape_and_invalid_alpha(self):
+        d_c, rho = streamed_density(np.array([[3.0, 4.0]]), 37.0)
+        assert d_c == 0.0 and rho.tolist() == [0]
+        with pytest.raises(DatasetError):
+            streamed_density(np.zeros(5), 50.0)
+        for alpha in (0.0, 101.0):
+            with pytest.raises(DatasetError):
+                streamed_density(np.zeros((3, 2)), alpha)
+
+
 class TestSplitSubsets:
     def test_reference_two_means(self):
         rho = [1, 1, 1, 9, 9, 10]
@@ -415,6 +502,68 @@ class TestDetectNoisyPositives:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * max(sizes) ** 2 * 8
+
+    def test_matrix_and_streamed_paths_give_the_same_report(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        sizes = (40, 55, 70)
+        feats = np.concatenate(
+            [rng.normal(3.0 * k, 1.0, size=(n, 4)) for k, n in enumerate(sizes)]
+        )
+        feats[[3, 50, 120]] += 20.0
+        labels = [k for k, n in enumerate(sizes) for _ in range(n)]
+        ds = labeled_dataset(feats, labels)
+        by_matrix = flag(ds)
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", 39 * 39)
+        monkeypatch.setattr(density, "distance_matrix", None)  # any matrix call fails
+        streamed = flag(ds)
+        assert report_values(streamed) == report_values(by_matrix)
+        assert density_report_to_text(streamed) == density_report_to_text(by_matrix)
+        assert by_matrix.noisy_rows.size  # the comparison covers flagged rows
+
+    @pytest.mark.parametrize(
+        "budget, sizes, matrices",
+        [(None, (362, 363), [362]), (40 * 40, (30, 40, 41, 60), [30, 40])],
+    )
+    def test_a_class_above_one_block_builds_no_matrix(self, monkeypatch, budget, sizes, matrices):
+        if budget is not None:
+            monkeypatch.setattr(density, "BLOCK_ELEMENTS", budget)
+        built = []
+        real = density.distance_matrix
+
+        def counted(features, out=None):
+            built.append(len(features))
+            return real(features, out=out)
+
+        monkeypatch.setattr(density, "distance_matrix", counted)
+        labels = [k for k, n in enumerate(sizes) for _ in range(n)]
+        ds = labeled_dataset(np.random.default_rng(38).normal(size=(len(labels), 2)), labels)
+        flag(ds)
+        assert built == matrices
+
+    def test_peak_memory_of_a_streamed_class_is_a_fraction_of_its_matrix(self):
+        n = 4000
+        ds = labeled_dataset(np.random.default_rng(39).normal(size=(n, 8)), [0] * n)
+        rows = np.arange(n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            detect_noisy_positives(ds, rows, DensityConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, monkeypatch, budget, value):
+        # the matrix path, then the streamed one
+        if budget is not None:
+            monkeypatch.setattr(density, "BLOCK_ELEMENTS", budget)
+        feats = np.random.default_rng(40).normal(size=(8, 2))
+        feats[5, 1] = value
+        ds = labeled_dataset(feats, [0, 1] * 4)
+        with pytest.raises(DatasetError, match="'r5' has non-finite features"):
+            flag(ds)
 
 
 class TestReportExport:

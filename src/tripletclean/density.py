@@ -427,9 +427,9 @@ def detect_noisy_positives(
     # A class of at most one block's entries fills the front of one buffer
     # sized for the largest such class, so no freed matrix lingers in the
     # allocator's heap beside the next one.  A larger class is streamed.
-    small = sizes[sizes * sizes <= BLOCK_ELEMENTS]
-    buffer = np.empty(int(small.max(initial=0)) ** 2)
-    for k, n in zip(class_ids.tolist(), sizes.tolist()):
+    streams = sizes * sizes > BLOCK_ELEMENTS
+    buffer = np.empty(int(sizes[~streams].max(initial=0)) ** 2)
+    for k, n, stream in zip(class_ids.tolist(), sizes.tolist(), streams.tolist()):
         members = rows[labels == k]
         feats = dataset.features[members]
         finite = np.isfinite(feats).all(axis=1)
@@ -437,7 +437,7 @@ def detect_noisy_positives(
             bad = dataset.ids[members[~finite][0]]
             raise DatasetError(f"record {bad!r} has non-finite features")
         alpha = config.alpha[dataset.partition[k]]
-        if n * n > BLOCK_ELEMENTS:
+        if stream:
             d_c, rho = streamed_density(feats, alpha)
         else:
             dmat = distance_matrix(feats, out=buffer[: n * n].reshape(n, n))

@@ -166,6 +166,14 @@ class Dataset:
         return np.flatnonzero(self.labels < 0)
 
 
+def require_finite(ids: Sequence[str], features: np.ndarray) -> None:
+    """Reject the first record whose feature row holds a NaN or an
+    infinity; ``ids`` names the rows of ``features``."""
+    finite = np.isfinite(features).all(axis=-1)
+    if not finite.all():
+        raise DatasetError(f"record {ids[int(finite.argmin())]!r} has non-finite features")
+
+
 # ---------------------------------------------------------------------------
 # JSON and line-delimited persistence
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from tripletclean.core import (
     DatasetError,
     jsonl_text,
     read_jsonl,
+    require_finite,
 )
-from tripletclean.density import _upper_blocks
+from tripletclean.density import upper_ranks
 
 logger = logging.getLogger(__name__)
 
@@ -75,22 +76,18 @@ class CorrectionRecord:
 def _kernel_scale(pool_features: np.ndarray, config: CorrectionConfig) -> float:
     """``kernel_c``, or the median of the pool's m(m-1)/2 pairwise distances.
 
-    The distances above the diagonal are copied block by block, in
-    ``np.triu_indices`` order, into one array of that length; no m x m
-    matrix is built.
+    ``density.upper_ranks`` places the one or two middle distances by
+    exact selection, and their mean is the median as ``np.median`` forms
+    it; neither an m x m matrix nor the m(m-1)/2 distances are held.
     """
     if config.kernel_c is not None:
         return config.kernel_c
     m = pool_features.shape[0]
     if m < 2:
         return KERNEL_SCALE_FLOOR
-    upper = np.empty(m * (m - 1) // 2)
-    filled = 0
-    for _, block in _upper_blocks(pool_features):
-        above = block[np.triu(np.ones(block.shape, dtype=bool), k=1)]
-        upper[filled : filled + above.size] = above
-        filled += above.size
-    return max(float(np.median(upper, overwrite_input=True)), KERNEL_SCALE_FLOOR)
+    size = m * (m - 1) // 2
+    middle, _ = upper_ranks(pool_features, (size + 1) // 2, 2 - size % 2)
+    return max(float(np.mean(middle)), KERNEL_SCALE_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +103,7 @@ class Pool:
     @classmethod
     def build(cls, ids: Sequence[str], labels, features, config: CorrectionConfig) -> Pool:
         feats = np.asarray(features, dtype=np.float64)
+        require_finite(ids, feats)
         labels = np.asarray(labels, dtype=np.int64)
         return cls(tuple(ids), labels, feats, _kernel_scale(feats, config))
 
@@ -161,7 +159,8 @@ def correct(
     outcome does not depend on correction order.  A flagged row takes the
     vote's label when it disagrees with the old one and keeps its label
     otherwise (including when no vote was possible).  The ledger is
-    ordered by record id.
+    ordered by record id.  A flagged or pooled record whose features are
+    not all finite is rejected.
     """
     noisy = np.unique(np.asarray(noisy_rows, dtype=np.int64))
     clean = np.unique(np.asarray(clean_rows, dtype=np.int64))
@@ -173,6 +172,7 @@ def correct(
         unlabeled = checked[labels[checked] < 0]
         if unlabeled.size:
             raise DatasetError(f"{role} record {ids[unlabeled[0]]!r} has no label")
+    require_finite([ids[r] for r in noisy.tolist()], dataset.features[noisy])
 
     pair_of = list(map(tuple, dataset.pairs.tolist()))
     members: dict[tuple[int, int], list[int]] = {}

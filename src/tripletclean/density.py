@@ -11,14 +11,14 @@ density is flagged as noisy.
 Memory: a class whose N*N entries fit in ``BLOCK_ELEMENTS`` (N <= 362)
 gets its matrix, in one buffer sized for the largest such class; the
 cutoff is found by exact bracketed selection and the densities are
-counted over row blocks of it.  A larger class is streamed
-(``streamed_density``): one pass over the strictly-upper row blocks
-places the cutoff and counts the densities, and no N x N array is built,
-so memory stays bounded however large a class is.  The temporaries of
-either path are row blocks of at most ``BLOCK_ELEMENTS`` entries, the
-cutoff's sample of about pool**(2/3) entries and its bracket, a few times
-that; the streamed pass also keeps each gathered entry's place and one
-count per sample.
+counted over row blocks of it.  A larger class is streamed: one
+``upper_ranks`` pass over the strictly-upper row blocks places the cutoff
+and counts the densities with no N x N array, so memory stays bounded
+however large a class is; the nsc pool median is its second caller.  The
+temporaries are row blocks of at most ``BLOCK_ELEMENTS`` entries, the
+sample of about pool**(2/3) entries and its bracket, a few times that;
+the streamed pass also keeps each gathered entry's place and one count
+per sample.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from tripletclean.core import (
     Part,
     jsonl_text,
     read_jsonl,
+    require_finite,
 )
 
 logger = logging.getLogger(__name__)
@@ -133,23 +134,24 @@ def _row_blocks(matrix: np.ndarray):
         yield matrix[lo : lo + rows]
 
 
-def _select_rank(scan, rank: int, size: int, sample: np.ndarray) -> float:
-    """The rank-th smallest (1-based) of ``size`` pool entries; NaN sorts
-    last.
+def _select_rank(scan, rank: int, size: int, sample: np.ndarray, count: int = 1) -> np.ndarray:
+    """The rank-th to (rank + count - 1)-th smallest (1-based) of ``size``
+    pool entries, ascending; NaN sorts last.
 
     ``scan(lo, hi)`` makes one pass over the pool and returns how many
     entries lie below ``lo`` and a list of arrays of those in
     ``[lo, hi]``.  ``sample``, some of the pool's entries, is sorted in
     place; its quantiles bracket the rank with a margin of four standard
-    errors.  When the rank falls among the gathered entries, partitioning
-    them places it.  Otherwise the margin widens fourfold and the pass
-    repeats, up to (-inf, +inf), so the result is always exact.  The sample
-    only sets how many entries are gathered.
+    errors.  When the ranks fall among the gathered entries, partitioning
+    them places all of them.  Otherwise the margin widens fourfold and the
+    pass repeats, up to (-inf, +inf), so the result is always exact.  The
+    sample only sets how many entries are gathered.
     """
     sample.sort()
     m = sample.size
     center = rank / size * m
     margin = 4 * math.sqrt(center * (1 - rank / size)) + 2
+    last = rank + count - 1
     while True:
         i, j = math.floor(center - margin), math.ceil(center + margin)
         lo = float(sample[i]) if i >= 0 else -math.inf
@@ -158,12 +160,13 @@ def _select_rank(scan, rank: int, size: int, sample: np.ndarray) -> float:
         lo = -math.inf if math.isnan(lo) else lo
         hi = math.inf if math.isnan(hi) else hi
         below, inside = scan(lo, hi)
-        if below < rank <= below + sum(map(len, inside)):
-            pool = np.concatenate(inside)
-            pool.partition(rank - below - 1)
-            return float(pool[rank - below - 1])
-        if lo == -math.inf and hi == math.inf:
-            return math.nan  # the rank lies among the NaN entries
+        gathered = sum(map(len, inside))
+        if below < rank and (last <= below + gathered or (lo, hi) == (-math.inf, math.inf)):
+            # only NaN entries lie past all gathered ones; the appended NaN stands for them
+            pool = np.concatenate([*inside, [math.nan]])
+            at = np.minimum(np.arange(rank - below - 1, last - below), gathered)
+            pool.partition(at)
+            return pool[at]
         margin *= 4
 
 
@@ -251,7 +254,7 @@ def cutoff_distance(matrix: np.ndarray, alpha: float) -> float:
     if size == 0:
         return 0.0
     scan = lambda lo, hi: _gather(_row_blocks(matrix), lo, hi)
-    return _select_rank(scan, rank, size, _sample(matrix, size))
+    return float(_select_rank(scan, rank, size, _sample(matrix, size))[0])
 
 
 def local_density(matrix: np.ndarray, d_c: float) -> np.ndarray:
@@ -267,20 +270,51 @@ def local_density(matrix: np.ndarray, d_c: float) -> np.ndarray:
     return rho
 
 
+def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-th to (rank + count - 1)-th smallest (1-based) strictly-upper
+    entries of the squared-distance matrix of a finite N x d float64 array,
+    ascending, and each sample's count of strictly-upper entries below the
+    first of them in its row or column.  Each ``_select_rank`` pass over the
+    ``_upper_blocks`` counts the entries below the bracket and keeps where
+    each gathered one sits: no N x N array, entry copy or second pass.
+    """
+    n = feats.shape[0]
+    near = np.empty(n, dtype=np.int64)
+    gathered = []
+
+    def scan(lo, hi):
+        near[:] = 0
+        gathered.clear()
+        for start, block in _upper_blocks(feats):
+            r = block.shape[0]
+            # NaN, never below or inside a bracket, masks the block's own diagonal and below
+            block[:, :r][np.tri(r, dtype=bool)] = math.nan
+            low = block < lo
+            near[start : start + r] += np.add.reduce(low, axis=1, dtype=np.int32)
+            near[start:] += np.add.reduce(low, axis=0, dtype=np.int32)
+            keep = block <= hi
+            keep ^= low
+            at = np.flatnonzero(keep)
+            gathered.append((start, block.shape[1], at, block.ravel()[at]))
+        # each entry below the bracket counts once in its row, once in its column
+        return int(near.sum()) // 2, [values for *_, values in gathered]
+
+    size = n * (n - 1) // 2
+    values = _select_rank(scan, rank, size, _pair_sample(feats, size), count)
+    ends = []  # the ranks exist, so n >= 2 and there is at least one block
+    for start, width, at, inside in gathered:
+        row, col = np.divmod(at[inside < values[0]], width)
+        ends += [row + start, col + start]
+    return values, near + np.bincount(np.concatenate(ends), minlength=n)
+
+
 def streamed_density(features: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     """``cutoff_distance`` and ``local_density`` of the features' distance
-    matrix, bit for bit, from one pass that holds no N x N array.
-
-    The matrix holds N zeros on its diagonal and every off-diagonal entry
-    twice.  So its rank r is 0 when r <= N, and otherwise the
-    ceil((r - N) / 2)-th smallest strictly-upper entry, which
-    ``_select_rank`` finds over the strictly-upper part of each
-    ``_upper_blocks`` block.  A pass also counts each sample's entries
-    below the bracket, in its row and in its column, and keeps where each
-    gathered entry sits; once the cutoff is placed, the gathered entries
-    below it count for both their row and their column.  The diagonal adds
-    one to every count when the cutoff is positive.  Features must be
-    finite, so that the diagonal is zero.
+    matrix, bit for bit, with no N x N array.  The matrix holds N zeros on
+    its diagonal and every off-diagonal entry twice, so its rank r is 0 when
+    r <= N and otherwise the ceil((r - N) / 2)-th smallest strictly-upper
+    entry; the diagonal adds one to every count when the cutoff is positive.
+    Features must be finite, so that the diagonal is zero.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -289,37 +323,8 @@ def streamed_density(features: np.ndarray, alpha: float) -> tuple[float, np.ndar
     rank = _rank(alpha, n * n)
     if rank <= n:
         return 0.0, np.zeros(n, dtype=np.int64)
-    near = np.empty(n, dtype=np.int64)
-    gathered = []
-
-    def scan(lo, hi):
-        near[:] = 0
-        gathered.clear()
-        strict = None
-        for start, block in _upper_blocks(feats):
-            r = block.shape[0]
-            if strict is None:
-                # only a block's own square reaches the diagonal and below it
-                strict = ~np.tri(r, dtype=bool)
-            low = block < lo
-            low[:, :r] &= strict[:r, :r]
-            near[start : start + r] += np.add.reduce(low, axis=1, dtype=np.int32)
-            near[start:] += np.add.reduce(low, axis=0, dtype=np.int32)
-            keep = block <= hi
-            keep[:, :r] &= strict[:r, :r]
-            keep ^= low
-            at = np.flatnonzero(keep)
-            gathered.append((start, block.shape[1], at, block.ravel()[at]))
-        # each entry below the bracket counts once in its row, once in its column
-        return int(near.sum()) // 2, [values for *_, values in gathered]
-
-    upper = n * (n - 1) // 2
-    d_c = _select_rank(scan, (rank - n + 1) // 2, upper, _pair_sample(feats, upper))
-    ends = []  # rank > n, so n >= 2 and there is at least one block
-    for start, width, at, values in gathered:
-        row, col = np.divmod(at[values < d_c], width)
-        ends += [row + start, col + start]
-    rho = near + np.bincount(np.concatenate(ends), minlength=n)
+    values, rho = upper_ranks(feats, (rank - n + 1) // 2)
+    d_c = float(values[0])
     rho += d_c > 0
     return d_c, rho
 
@@ -432,10 +437,7 @@ def detect_noisy_positives(
     for k, n, stream in zip(class_ids.tolist(), sizes.tolist(), streams.tolist()):
         members = rows[labels == k]
         feats = dataset.features[members]
-        finite = np.isfinite(feats).all(axis=1)
-        if not finite.all():
-            bad = dataset.ids[members[~finite][0]]
-            raise DatasetError(f"record {bad!r} has non-finite features")
+        require_finite([dataset.ids[r] for r in members.tolist()], feats)
         alpha = config.alpha[dataset.partition[k]]
         if stream:
             d_c, rho = streamed_density(feats, alpha)

@@ -229,17 +229,30 @@ class TestKnnVoteTies:
 
 
 class TestPoolMedian:
-    @pytest.mark.parametrize("m", [2, 3, 17, 40])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 40, 42, 43])
+    @pytest.mark.parametrize("kind", ["normal", "grid"])
     @pytest.mark.parametrize("block_rows", [1, 2, 5])
-    def test_matches_triangle_of_the_matrix(self, monkeypatch, m, block_rows):
+    @pytest.mark.parametrize("skew", [None, "below", "above", "middle"])
+    def test_matches_triangle_of_the_matrix(self, monkeypatch, m, kind, block_rows, skew):
+        # m mod 4 in {0, 1} gives an even pair count (two middle entries), in
+        # {2, 3} an odd one; the grid holds many equal distances
         d = 3
-        feats = np.random.default_rng(m).integers(-3, 4, size=(m, d)).astype(np.float64)
+        rng = np.random.default_rng(m)
+        if kind == "grid":
+            feats = rng.integers(-3, 4, size=(m, d)).astype(np.float64)
+        else:
+            feats = rng.normal(size=(m, d))
         upper = density.distance_matrix(feats)[np.triu_indices(m, k=1)]
-        expected = max(np.median(upper), KERNEL_SCALE_FLOOR)
+        expected = max(float(np.median(upper)), KERNEL_SCALE_FLOOR)
         # blocks of 1, 2 and 5 rows, the last one short when they do not divide m
         monkeypatch.setattr(density, "BLOCK_ELEMENTS", block_rows * m * d)
+        if skew is not None:
+            # a sample wholly below or above the distances, or all at the lower
+            # middle one: the first bracket misses one or both middle entries
+            at = {"below": -1.0, "above": 1e9, "middle": np.sort(upper)[(upper.size - 1) // 2]}
+            monkeypatch.setattr(density, "_pair_sample", lambda feats, size: np.full(64, at[skew]))
         pool = pool_of([rec(f"r{i}", 0, f) for i, f in enumerate(feats)], CorrectionConfig())
-        assert pool.scale == expected
+        assert pool.scale.hex() == expected.hex()
 
     def test_identical_features_take_the_floor(self):
         feats = [rec(f"r{i}", 0, [1.5, -2.0]) for i in range(6)]
@@ -256,7 +269,15 @@ class TestPoolMedian:
         finally:
             tracemalloc.stop()
         assert pool.scale > 0
-        assert peak < m * m * 8
+        # well below a copy of the m(m-1)/2 distances
+        assert peak < m * (m - 1) // 2 * 8 / 4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_rejected(self, value):
+        feats = np.zeros((4, 2))
+        feats[2, 1] = value
+        with pytest.raises(DatasetError, match="record 'r2' has non-finite features"):
+            Pool.build(["r0", "r1", "r2", "r3"], np.zeros(4), feats, CorrectionConfig())
 
 
 class TestCorrect:
@@ -363,6 +384,19 @@ class TestCorrect:
         ds, noisy_ids, clean_ids = self.surrounded_dataset()
         with pytest.raises(DatasetError, match="record 'bad': kernel weights are not finite"):
             correct_ids(noisy_ids, ds, clean_ids, CorrectionConfig(kernel_c=1e-200))
+
+    @pytest.mark.parametrize("where", ["pool", "flagged"])
+    def test_non_finite_features_are_rejected(self, where):
+        # six cleans and two flagged records on one pair; a NaN in the pool
+        # would make the median scale NaN, and one in a flagged record would
+        # leave its vote without neighbours
+        cleans = [rec(f"c{i}", 6, [float(i), 0.5 * i], pair=(1, 2)) for i in range(6)]
+        flagged = [rec(f"f{i}", 3, [0.5 + i, 1.0], pair=(1, 2)) for i in range(2)]
+        bad = cleans[4] if where == "pool" else flagged[1]
+        bad.feature[1] = np.nan
+        ds = build_dataset(cleans + flagged)
+        with pytest.raises(DatasetError, match=f"record '{bad.id}' has non-finite features"):
+            correct_ids(["f0", "f1"], ds, [c.id for c in cleans], CorrectionConfig())
 
     def test_ledger_sorted_by_id(self):
         cleans = [rec(f"c{i}", 6, [float(i) * 0.01], pair=(1, 2)) for i in range(8)]

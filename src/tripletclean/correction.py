@@ -6,12 +6,19 @@ votes weighted by a Gaussian kernel of their distance; the winning
 predicate replaces the old label unless it matches, in which case the
 record is kept as-is.  Clean pools are frozen before any correction is
 applied, so corrections never feed each other within a pass.
+
+Each vote screens its pool with one matrix-vector product and
+``density.screened_distances``' error bound, then computes exact
+distances only for the rows the bound cannot rule out of the K nearest,
+so the neighbors, their order and their weights are those of exact
+distances to every row.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +30,7 @@ from tripletclean.core import (
     read_jsonl,
     require_finite,
 )
-from tripletclean.density import upper_ranks
+from tripletclean.density import screened_distances, squared_norms, upper_ranks
 
 logger = logging.getLogger(__name__)
 
@@ -93,12 +100,18 @@ def _kernel_scale(pool_features: np.ndarray, config: CorrectionConfig) -> float:
 @dataclass(frozen=True, eq=False)
 class Pool:
     """Clean rows of one subject-object pair, with the kernel scale of all
-    their votes."""
+    their votes and the rows' squared norms, which screen each vote."""
 
     ids: tuple[str, ...]
     labels: np.ndarray
     features: np.ndarray
     scale: float
+    sq_norms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # an empty pool's features may be a 1-D empty array
+        norms = squared_norms(self.features) if len(self) else np.zeros(0)
+        object.__setattr__(self, "sq_norms", norms)
 
     @classmethod
     def build(cls, ids: Sequence[str], labels, features, config: CorrectionConfig) -> Pool:
@@ -119,19 +132,30 @@ def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) ->
     """
     if not len(pool):
         return VoteResult(label=None)
-    diff = pool.features - np.asarray(query_feature, dtype=np.float64)[None, :]
+    query = np.asarray(query_feature, dtype=np.float64)[None, :]
+    k = min(config.k, len(pool))
+    approx, bound = screened_distances(query, pool.features, pool.sq_norms)
+    approx, bound = approx[0], float(bound[0])
+    if math.isfinite(bound):
+        # The exact k-th distance is at most the approximate one plus the
+        # bound, so a row within it lies within twice the bound of the
+        # approximate k-th distance: only such rows can be neighbors.
+        rows = np.flatnonzero(approx <= np.partition(approx, k - 1)[k - 1] + 2 * bound)
+    else:
+        rows = np.arange(len(pool))
+    diff = pool.features[rows] - query
     diff *= diff
     dists = np.sum(diff, axis=1)
     # Every row within the k-th smallest distance, in row order: their
     # stable sort starts with the same k rows, in the same order, as a
     # stable sort of the whole pool.
-    k = min(config.k, len(pool))
     kth = np.partition(dists, k - 1)[k - 1]
     near = np.flatnonzero(dists <= kth)
-    order = near[np.argsort(dists[near], kind="stable")][:k]
+    near = near[np.argsort(dists[near], kind="stable")][:k]
+    order = rows[near]
 
     c = pool.scale
-    d = dists[order]
+    d = dists[near]
     weights = config.kernel_a * np.exp(-((d - config.kernel_b) ** 2) / (2.0 * c * c))
 
     score: dict[int, float] = {}

@@ -12,13 +12,22 @@ Memory: a class whose N*N entries fit in ``BLOCK_ELEMENTS`` (N <= 362)
 gets its matrix, in one buffer sized for the largest such class; the
 cutoff is found by exact bracketed selection and the densities are
 counted over row blocks of it.  A larger class is streamed: one
-``upper_ranks`` pass over the strictly-upper row blocks places the cutoff
+``upper_ranks`` pass over the strictly-upper row strips places the cutoff
 and counts the densities with no N x N array, so memory stays bounded
 however large a class is; the nsc pool median is its second caller.  The
-temporaries are row blocks of at most ``BLOCK_ELEMENTS`` entries, the
+temporaries are row strips of at most ``BLOCK_ELEMENTS`` entries, the
 sample of about pool**(2/3) entries and its bracket, a few times that;
 the streamed pass also keeps each gathered entry's place and one count
 per sample.
+
+Speed: the streamed pass screens each strip with BLAS.  One GEMM gives
+every entry an approximate distance, ‖x‖² + ‖y‖² − 2·x·y, and
+``screened_distances`` a bound on its error, valid for any summation
+order; an entry that the bound places below or past the selection's
+bracket is counted or skipped, and only the rest are computed the way
+``distance_matrix`` computes them.  So the cutoff, every density and
+the pool median keep their bits.  The nsc vote screens its pool the same
+way, through the same helper.
 """
 
 from __future__ import annotations
@@ -207,24 +216,96 @@ def _sample(matrix: np.ndarray, size: int) -> np.ndarray:
     return matrix[_lattice(*matrix.shape, size)]
 
 
-def _pair_sample(feats: np.ndarray, size: int) -> np.ndarray:
-    """Squared distances of the lattice's off-diagonal (i, j) pairs of an
-    N x d array, computed in chunks of at most ``BLOCK_ELEMENTS`` values.
-
-    The lattice spans the whole N x N matrix, so the sample is uniform over
-    the pairs; entry (i, j) equals entry (j, i).
-    """
-    n, d = feats.shape
-    rows, cols = _lattice(n, n, size)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
+def _pair_distances(feats: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared distances between rows ``rows[i]`` and ``cols[i]`` of an
+    N x d array, each bit-identical to the same entry of ``distance_matrix``,
+    computed in chunks of at most ``BLOCK_ELEMENTS`` differences."""
     out = np.empty(rows.size)
-    step = max(1, BLOCK_ELEMENTS // max(1, d))
+    step = max(1, BLOCK_ELEMENTS // max(1, feats.shape[1]))
     for lo in range(0, rows.size, step):
         diff = feats[rows[lo : lo + step]] - feats[cols[lo : lo + step]]
         diff *= diff
         np.sum(diff, axis=-1, out=out[lo : lo + step])
     return out
+
+
+def _pair_sample(feats: np.ndarray, size: int) -> np.ndarray:
+    """Squared distances of the lattice's off-diagonal (i, j) pairs of an
+    N x d array.
+
+    The lattice spans the whole N x N matrix, so the sample is uniform over
+    the pairs; entry (i, j) equals entry (j, i).
+    """
+    n = feats.shape[0]
+    rows, cols = _lattice(n, n, size)
+    off = rows != cols
+    return _pair_distances(feats, rows[off], cols[off])
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.T`` over the last two axes: every dot product the distance
+    screen takes goes through here, in whatever order BLAS sums it."""
+    return a @ np.swapaxes(b, -1, -2)
+
+
+def squared_norms(feats: np.ndarray) -> np.ndarray:
+    """Each row's squared Euclidean norm, by ``_products``; one that
+    overflows is infinite, and makes the row's screening bound infinite."""
+    with np.errstate(over="ignore"):
+        return _products(feats[:, None, :], feats[:, None, :])[:, 0, 0]
+
+
+def screened_distances(
+    a: np.ndarray, b: np.ndarray, b_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate squared distances between the rows of ``a`` and ``b``
+    (``b_sq`` the ``squared_norms`` of ``b``), and for each row of ``a`` a
+    bound E on their error.
+
+    The approximation D̃ of an entry is ‖x‖² + ‖y‖² − 2·x·y, from one GEMM.
+    Let D' be the same entry as ``distance_matrix`` computes it, D the
+    exact squared distance, s = ‖x‖, R the largest row norm of ``b``,
+    u = 2^-53 and γ_n = n·u / (1 − n·u) (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., §3.1 and §3.5).  E is chosen so that
+
+        E·(1 − u) >= (1 + u)·|D̃ − D'| + 2u·(s + R)²,
+
+    which makes every decision a threshold t takes exact: D̃ < fl(t − E)
+    implies D' < t, D̃ > fl(t + E) implies D' > t, and the rounding of
+    t ∓ E (or of a k-th distance plus 2E) is covered by the last term.
+    For d·u < 0.01:
+
+    - D̃ sums the d + 2 terms −2·x_k·y_k, ‖x‖², ‖y‖² (the computed norms)
+      in some order, with or without fused multiply-adds (scaling by −2 is
+      exact), so it lies within γ_{d+2}·(1 + γ_d)·(s + R)² of the same sum
+      of exact terms.
+    - The computed norms lie within γ_d·(s² + R²) of the exact ones, so
+      that sum lies within γ_d·(s + R)² of D.
+    - D' rounds each difference and square once and sums d non-negative
+      terms: |D' − D| <= γ_{d+2}·D <= γ_{d+2}·(s + R)².
+
+    So |D̃ − D'| <= (3.1·d + 4.1)·u·(s + R)², and the condition needs
+    E >= (3.1·d + 6.3)·u·(s + R)².  E is 4·(d + 8)·u·(s + R)² from the
+    computed norms, at least 3.9·(d + 8)·u·(s + R)² however the norms,
+    their square roots and E itself round, plus (d + 8)·2^-1020: a
+    product, square or norm that underflows errs by at most 2^-1074
+    beyond the relative model, at most 6·d·2^-1075 in all.  Where
+    (s + R)² reaches 2^1000 an intermediate may overflow, so E is
+    infinite, as it is for a non-finite row: no threshold then decides
+    and every entry is computed exactly.
+    """
+    d = a.shape[1]
+    a_sq = squared_norms(a)
+    # an overflow here only makes E infinite, so it warns of nothing
+    with np.errstate(all="ignore"):
+        approx = _products(-2.0 * a, b)
+        approx += a_sq[:, None]
+        approx += b_sq
+        scale = (np.sqrt(a_sq) + math.sqrt(b_sq.max())) ** 2
+        bound = np.where(
+            scale < 2.0**1000, scale * (4 * (d + 8) * 2.0**-53) + (d + 8) * 2.0**-1020, np.inf
+        )
+    return approx, bound
 
 
 def _rank(alpha: float, size: int) -> int:
@@ -274,38 +355,65 @@ def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarra
     """The rank-th to (rank + count - 1)-th smallest (1-based) strictly-upper
     entries of the squared-distance matrix of a finite N x d float64 array,
     ascending, and each sample's count of strictly-upper entries below the
-    first of them in its row or column.  Each ``_select_rank`` pass over the
-    ``_upper_blocks`` counts the entries below the bracket and keeps where
-    each gathered one sits: no N x N array, entry copy or second pass.
+    first of them in its row or column.
+
+    Each ``_select_rank`` pass goes over row strips of at most
+    ``BLOCK_ELEMENTS`` entries, each row paired with every later row.  A
+    strip's ``screened_distances`` decide most entries against the bracket
+    [lo, hi] by their error bound E: below lo when D̃ < lo − E, past hi
+    when D̃ > hi + E.  Only the rest are computed exactly, as
+    ``distance_matrix`` computes them, and placed by that value; so every
+    count and entry is the one a scan of exact distances gives.  The pass
+    counts the entries below the bracket and keeps where each gathered one
+    sits: no N x N array, entry copy or second pass.
     """
     n = feats.shape[0]
+    sq = squared_norms(feats)
     near = np.empty(n, dtype=np.int64)
     gathered = []
 
     def scan(lo, hi):
         near[:] = 0
         gathered.clear()
-        for start, block in _upper_blocks(feats):
-            r = block.shape[0]
-            # NaN, never below or inside a bracket, masks the block's own diagonal and below
-            block[:, :r][np.tri(r, dtype=bool)] = math.nan
-            low = block < lo
-            near[start : start + r] += np.add.reduce(low, axis=1, dtype=np.int32)
+        start = 0
+        while start < n:
+            stop = min(n, start + max(1, BLOCK_ELEMENTS // (n - start)))
+            r = stop - start
+            approx, bound = screened_distances(feats[start:stop], feats[start:], sq[start:])
+            # one bound for the strip, its largest; in float arithmetic a
+            # threshold that overflows, or is NaN (inf - inf), decides nothing
+            bound = float(bound.max())
+            low = approx < lo - bound
+            # neither below nor past: a NaN entry (an overflow) is undecided too
+            undecided = approx > hi + bound
+            undecided |= low
+            np.logical_not(undecided, out=undecided)
+            # in the strip's own square only the entries right of the diagonal count
+            upper = ~np.tri(r, dtype=bool)
+            low[:, :r] &= upper
+            undecided[:, :r] &= upper
+            del approx
+            near[start:stop] += np.add.reduce(low, axis=1, dtype=np.int32)
             near[start:] += np.add.reduce(low, axis=0, dtype=np.int32)
-            keep = block <= hi
-            keep ^= low
-            at = np.flatnonzero(keep)
-            gathered.append((start, block.shape[1], at, block.ravel()[at]))
+            rows, cols = np.divmod(np.flatnonzero(undecided), n - start)
+            rows += start
+            cols += start
+            exact = _pair_distances(feats, rows, cols)
+            below = exact < lo
+            if below.any():
+                ends = np.concatenate([rows[below], cols[below]])
+                near[start:] += np.bincount(ends - start, minlength=n - start)
+            keep = exact <= hi
+            keep ^= below
+            gathered.append((rows[keep] * n + cols[keep], exact[keep]))
+            start = stop
         # each entry below the bracket counts once in its row, once in its column
-        return int(near.sum()) // 2, [values for *_, values in gathered]
+        return int(near.sum()) // 2, [values for _, values in gathered]
 
     size = n * (n - 1) // 2
     values = _select_rank(scan, rank, size, _pair_sample(feats, size), count)
-    ends = []  # the ranks exist, so n >= 2 and there is at least one block
-    for start, width, at, inside in gathered:
-        row, col = np.divmod(at[inside < values[0]], width)
-        ends += [row + start, col + start]
-    return values, near + np.bincount(np.concatenate(ends), minlength=n)
+    at = np.concatenate([where[inside < values[0]] for where, inside in gathered])
+    return values, near + np.bincount(np.concatenate(np.divmod(at, n)), minlength=n)
 
 
 def streamed_density(features: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:

@@ -8,6 +8,7 @@ import pytest
 
 from tripletclean.core import NO_LABEL, Dataset, DatasetError
 from tripletclean import correction, density
+from test_density import FEATURE_KINDS, SCREEN_DIMS, adversarial_features
 from tripletclean.correction import (
     KERNEL_SCALE_FLOOR,
     CorrectionConfig,
@@ -278,6 +279,37 @@ class TestPoolMedian:
         feats[2, 1] = value
         with pytest.raises(DatasetError, match="record 'r2' has non-finite features"):
             Pool.build(["r0", "r1", "r2", "r3"], np.zeros(4), feats, CorrectionConfig())
+
+
+class TestScreenedVote:
+    """``knn_vote`` computes exact distances only for rows its screen cannot
+    rule out, and ``Pool.build``'s median scans screened distances; both
+    must equal the unscreened results on data that defeats the screen."""
+
+    @pytest.mark.parametrize("d", SCREEN_DIMS)
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3, 40])
+    def test_matches_full_stable_sort(self, kind, d, m):
+        feats = adversarial_features(kind, m + 2, d, 7)
+        config = CorrectionConfig(k=3, kernel_c=1.0)
+        labels = np.arange(m) % 3
+        pool = Pool.build([f"r{i}" for i in range(m)], labels, feats[:m], config)
+        queries = [feats[0], feats[m - 1], feats[m], feats[m + 1], np.nextafter(feats[0], 0)]
+        # the weights of distances near 1e300 overflow their square
+        with np.errstate(over="ignore"):
+            for q in queries:
+                assert knn_vote(q, pool, config) == oracle_vote(q, pool, config)
+
+    @pytest.mark.parametrize("d", SCREEN_DIMS)
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    def test_pool_median_matches_the_matrix(self, monkeypatch, kind, d):
+        m = 41
+        feats = adversarial_features(kind, m, d, 8)
+        upper = density.distance_matrix(feats)[np.triu_indices(m, k=1)]
+        expected = max(float(np.median(upper)), KERNEL_SCALE_FLOOR)
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", 3 * m)
+        pool = Pool.build([f"r{i}" for i in range(m)], np.zeros(m), feats, CorrectionConfig())
+        assert pool.scale.hex() == expected.hex()
 
 
 class TestCorrect:

@@ -10,6 +10,7 @@ import pytest
 
 from tripletclean import density
 
+from tripletclean.correction import CorrectionConfig, Pool, knn_vote
 from tripletclean.core import (
     NO_LABEL,
     Dataset,
@@ -112,6 +113,61 @@ def assert_streams_like_the_matrix(feats, alpha):
     assert streamed_d_c == d_c
     assert streamed_rho.dtype == rho.dtype
     np.testing.assert_array_equal(streamed_rho, rho)
+
+
+def unscreened_upper_ranks(feats, rank, count=1):
+    """``upper_ranks`` by a scan of exact distances over ``_upper_blocks``,
+    with no screen: the reference the screened scan must equal."""
+    n = feats.shape[0]
+    near = np.empty(n, dtype=np.int64)
+    gathered = []
+
+    def scan(lo, hi):
+        near[:] = 0
+        gathered.clear()
+        for start, block in density._upper_blocks(feats):
+            r = block.shape[0]
+            block[:, :r][np.tri(r, dtype=bool)] = np.nan
+            low = block < lo
+            near[start : start + r] += low.sum(axis=1)
+            near[start:] += low.sum(axis=0)
+            keep = (block <= hi) & ~low
+            rows, cols = np.nonzero(keep)
+            gathered.append((rows + start, cols + start, block[keep]))
+        return int(near.sum()) // 2, [values for *_, values in gathered]
+
+    size = n * (n - 1) // 2
+    values = density._select_rank(scan, rank, size, density._pair_sample(feats, size), count)
+    counts = near.copy()
+    for rows, cols, inside in gathered:
+        np.add.at(counts, rows[inside < values[0]], 1)
+        np.add.at(counts, cols[inside < values[0]], 1)
+    return values, counts
+
+
+def adversarial_features(kind, n, d, seed):
+    """n x d features on which the screen's bound is tested hardest."""
+    rng = np.random.default_rng([seed, n, d])
+    if kind == "offset 1e4":
+        return 1e4 + rng.normal(size=(n, d))
+    if kind == "offset 1e8":  # nearly every entry is within the bound of the bracket
+        return 1e8 + rng.normal(size=(n, d))
+    if kind == "grid":  # few distinct distances, heavy ties
+        return rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    if kind == "duplicates":
+        base = rng.normal(size=((n + 3) // 4, d))
+        return base[rng.integers(0, len(base), size=n)]
+    if kind == "subnormal":  # squared distances below 2^-1022
+        return rng.normal(size=(n, d)) * 1e-160
+    if kind == "huge":
+        # above load_dataset's sqrt(float_max / (4d)), so the norms and
+        # products overflow while every distance stays finite
+        return 1e154 * (1.0 + 1e-4 * rng.normal(size=(n, d)))
+    raise ValueError(kind)
+
+
+FEATURE_KINDS = ["offset 1e4", "offset 1e8", "grid", "duplicates", "subnormal", "huge"]
+SCREEN_DIMS = [1, 7, 8, 9, 64, 300]
 
 
 def report_values(report):
@@ -380,6 +436,120 @@ class TestStreamedDensity:
         for alpha in (0.0, 101.0):
             with pytest.raises(DatasetError):
                 streamed_density(np.zeros((3, 2)), alpha)
+
+
+class TestScreenedScan:
+    """``upper_ranks`` decides most entries by an error bound on BLAS
+    distances; every result must equal the scan of exact distances."""
+
+    @pytest.mark.parametrize("d", SCREEN_DIMS)
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    def test_matches_the_unscreened_scan(self, monkeypatch, kind, d):
+        n = 45
+        feats = adversarial_features(kind, n, d, 1)
+        size = n * (n - 1) // 2
+        # strips of a few rows, so most of them hold part of the diagonal
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", 4 * n)
+        for rank in sorted({1, 2, size // 9, size // 2, size // 2 + 1, size - 1}):
+            values, counts = density.upper_ranks(feats, rank, 2)
+            expected, expected_counts = unscreened_upper_ranks(feats, rank, 2)
+            assert values.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(counts, expected_counts)
+
+    @pytest.mark.parametrize("d", SCREEN_DIMS)
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    def test_streams_like_the_matrix(self, kind, d):
+        feats = adversarial_features(kind, 40, d, 2)
+        for alpha in (3.0, 12.5, 50.0, 99.0):
+            assert_streams_like_the_matrix(feats, alpha)
+
+    @pytest.mark.parametrize("d", SCREEN_DIMS)
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    def test_a_bracket_pinned_to_the_answer(self, monkeypatch, kind, d):
+        # lo = hi = the answer, so every entry the screen misplaces by one
+        # side of it changes a count
+        n = 40
+        feats = adversarial_features(kind, n, d, 9)
+        size = n * (n - 1) // 2
+        for rank in (size // 5, size // 2):
+            expected, expected_counts = unscreened_upper_ranks(feats, rank)
+            pinned = np.full(4096, expected[0])
+            monkeypatch.setattr(density, "_pair_sample", lambda feats, size: pinned.copy())
+            values, counts = density.upper_ranks(feats, rank)
+            assert values.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(counts, expected_counts)
+
+    def test_grid_rank_boundaries_match_the_unscreened_scan(self, monkeypatch):
+        feats = adversarial_features("grid", 50, 8, 3)
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", 300)
+        upper = distance_matrix(feats)[np.triu_indices(50, k=1)]
+        for rank in boundary_ranks(np.sort(upper)):
+            values, counts = density.upper_ranks(feats, rank)
+            expected, expected_counts = unscreened_upper_ranks(feats, rank)
+            assert values.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(counts, expected_counts)
+
+    def test_distances_that_overflow_match_the_unscreened_scan(self):
+        # rows near 0 and near 1e154 alternate: every cross distance is inf
+        feats = adversarial_features("huge", 40, 3, 4)
+        feats[::2] = np.random.default_rng(4).normal(size=(20, 3))
+        size = 40 * 39 // 2
+        with np.errstate(over="ignore"):
+            for rank in (1, size // 4, size // 2, size):
+                values, counts = density.upper_ranks(feats, rank)
+                expected, expected_counts = unscreened_upper_ranks(feats, rank)
+                assert values.tobytes() == expected.tobytes()
+                np.testing.assert_array_equal(counts, expected_counts)
+        assert np.isinf(values[0])
+
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    def test_bound_covers_every_entry(self, kind):
+        # |approximate - exact| <= E wherever E is finite
+        for d in SCREEN_DIMS:
+            feats = adversarial_features(kind, 30, d, 5)
+            sq = density.squared_norms(feats)
+            approx, bound = density.screened_distances(feats, feats, sq)
+            exact = distance_matrix(feats)
+            finite = np.isfinite(bound)
+            assert kind != "huge" or not finite.any()
+            assert (np.abs(approx - exact) <= bound[:, None])[finite].all()
+
+
+# dot products summed in orders other than BLAS's
+PRODUCT_SWAPS = {
+    "reversed": lambda a, b: a[..., ::-1] @ np.swapaxes(b[..., ::-1], -1, -2),
+    "einsum": lambda a, b: np.einsum("...ik,...jk->...ij", a, b),
+}
+
+
+class TestAnySummationOrder:
+    """The screen's guarantee holds for every order of summing its dot
+    products, not only the one this BLAS uses."""
+
+    def outcomes(self):
+        """Streamed densities, pool medians and votes over data where the
+        screen refines many entries."""
+        config = CorrectionConfig(k=3)
+        out = []
+        for kind in ("offset 1e4", "offset 1e8", "grid", "subnormal"):
+            for d in (1, 9, 64):
+                feats = adversarial_features(kind, 60, d, 6)
+                d_c, rho = streamed_density(feats, 25.0)
+                pool = Pool.build([f"r{i}" for i in range(50)], np.arange(50) % 4, feats[:50], config)
+                votes = [knn_vote(q, pool, config) for q in feats[50:]]
+                out.append((d_c.hex(), rho.tolist(), pool.scale.hex(), votes))
+        return out
+
+    @pytest.mark.parametrize("swap", sorted(PRODUCT_SWAPS))
+    def test_results_do_not_depend_on_the_order(self, monkeypatch, swap):
+        expected = self.outcomes()
+        feats = adversarial_features("offset 1e4", 60, 64, 6)
+        sq = density.squared_norms(feats)
+        approx, _ = density.screened_distances(feats, feats, sq)
+        monkeypatch.setattr(density, "_products", PRODUCT_SWAPS[swap])
+        swapped, _ = density.screened_distances(feats, feats, sq)
+        assert not np.array_equal(swapped, approx)  # the swap changes the screen
+        assert self.outcomes() == expected
 
 
 class TestSplitSubsets:

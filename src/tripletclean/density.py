@@ -295,9 +295,9 @@ def screened_distances(
     and every entry is computed exactly.
     """
     d = a.shape[1]
-    a_sq = squared_norms(a)
     # an overflow here only makes E infinite, so it warns of nothing
     with np.errstate(all="ignore"):
+        a_sq = _products(a[:, None, :], a[:, None, :])[:, 0, 0]  # squared_norms(a), in this state
         approx = _products(-2.0 * a, b)
         approx += a_sq[:, None]
         approx += b_sq

@@ -297,7 +297,8 @@ def screened_distances(
     d = a.shape[1]
     # an overflow here only makes E infinite, so it warns of nothing
     with np.errstate(all="ignore"):
-        a_sq = _products(a[:, None, :], a[:, None, :])[:, 0, 0]  # squared_norms(a), in this state
+        # squared_norms(a), under this errstate
+        a_sq = _products(a[:, None, :], a[:, None, :])[:, 0, 0]
         approx = _products(-2.0 * a, b)
         approx += a_sq[:, None]
         approx += b_sq

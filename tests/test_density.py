@@ -535,7 +535,8 @@ class TestAnySummationOrder:
             for d in (1, 9, 64):
                 feats = adversarial_features(kind, 60, d, 6)
                 d_c, rho = streamed_density(feats, 25.0)
-                pool = Pool.build([f"r{i}" for i in range(50)], np.arange(50) % 4, feats[:50], config)
+                ids = [f"r{i}" for i in range(50)]
+                pool = Pool.build(ids, np.arange(50) % 4, feats[:50], config)
                 votes = [knn_vote(q, pool, config) for q in feats[50:]]
                 out.append((d_c.hex(), rho.tolist(), pool.scale.hex(), votes))
         return out

@@ -8,10 +8,10 @@ record is kept as-is.  Clean pools are frozen before any correction is
 applied, so corrections never feed each other within a pass.
 
 Each vote screens its pool with one matrix-vector product and
-``density.screened_distances``' error bound, then computes exact
-distances only for the rows the bound cannot rule out of the K nearest,
-so the neighbors, their order and their weights are those of exact
-distances to every row.
+``density.screened_distances``' error bound, then computes
+``density.exact_distances`` only for the rows the bound cannot rule out
+of the K nearest, so the neighbors, their order and their weights are
+those of exact distances to every row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from tripletclean.core import (
     read_jsonl,
     require_finite,
 )
-from tripletclean.density import screened_distances, squared_norms, upper_ranks
+from tripletclean.density import exact_distances, screened_distances, squared_norms, upper_ranks
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +55,10 @@ class CorrectionConfig:
     def __post_init__(self):
         if self.k < 1:
             raise DatasetError("k must be at least 1")
+        for name in ("kernel_a", "kernel_b", "kernel_c"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DatasetError(f"{name} must be finite, got {value}")
         if self.kernel_a <= 0:
             raise DatasetError("kernel_a must be positive")
         if self.kernel_c is not None and self.kernel_c <= 0:
@@ -143,15 +147,10 @@ def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) ->
         rows = np.flatnonzero(approx <= np.partition(approx, k - 1)[k - 1] + 2 * bound)
     else:
         rows = np.arange(len(pool))
-    diff = pool.features[rows] - query
-    diff *= diff
-    dists = np.sum(diff, axis=1)
-    # Every row within the k-th smallest distance, in row order: their
-    # stable sort starts with the same k rows, in the same order, as a
-    # stable sort of the whole pool.
-    kth = np.partition(dists, k - 1)[k - 1]
-    near = np.flatnonzero(dists <= kth)
-    near = near[np.argsort(dists[near], kind="stable")][:k]
+    dists = exact_distances(pool.features[rows], query)
+    # The candidate rows ascend, so a stable sort of their distances starts
+    # with the same k rows, in the same order, as one of the whole pool.
+    near = np.argsort(dists, kind="stable")[:k]
     order = rows[near]
 
     c = pool.scale

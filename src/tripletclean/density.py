@@ -9,25 +9,26 @@ densities splits the class into subsets; the subset with the lowest mean
 density is flagged as noisy.
 
 Memory: a class whose N*N entries fit in ``BLOCK_ELEMENTS`` (N <= 362)
-gets its matrix, in one buffer sized for the largest such class; the
-cutoff is found by exact bracketed selection and the densities are
-counted over row blocks of it.  A larger class is streamed: one
-``upper_ranks`` pass over the strictly-upper row strips places the cutoff
-and counts the densities with no N x N array, so memory stays bounded
-however large a class is; the nsc pool median is its second caller.  The
-temporaries are row strips of at most ``BLOCK_ELEMENTS`` entries, the
-sample of about pool**(2/3) entries and its bracket, a few times that;
-the streamed pass also keeps each gathered entry's place and one count
-per sample.
+gets its matrix, in one buffer sized for the largest such class, so the
+pipeline only ever passes one block of at most 1 MB to
+``cutoff_distance`` and ``local_density``: the cutoff partitions one copy
+of it, and the densities are counted over it in one pass.  A larger class
+is streamed: one ``upper_ranks`` pass over the strictly-upper row strips
+places the cutoff and counts the densities with no N x N array, so memory
+stays bounded however large a class is; the nsc pool median is its second
+caller.  Its temporaries are row strips of at most ``BLOCK_ELEMENTS``
+entries, the sample of about pool**(2/3) entries and its bracket, a few
+times that, each gathered entry's place and one count per sample.
 
-Speed: the streamed pass screens each strip with BLAS.  One GEMM gives
-every entry an approximate distance, ‖x‖² + ‖y‖² − 2·x·y, and
-``screened_distances`` a bound on its error, valid for any summation
-order; an entry that the bound places below or past the selection's
-bracket is counted or skipped, and only the rest are computed the way
-``distance_matrix`` computes them.  So the cutoff, every density and
-the pool median keep their bits.  The nsc vote screens its pool the same
-way, through the same helper.
+Speed: every exact distance, in the matrix, the stream and the nsc vote,
+comes from ``exact_distances``.  The streamed pass screens each strip
+with BLAS.  One GEMM gives every entry an approximate distance,
+‖x‖² + ‖y‖² − 2·x·y, and ``screened_distances`` a bound on its error,
+valid for any summation order; an entry that the bound places below or
+past the selection's bracket is counted or skipped, and only the rest
+are computed exactly.  So the cutoff, every density and the pool median
+keep their bits.  The nsc vote screens its pool the same way, through the
+same helper.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ logger = logging.getLogger(__name__)
 KMEANS_MAX_ITER = 200
 
 # Element budget of every per-block temporary: distance_matrix's
-# differences, the cutoff and density passes' row blocks (1 MB of float64).
-# A class with more than this many N*N entries gets no matrix: it streams.
+# differences and the streamed pass's row strips (1 MB of float64).  A
+# class with more than this many N*N entries gets no matrix: it streams.
 BLOCK_ELEMENTS = 1 << 17
 
 DEFAULT_ALPHA = {Part.HEAD: 12.5, Part.BODY: 25.0, Part.TAIL: 50.0}
@@ -87,6 +88,19 @@ class DensityConfig:
             raise DatasetError("min_class_size must be positive")
 
 
+def exact_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``,
+    broadcast against each other over their leading axes.
+
+    This is the one exact kernel: the differences are squared in place and
+    reduced with ``np.sum``'s pairwise order, so each distance is
+    bit-identical to summing the pair's 1-D slice of squared differences.
+    """
+    diff = a - b
+    diff *= diff
+    return np.sum(diff, axis=-1)
+
+
 def _upper_blocks(feats: np.ndarray):
     """Yield ``(lo, block)`` over row blocks of a float64 N x d array.
 
@@ -100,13 +114,7 @@ def _upper_blocks(feats: np.ndarray):
     n, d = feats.shape
     rows = max(1, BLOCK_ELEMENTS // max(1, n * d))
     for lo in range(0, n, rows):
-        # Squared differences are reduced with np.sum's pairwise order so the
-        # result is bit-identical to summing each pair's 1-D slice directly.
-        diff = feats[lo : lo + rows, None, :] - feats[None, lo:, :]
-        diff *= diff
-        block = np.sum(diff, axis=-1)
-        del diff  # not kept alive while the caller uses the block
-        yield lo, block
+        yield lo, exact_distances(feats[lo : lo + rows, None, :], feats[None, lo:, :])
 
 
 def distance_matrix(features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -132,15 +140,6 @@ def distance_matrix(features: np.ndarray, out: np.ndarray | None = None) -> np.n
         out[lo:hi, lo:] = block
         out[lo:hi, :lo] = out[:lo, lo:hi].T
     return out
-
-
-def _row_blocks(matrix: np.ndarray):
-    """Yield row blocks of at most ``BLOCK_ELEMENTS`` entries (one row when
-    a row is larger), each a view of ``matrix``, never a copy."""
-    n_rows, n_cols = matrix.shape
-    rows = max(1, BLOCK_ELEMENTS // max(1, n_cols))
-    for lo in range(0, n_rows, rows):
-        yield matrix[lo : lo + rows]
 
 
 def _select_rank(scan, rank: int, size: int, sample: np.ndarray, count: int = 1) -> np.ndarray:
@@ -179,65 +178,37 @@ def _select_rank(scan, rank: int, size: int, sample: np.ndarray, count: int = 1)
         margin *= 4
 
 
-def _gather(blocks, lo: float, hi: float) -> tuple[int, list[np.ndarray]]:
-    """One ``_select_rank`` pass over whole blocks: the count of entries
-    below ``lo`` and the entries in ``[lo, hi]``."""
-    below = 0
-    inside = []
-    for block in blocks:
-        low = block < lo
-        below += np.count_nonzero(low)
-        keep = block <= hi
-        keep ^= low  # lo <= hi, so this leaves lo <= entry <= hi
-        # extract works on the raveled block, much faster than a 2-D mask
-        inside.append(np.extract(keep, block))
-    return below, inside
-
-
-def _lattice(n_rows: int, n_cols: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of about ``size ** (2/3)`` entries of an
-    n_rows x n_cols matrix on a golden-ratio lattice.
-
-    Entry k sits in row k * n_rows // m and at column fraction frac(k * phi),
-    so the sample pairs many distinct rows with many distinct columns and
-    never aliases with the matrix's shape.
-    """
-    k = np.arange(math.ceil(size ** (2 / 3)))
-    cols = k * 0.6180339887498949
-    cols %= 1.0
-    cols *= n_cols
-    rows = k * n_rows
-    rows //= k.size
-    return rows, cols.astype(np.intp)
-
-
-def _sample(matrix: np.ndarray, size: int) -> np.ndarray:
-    """The matrix's entries on the lattice; only they are copied."""
-    return matrix[_lattice(*matrix.shape, size)]
-
-
 def _pair_distances(feats: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Squared distances between rows ``rows[i]`` and ``cols[i]`` of an
+    """``exact_distances`` between rows ``rows[i]`` and ``cols[i]`` of an
     N x d array, each bit-identical to the same entry of ``distance_matrix``,
-    computed in chunks of at most ``BLOCK_ELEMENTS`` differences."""
+    computed in chunks whose two gathered row sets and their differences
+    hold at most ``BLOCK_ELEMENTS`` values together."""
     out = np.empty(rows.size)
-    step = max(1, BLOCK_ELEMENTS // max(1, feats.shape[1]))
+    step = max(1, BLOCK_ELEMENTS // max(1, 3 * feats.shape[1]))
     for lo in range(0, rows.size, step):
-        diff = feats[rows[lo : lo + step]] - feats[cols[lo : lo + step]]
-        diff *= diff
-        np.sum(diff, axis=-1, out=out[lo : lo + step])
+        at = slice(lo, lo + step)
+        out[at] = exact_distances(feats[rows[at]], feats[cols[at]])
     return out
 
 
 def _pair_sample(feats: np.ndarray, size: int) -> np.ndarray:
-    """Squared distances of the lattice's off-diagonal (i, j) pairs of an
-    N x d array.
+    """Squared distances of about ``size ** (2/3)`` off-diagonal (i, j)
+    pairs of an N x d array, on a golden-ratio lattice over the N x N matrix.
 
-    The lattice spans the whole N x N matrix, so the sample is uniform over
-    the pairs; entry (i, j) equals entry (j, i).
+    Entry k of the m sits in row k * N // m and at column fraction
+    frac(k * phi), so the sample pairs many distinct rows with many distinct
+    columns and never aliases with the matrix's shape.  The lattice spans
+    the whole matrix, so the sample is uniform over the pairs; entry (i, j)
+    equals entry (j, i).
     """
     n = feats.shape[0]
-    rows, cols = _lattice(n, n, size)
+    k = np.arange(math.ceil(size ** (2 / 3)))
+    cols = k * 0.6180339887498949
+    cols %= 1.0
+    cols *= n
+    cols = cols.astype(np.intp)
+    rows = k * n
+    rows //= k.size
     off = rows != cols
     return _pair_distances(feats, rows[off], cols[off])
 
@@ -263,10 +234,10 @@ def screened_distances(
     bound E on their error.
 
     The approximation D̃ of an entry is ‖x‖² + ‖y‖² − 2·x·y, from one GEMM.
-    Let D' be the same entry as ``distance_matrix`` computes it, D the
-    exact squared distance, s = ‖x‖, R the largest row norm of ``b``,
-    u = 2^-53 and γ_n = n·u / (1 − n·u) (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., §3.1 and §3.5).  E is chosen so that
+    Let D' be the entry's ``exact_distances`` value, D the exact squared
+    distance, s = ‖x‖, R the largest row norm of ``b``, u = 2^-53 and
+    γ_n = n·u / (1 − n·u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., §3.1 and §3.5).  E is chosen so that
 
         E·(1 − u) >= (1 + u)·|D̃ − D'| + 2u·(s + R)²,
 
@@ -319,37 +290,27 @@ def _rank(alpha: float, size: int) -> int:
 
 
 def cutoff_distance(matrix: np.ndarray, alpha: float) -> float:
-    """The rank-th smallest entry of the pool, found by exact bracketed
-    selection.
+    """The rank-th smallest matrix entry, diagonal zeros included; the rank
+    is ceil(alpha/100 * N*N), 1-based, and NaN sorts last.
 
-    The pool is every matrix entry, diagonal zeros included; the rank is
-    ceil(alpha/100 * pool size), 1-based.  A sample of about pool**(2/3)
-    entries brackets the rank; one pass over row blocks counts the entries
-    below the bracket and gathers those inside it, and partitioning the
-    gathered entries places the rank.  A bracket that misses widens until
-    it holds the rank, so the result is always the entry that sorting the
-    whole pool would give (NaN sorts last).  Neither the pool nor the
-    matrix is copied.
+    Partitioning one copy of the matrix places the rank exactly.  The
+    pipeline only ever passes one block (N*N <= ``BLOCK_ELEMENTS``), so the
+    copy is at most 1 MB; a larger class streams instead.
     """
     size = matrix.size
     rank = _rank(alpha, size)
     if size == 0:
         return 0.0
-    scan = lambda lo, hi: _gather(_row_blocks(matrix), lo, hi)
-    return float(_select_rank(scan, rank, size, _sample(matrix, size))[0])
+    return float(np.partition(matrix, rank - 1, axis=None)[rank - 1])
 
 
 def local_density(matrix: np.ndarray, d_c: float) -> np.ndarray:
     """Per-sample count of samples strictly closer than the cutoff, the
-    sample itself included, counted row block by row block."""
-    if d_c < 0:
+    sample itself included, in one pass over the matrix (one block in the
+    pipeline)."""
+    if not d_c >= 0:
         raise DatasetError(f"cutoff must be non-negative, got {d_c}")
-    rho = np.empty(matrix.shape[0], dtype=np.int64)
-    filled = 0
-    for block in _row_blocks(matrix):
-        rho[filled : filled + len(block)] = np.count_nonzero(block < d_c, axis=1)
-        filled += len(block)
-    return rho
+    return np.count_nonzero(matrix < d_c, axis=1).astype(np.int64, copy=False)
 
 
 def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -362,11 +323,11 @@ def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarra
     ``BLOCK_ELEMENTS`` entries, each row paired with every later row.  A
     strip's ``screened_distances`` decide most entries against the bracket
     [lo, hi] by their error bound E: below lo when D̃ < lo − E, past hi
-    when D̃ > hi + E.  Only the rest are computed exactly, as
-    ``distance_matrix`` computes them, and placed by that value; so every
-    count and entry is the one a scan of exact distances gives.  The pass
-    counts the entries below the bracket and keeps where each gathered one
-    sits: no N x N array, entry copy or second pass.
+    when D̃ > hi + E.  Only the rest are computed by ``exact_distances``
+    and placed by that value; so every count and entry is the one a scan
+    of exact distances gives.  The pass counts the entries below the
+    bracket and keeps where each gathered one sits: no N x N array, entry
+    copy or second pass.
     """
     n = feats.shape[0]
     sq = squared_norms(feats)

@@ -545,3 +545,9 @@ class TestConfigValidation:
             CorrectionConfig(kernel_a=0.0)
         with pytest.raises(DatasetError):
             CorrectionConfig(kernel_c=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["kernel_a", "kernel_b", "kernel_c"])
+    def test_non_finite_kernel_rejected(self, name, value):
+        with pytest.raises(DatasetError, match=f"{name} must be finite"):
+            CorrectionConfig(**{name: value})

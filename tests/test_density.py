@@ -237,6 +237,30 @@ class TestDistanceMatrix:
         assert peak < 3 * mat.nbytes
 
 
+class TestExactDistances:
+    """Every exact distance comes from ``exact_distances``; each must equal
+    the 1-D sum of the pair's squared differences, also where numpy's
+    pairwise sum splits the d features (d > 128)."""
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 64, 127, 128, 129, 300])
+    def test_every_caller_matches_the_1d_oracle(self, monkeypatch, d, budget):
+        # one-row blocks and one-pair chunks, then the default budget
+        if budget is not None:
+            monkeypatch.setattr(density, "BLOCK_ELEMENTS", budget)
+        n = 13
+        rng = np.random.default_rng(d)
+        feats = rng.normal(size=(n, d)) * np.logspace(-3, 3, n)[:, None]
+        oracle = np.array([[np.sum((x - y) ** 2) for y in feats] for x in feats])
+        assert distance_matrix(feats).tobytes() == oracle.tobytes()
+        rows, cols = np.divmod(np.arange(n * n), n)
+        assert density._pair_distances(feats, rows, cols).tobytes() == oracle.tobytes()
+        for q in range(n):
+            # the vote's shape: candidate pool rows minus one query row
+            dists = density.exact_distances(feats, feats[q][None, :])
+            assert dists.tobytes() == oracle[:, q].tobytes()
+
+
 class TestCutoffDistance:
     def test_reference_value(self):
         mat = distance_matrix(np.array([[0.0], [1.0], [10.0]]))
@@ -297,19 +321,6 @@ class TestCutoffDistance:
                 alpha = alpha_for(rank, ordered.size)
                 assert cutoff_distance(mat, alpha) == ordered[rank - 1]
 
-    @pytest.mark.parametrize(
-        "sample",
-        [np.full(4, 1e9), np.full(4, -1.0), np.zeros(1), np.full(3, np.nan), np.arange(2.0)],
-    )
-    def test_a_missed_bracket_widens_to_the_exact_entry(self, monkeypatch, sample):
-        # a sample unlike the pool puts the first bracket beside the rank
-        monkeypatch.setattr(density, "_sample", lambda matrix, size: sample.copy())
-        mat = grid_matrix(32)
-        ordered = np.sort(mat.ravel())
-        for rank in boundary_ranks(ordered):
-            alpha = alpha_for(rank, ordered.size)
-            assert cutoff_distance(mat, alpha) == ordered[rank - 1]
-
     def test_nan_entries_sort_last(self, monkeypatch):
         monkeypatch.setattr(density, "BLOCK_ELEMENTS", 3 * 20)
         mat = grid_matrix(33, n=20)
@@ -319,18 +330,6 @@ class TestCutoffDistance:
         for rank in [*boundary_ranks(ordered[~np.isnan(ordered)]), ordered.size - 1]:
             alpha = alpha_for(rank, ordered.size)
             np.testing.assert_equal(cutoff_distance(mat, alpha), ordered[rank - 1])
-
-    def test_does_not_copy_a_transposed_matrix(self):
-        mat = distance_matrix(np.random.default_rng(34).normal(size=(1000, 4))).T
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            cut = cutoff_distance(mat, 12.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert cut == np.sort(mat.ravel())[int(np.ceil(0.125 * mat.size)) - 1]
-        assert peak < mat.nbytes / 4
 
 
 class TestLocalDensity:
@@ -367,6 +366,12 @@ class TestLocalDensity:
         rng = np.random.default_rng(18)
         mat = distance_matrix(rng.normal(size=(10, 3)))
         assert np.all(local_density(mat, 1e-9) >= 1)
+
+    @pytest.mark.parametrize("d_c", [-1.0, np.nan])
+    def test_negative_or_nan_cutoff_rejected(self, d_c):
+        mat = distance_matrix(np.random.default_rng(19).normal(size=(6, 3)))
+        with pytest.raises(DatasetError, match="cutoff must be non-negative"):
+            local_density(mat, d_c)
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_grid_cutoffs_in_row_blocks(self, monkeypatch, rows):

@@ -183,9 +183,7 @@ def cmd_eval(args) -> int:
         json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n",
     )
     for key, value in metrics.to_dict().items():
-        if key != "tag_counts":
-            print(f"{key}: {value:.4f}")
-    print(f"tag_counts: {metrics.tag_counts}")
+        print(f"{key}: {value:.4f}" if isinstance(value, float) else f"{key}: {value}")
     return 0
 
 

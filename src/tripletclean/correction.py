@@ -260,13 +260,39 @@ def ledger_to_text(ledger: Sequence[CorrectionRecord]) -> str:
 
 
 def load_ledger(path: str) -> tuple[CorrectionRecord, ...]:
-    """Read a ledger file back; its lists become tuples."""
-    return tuple(
-        CorrectionRecord(
-            **{
-                key: tuple(row[key]) if kind is list else row[key]
-                for key, kind in LEDGER_FIELDS.items()
-            }
+    """Read a ledger file back; its lists become tuples.
+
+    An entry that ``correct`` could not have written raises DatasetError
+    naming the path and line: its ``changed`` is not ``new_label !=
+    old_label``, its ``neighbor_ids`` and ``weights`` differ in length, its
+    neighbor ids are not all strings, or its weights not all finite numbers.
+    """
+    ledger = []
+    for lineno, row in read_jsonl(path, LEDGER_FIELDS):
+        problem = _entry_problem(row)
+        if problem:
+            raise DatasetError(f"{path}: line {lineno}: {problem}")
+        ledger.append(
+            CorrectionRecord(
+                **{
+                    key: tuple(row[key]) if kind is list else row[key]
+                    for key, kind in LEDGER_FIELDS.items()
+                }
+            )
         )
-        for _, row in read_jsonl(path, LEDGER_FIELDS)
-    )
+    return tuple(ledger)
+
+
+def _entry_problem(row: dict) -> str | None:
+    """What makes one decoded ledger entry inconsistent, or None."""
+    old, new, ids, weights = (row[k] for k in ("old_label", "new_label", "neighbor_ids", "weights"))
+    if row["changed"] != (new != old):
+        relation = "differs from" if new != old else "equals"
+        return f"changed is {row['changed']}, but new_label {new} {relation} old_label {old}"
+    if len(ids) != len(weights):
+        return f"{len(ids)} neighbor_ids but {len(weights)} weights"
+    if not all(type(rid) is str for rid in ids):
+        return f"neighbor_ids must all be strings, got {ids!r}"
+    if not all(type(w) in (int, float) and math.isfinite(w) for w in weights):
+        return f"weights must all be finite numbers, got {weights!r}"
+    return None

@@ -191,27 +191,25 @@ def loss_value(
 
 
 def loss_and_gradients(
-    model: ConfidenceModel, X: np.ndarray, Y: np.ndarray
+    model: ConfidenceModel, X: np.ndarray, labels: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch loss and its analytic gradient for every parameter.
 
-    ``Y`` must be one-hot: one row per row of ``X``, one column per class,
-    a single 1.0 in each row and zeros elsewhere; anything else raises
-    DatasetError.  So dL/dP_adj is non-zero only in each row's label column,
-    and the loss and gradients are computed from that column alone.  They
-    equal, bit for bit and signs of zeros included, what the formula gives
-    when evaluated over every column.
+    ``labels`` holds each row's class index: a 1-D integer array, one entry
+    per row of ``X``, each in [0, n_classes); anything else raises
+    DatasetError.  The targets are the one-hot rows of these labels, so
+    dL/dP_adj is non-zero only in each row's label column, and the loss and
+    gradients are computed from that column alone.  They equal, bit for bit
+    and signs of zeros included, what ``loss_value``'s formula gives when
+    evaluated over every column of ``one_hot(labels, n_classes)``.
     """
     n = X.shape[0]
-    Y = np.asarray(Y)
-    if Y.shape != (n, model.n_classes):
-        raise DatasetError(
-            f"targets of shape {Y.shape} do not match {n} rows of {model.n_classes} classes"
-        )
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise DatasetError(f"labels must be {n} class indices, got {labels.dtype} {labels.shape}")
+    if n and not (labels.min() >= 0 and labels.max() < model.n_classes):
+        raise DatasetError(f"labels must lie in [0, {model.n_classes})")
     rows = np.arange(n)
-    labels = Y.argmax(axis=1)
-    if np.count_nonzero(Y) != n or not (Y[rows, labels] == 1.0).all():
-        raise DatasetError("targets must be one-hot: a single 1.0 in each row, zeros elsewhere")
     P, C, A = _forward_cached(model, X)
     w = model.class_weights[labels]
     p = P[rows, labels]
@@ -259,6 +257,7 @@ def loss_and_gradients(
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """The dense targets of ``labels``, as ``loss_value`` reads them."""
     Y = np.zeros((len(labels), n_classes))
     Y[np.arange(len(labels)), labels] = 1.0
     return Y
@@ -290,8 +289,6 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
     model = initialize_model(
         X.shape[1], config.hidden_size, n_classes, class_weights, config.lam, rng
     )
-    Y = one_hot(labels, n_classes)
-
     n = labels.size
     remedy = f"reduce learning_rate ({config.learning_rate}) or batch size"
     try:
@@ -303,7 +300,7 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
                 order = rng.permutation(n)
                 for start in range(0, n, config.batch_size):
                     batch = order[start : start + config.batch_size]
-                    _, grads = loss_and_gradients(model, X[batch], Y[batch])
+                    _, grads = loss_and_gradients(model, X[batch], labels[batch])
                     for name in PARAMS:
                         # in place for the arrays; b3 is a float, so set it back
                         step = grads[name]
@@ -316,7 +313,7 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
                     raise TrainingError(f"non-finite parameters {at}; {remedy}")
             at = "after the last epoch"
             P, C = forward(model, X)
-            final_loss = loss_value(P, Y, C, class_weights, config.lam)
+            final_loss = loss_value(P, one_hot(labels, n_classes), C, class_weights, config.lam)
     except FloatingPointError as exc:
         raise TrainingError(f"non-finite values {at}; {remedy}") from exc
     if not np.isfinite(final_loss):

@@ -234,16 +234,24 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Detection and correction quality against the generator's truth."""
+    """Detection and correction quality against the generator's truth.
+
+    ``accuracy_before`` and ``accuracy_after`` count only the records whose
+    truth is labeled.  ``label_accuracy_all`` counts every record, and a
+    record whose truth is background is right only while it is unlabeled;
+    ``false_promotions`` counts the mined records whose truth is background.
+    """
 
     neg_recall: float
     neg_precision: float
     pseudo_label_accuracy: float
+    false_promotions: int
     pos_recall: float
     pos_precision: float
     correction_accuracy: float
     accuracy_before: float
     accuracy_after: float
+    label_accuracy_all: float
     tag_counts: dict[str, int]
 
     def to_dict(self) -> dict:
@@ -311,21 +319,25 @@ def score(
 
     truth_labeled = [rid for rid, name in truth.true_predicate.items() if name is not None]
     before_correct = sum(1 for rid in truth_labeled if truth.tag[rid] is NoiseTag.NONE)
-    after_correct = sum(
-        1
-        for rid, label in zip(cleaned.ids, cleaned.labels.tolist())
-        if label != NO_LABEL and names[label] == truth.true_predicate[rid]
-    )
+    after_correct = background_kept = 0
+    for rid, label in zip(cleaned.ids, cleaned.labels.tolist()):
+        true_name = truth.true_predicate[rid]
+        if label == NO_LABEL:
+            background_kept += true_name is None
+        else:
+            after_correct += names[label] == true_name
 
     return Metrics(
         neg_recall=neg_recall,
         neg_precision=neg_precision,
         pseudo_label_accuracy=pseudo_acc,
+        false_promotions=sum(1 for rid in mined_ids if truth.true_predicate[rid] is None),
         pos_recall=pos_recall,
         pos_precision=pos_precision,
         correction_accuracy=correction_acc,
         accuracy_before=_ratio(before_correct, len(truth_labeled)),
         accuracy_after=_ratio(after_correct, len(truth_labeled)),
+        label_accuracy_all=_ratio(after_correct + background_kept, len(cleaned.ids)),
         tag_counts={t.value: len(truth.tagged(t)) for t in NoiseTag},
     )
 

@@ -144,7 +144,7 @@ def test_criterion_02_gradient_check():
         model = initialize_model(d, h, k, weights, float(rng.uniform(0.01, 1.0)), rng)
         X = rng.normal(size=(n, d))
         Y = one_hot(rng.integers(0, k, size=n), k)
-        _, grads = loss_and_gradients(model, X, Y)
+        _, grads = loss_and_gradients(model, X, Y.argmax(1))
 
         def loss_at(candidate):
             P, C = forward(candidate, X)

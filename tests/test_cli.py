@@ -115,6 +115,20 @@ class TestRunAndEval:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["accuracy_after"] >= metrics["accuracy_before"]
 
+    def test_eval_prints_and_writes_the_whole_set_metrics(self, workspace, capsys):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        assert run_cli("run", "--config", config) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        truth = str(tmp_path / "synth" / "truth.jsonl")
+        assert run_cli("eval", "--config", config, "--run-dir", str(out), "--truth", truth) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        printed = capsys.readouterr().out
+        assert f"\nfalse_promotions: {metrics['false_promotions']}\n" in printed
+        assert type(metrics["false_promotions"]) is int
+        assert f"\nlabel_accuracy_all: {metrics['label_accuracy_all']:.4f}\n" in printed
+
     def test_run_reports_counts(self, workspace, capsys):
         tmp_path, config = workspace
         run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
@@ -378,6 +392,33 @@ class TestArgumentHandling:
         assert run_cli(*argv, "--truth", str(tmp_path / "synth" / "truth.jsonl")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: ledger entry {entry['id']!r}: label index outside")
+
+    @pytest.mark.parametrize(
+        "case", ["changed-flipped", "lengths-differ", "id-not-a-string", "weight-nan"]
+    )
+    def test_inconsistent_ledger_entry_exits_1(self, workspace, capsys, case):
+        tmp_path, config = workspace
+        run_cli("synth", "--config", config, "--out", str(tmp_path / "synth"))
+        assert run_cli("run", "--config", config) == 0
+        ledger = tmp_path / "out" / "correction_ledger.jsonl"
+        first, *rest = ledger.read_text().splitlines(keepends=True)
+        entry = json.loads(first)
+        ids, weights = entry["neighbor_ids"], entry["weights"]
+        if case == "changed-flipped":
+            entry["changed"] = not entry["changed"]
+        elif case == "lengths-differ":
+            weights.append(0.5)
+        elif case == "id-not-a-string":
+            ids.append(7)
+            weights.append(0.5)
+        else:
+            ids.append("extra")
+            weights.append(float("nan"))
+        ledger.write_text(json.dumps(entry) + "\n" + "".join(rest))
+        capsys.readouterr()
+        argv = ("eval", "--config", config, "--run-dir", str(tmp_path / "out"))
+        assert run_cli(*argv, "--truth", str(tmp_path / "synth" / "truth.jsonl")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ledger}: line 1: ")
 
     def test_missing_input_data_exits_1(self, tmp_path):
         config = tmp_path / "c.json"

@@ -1,5 +1,7 @@
 """Tests for the weighted-KNN correction stage."""
 
+import json
+import re
 import tracemalloc
 from collections import namedtuple
 
@@ -16,6 +18,7 @@ from tripletclean.correction import (
     correct,
     knn_vote,
     ledger_to_text,
+    load_ledger,
 )
 
 Row = namedtuple("Row", "id label feature pair")
@@ -533,6 +536,49 @@ class TestLedgerExport:
         ds = build_dataset(cleans + noisy)
         _, ledger = correct_ids(["bad", "lone"], ds, [c.id for c in cleans], CorrectionConfig())
         assert ledger_to_text(ledger) == jsonl_text(map(dataclasses.asdict, ledger))
+
+
+# a consistent ledger entry
+LEDGER_ENTRY = {
+    "id": "q",
+    "old_label": 3,
+    "new_label": 6,
+    "changed": True,
+    "neighbor_ids": ["c0", "c1"],
+    "weights": [0.5, 1],
+}
+
+
+class TestLoadLedger:
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"new_label": 3}, "changed is True, but new_label 3 equals old_label 3"),
+            ({"changed": False}, "changed is False, but new_label 6 differs from old_label 3"),
+            ({"weights": [0.5]}, "2 neighbor_ids but 1 weights"),
+            ({"neighbor_ids": ["c0", 1]}, "neighbor_ids must all be strings, got ['c0', 1]"),
+            ({"weights": [0.5, "1"]}, "weights must all be finite numbers, got [0.5, '1']"),
+            ({"weights": [0.5, True]}, "weights must all be finite numbers, got [0.5, True]"),
+            ({"weights": [0.5, np.nan]}, "weights must all be finite numbers, got [0.5, nan]"),
+            ({"weights": [-np.inf, 1]}, "weights must all be finite numbers, got [-inf, 1]"),
+        ],
+        ids=[
+            "changed-equal-labels",
+            "unchanged-new-label",
+            "lengths-differ",
+            "id-not-a-string",
+            "weight-a-string",
+            "weight-a-boolean",
+            "weight-nan",
+            "weight-infinite",
+        ],
+    )
+    def test_inconsistent_entry_rejected(self, tmp_path, change, problem):
+        path = tmp_path / "correction_ledger.jsonl"
+        lines = [LEDGER_ENTRY, {**LEDGER_ENTRY, "id": "r", **change}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: line 2: {problem}')}$"):
+            load_ledger(str(path))
 
 
 class TestConfigValidation:

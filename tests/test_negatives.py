@@ -200,7 +200,7 @@ class TestLoss:
 
 
 class TestGradients:
-    def finite_difference(self, model, X, Y, step=1e-5):
+    def finite_difference(self, model, X, labels, step=1e-5):
         import dataclasses
 
         grads = {}
@@ -209,8 +209,8 @@ class TestGradients:
             if np.isscalar(value):
                 hi = dataclasses.replace(model, **{name: value + step})
                 lo = dataclasses.replace(model, **{name: value - step})
-                lh, _ = loss_and_gradients(hi, X, Y)
-                ll, _ = loss_and_gradients(lo, X, Y)
+                lh, _ = loss_and_gradients(hi, X, labels)
+                ll, _ = loss_and_gradients(lo, X, labels)
                 grads[name] = (lh - ll) / (2 * step)
                 continue
             out = np.zeros_like(value)
@@ -222,8 +222,8 @@ class TestGradients:
                 bump2 = value.copy().ravel()
                 bump2[idx] = flat[idx] - step
                 lo = dataclasses.replace(model, **{name: bump2.reshape(value.shape)})
-                lh, _ = loss_and_gradients(hi, X, Y)
-                ll, _ = loss_and_gradients(lo, X, Y)
+                lh, _ = loss_and_gradients(hi, X, labels)
+                ll, _ = loss_and_gradients(lo, X, labels)
                 out.ravel()[idx] = (lh - ll) / (2 * step)
             grads[name] = out
         return grads
@@ -233,9 +233,9 @@ class TestGradients:
         for _ in range(3):
             model = initialize_model(4, 6, 3, rng.uniform(0.5, 2.0, size=3), 0.1, rng)
             X = rng.normal(size=(5, 4))
-            Y = one_hot(rng.integers(0, 3, size=5), 3)
-            _, analytic = loss_and_gradients(model, X, Y)
-            numeric = self.finite_difference(model, X, Y)
+            labels = rng.integers(0, 3, size=5)
+            _, analytic = loss_and_gradients(model, X, labels)
+            numeric = self.finite_difference(model, X, labels)
             for name in analytic:
                 ga = np.atleast_1d(np.asarray(analytic[name]))
                 gf = np.atleast_1d(np.asarray(numeric[name]))
@@ -282,7 +282,7 @@ class TestGradients:
             seen["n == 1"] += len(X) == 1
 
             expected_loss, expected = dense_loss_and_gradients(model, X, Y)
-            loss, grads = loss_and_gradients(model, X, Y)
+            loss, grads = loss_and_gradients(model, X, Y.argmax(1))
             assert same_bytes(loss, expected_loss), case
             assert list(grads) == list(expected)
             assert type(grads["b3"]) is float
@@ -291,29 +291,44 @@ class TestGradients:
         assert min(seen.values()) >= 20, seen
 
 
-class TestOneHotTargets:
+class TestLabelIndices:
     @pytest.mark.parametrize(
-        "Y",
-        [
-            np.full((2, 3), 1 / 3),
-            np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-            np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-            np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
-            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, np.nan]]),
-        ],
-        ids=["soft", "two-ones", "all-zero-row", "a-two", "nan"],
+        "labels",
+        [np.array([0, -1]), np.array([0, 3]), np.array([0, 99])],
+        ids=["negative", "n_classes", "far-above"],
     )
-    def test_not_one_hot_rejected(self, Y):
+    def test_out_of_range_rejected(self, labels):
         model = initialize_model(4, 5, 3, np.ones(3), 0.1, np.random.default_rng(21))
-        with pytest.raises(DatasetError, match="targets must be one-hot"):
-            loss_and_gradients(model, np.zeros((2, 4)), Y)
+        with pytest.raises(DatasetError, match=re.escape("labels must lie in [0, 3)")):
+            loss_and_gradients(model, np.zeros((2, 4)), labels)
 
-    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (2,), (2, 3, 1)])
-    def test_shape_not_matching_P_rejected(self, shape):
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0.0, 1.0]),
+            np.array([True, False]),
+            np.array([[0], [1]]),
+            one_hot(np.array([0, 1]), 3),
+            np.array([0]),
+            np.array([0, 1, 2]),
+        ],
+        ids=["float", "bool", "2-d", "one-hot", "short", "long"],
+    )
+    def test_not_one_index_per_row_rejected(self, labels):
         model = initialize_model(4, 5, 3, np.ones(3), 0.1, np.random.default_rng(22))
-        Y = np.zeros(shape)
-        with pytest.raises(DatasetError, match=re.escape(f"targets of shape {shape} ")):
-            loss_and_gradients(model, np.zeros((2, 4)), Y)
+        expected = f"labels must be 2 class indices, got {labels.dtype} {labels.shape}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            loss_and_gradients(model, np.zeros((2, 4)), labels)
+
+    def test_any_integer_dtype_accepted(self):
+        model = initialize_model(4, 5, 3, np.ones(3), 0.1, np.random.default_rng(23))
+        X = np.random.default_rng(24).normal(size=(3, 4))
+        expected_loss, expected = loss_and_gradients(model, X, np.array([2, 0, 1]))
+        for dtype in (np.int32, np.uint8):
+            loss, grads = loss_and_gradients(model, X, np.array([2, 0, 1], dtype=dtype))
+            assert same_bytes(loss, expected_loss)
+            for name in expected:
+                assert same_bytes(grads[name], expected[name]), (dtype, name)
 
 
 def out_of_place_train(dataset, rows, config):
@@ -426,8 +441,8 @@ class TestTrain:
 
     def test_non_finite_parameter_raises_at_its_epoch(self, monkeypatch):
         # b1 -> -inf saturates tanh, so the loss over all rows stays finite
-        def infinite_b1(model, X, Y):
-            loss, grads = loss_and_gradients(model, X, Y)
+        def infinite_b1(model, X, labels):
+            loss, grads = loss_and_gradients(model, X, labels)
             grads["b1"] = np.full_like(grads["b1"], np.inf)
             return loss, grads
 

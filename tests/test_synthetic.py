@@ -258,6 +258,23 @@ class TestScore:
         assert metrics.correction_accuracy == 1.0
         assert metrics.accuracy_after == 1.0
 
+    def test_promoted_background_lowers_label_accuracy_all_only(self):
+        ds, truth = self.noisy_setup()
+        before = score(ds, truth, {}, frozenset(), ())
+        background = [row for row, rid in enumerate(ds.ids) if truth.true_predicate[rid] is None]
+        assert len(background) == 20
+        assert before.false_promotions == 0
+        n_right = sum(1 for rid in ds.ids if truth.tag[rid] is NoiseTag.NONE)
+        assert before.label_accuracy_all == n_right / len(ds)
+
+        labels = ds.labels.copy()
+        labels[background] = 0
+        mined = {ds.ids[row]: ds.vocab.names[0] for row in background}
+        after = score(replace(ds, labels=labels), truth, mined, frozenset(), ())
+        assert after.accuracy_after == before.accuracy_after
+        assert after.false_promotions == 20
+        assert after.label_accuracy_all == (n_right - 20) / len(ds)
+
     def test_random_half_flagging_precision_tracks_noise_rate(self):
         ds, truth = self.noisy_setup()
         rng = np.random.default_rng(5)

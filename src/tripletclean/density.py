@@ -6,7 +6,9 @@ samples strictly closer than a cutoff distance, the sample itself included
 when the cutoff is positive, where the cutoff is a percentile of all N*N
 entries, the diagonal zeros included.  One-dimensional K-means over the
 densities splits the class into subsets; the subset with the lowest mean
-density is flagged as noisy.
+density is flagged as noisy.  The report is one set of row-aligned
+columns: one stable sort by label groups the rows into classes, and
+each class fills its slice of every column.
 
 Memory: a class whose N*N entries fit in ``BLOCK_ELEMENTS`` (N <= 362)
 gets its matrix, in one buffer sized for the largest such class, so the
@@ -447,27 +449,31 @@ def split_subsets(
 
 
 @dataclass(frozen=True, eq=False)
-class ClassDensity:
-    """Density outcome for one predicate class, rows in input order."""
-
-    class_index: int
-    alpha: float
-    d_c: float
-    rows: np.ndarray
-    rho: tuple[int, ...]
-    subset: tuple[int, ...]
-    noisy_subset: int | None
-
-
-@dataclass(frozen=True, eq=False)
 class DensityReport:
-    """Per-class outcomes and the flagged and unflagged rows; ``ids`` names
-    the rows."""
+    """Row-aligned columns, one entry per row given to
+    ``detect_noisy_positives``, grouped by class in predicate-index order.
 
-    classes: tuple[ClassDensity, ...]
-    noisy_rows: np.ndarray
-    clean_rows: np.ndarray
+    ``classes`` is each row's label, ``d_c`` its class's cutoff, ``rho`` its
+    local density, ``subset`` its K-means subset (-1 in a class below
+    ``min_class_size``) and ``flagged`` whether that subset is the class's
+    noisy one; ``ids`` names the rows.
+    """
+
+    rows: np.ndarray
+    classes: np.ndarray
+    d_c: np.ndarray
+    rho: np.ndarray
+    subset: np.ndarray
+    flagged: np.ndarray
     ids: Sequence[str]
+
+    @property
+    def noisy_rows(self) -> np.ndarray:
+        return self.rows[self.flagged]
+
+    @property
+    def clean_rows(self) -> np.ndarray:
+        return self.rows[~self.flagged]
 
     @property
     def noisy_ids(self) -> tuple[str, ...]:
@@ -485,83 +491,57 @@ def detect_noisy_positives(
     """Split the labeled ``rows`` of every class into clean and noisy by
     local density.
 
-    Classes are handled independently in predicate-index order; within a
-    class, rows keep their order in ``rows``.  Classes below the size
-    guard, or degenerate under K-means, contribute all members to clean.
-    A record whose features are not all finite is rejected.
+    One stable sort by label groups the rows into classes in
+    predicate-index order; within a class, rows keep their order in
+    ``rows``.  Classes are handled independently.  Classes below the size
+    guard, or degenerate under K-means, flag nothing.  A record whose
+    features are not all finite is rejected.
     """
     rows = np.asarray(rows, dtype=np.int64)
     labels = dataset.labels[rows]
     if np.any(labels < 0):
         raise DatasetError(f"record {dataset.ids[rows[labels < 0][0]]!r} has no label")
+    order = np.argsort(labels, kind="stable")
+    rows, labels = rows[order], labels[order]
 
-    classes = []
-    noisy: list[np.ndarray] = []
-    clean: list[np.ndarray] = []
-    class_ids, sizes = np.unique(labels, return_counts=True)
+    d_c = np.empty(rows.size)
+    rho = np.empty(rows.size, dtype=np.int64)
+    subset = np.full(rows.size, -1, dtype=np.int64)
+    flagged = np.zeros(rows.size, dtype=bool)
+    class_ids, starts, sizes = np.unique(labels, return_index=True, return_counts=True)
     # A class of at most one block's entries fills the front of one buffer
     # sized for the largest such class, so no freed matrix lingers in the
     # allocator's heap beside the next one.  A larger class is streamed.
     streams = sizes * sizes > BLOCK_ELEMENTS
     buffer = np.empty(int(sizes[~streams].max(initial=0)) ** 2)
-    for k, n, stream in zip(class_ids.tolist(), sizes.tolist(), streams.tolist()):
-        members = rows[labels == k]
+    for k, lo, n, stream in zip(*(a.tolist() for a in (class_ids, starts, sizes, streams))):
+        at = slice(lo, lo + n)
+        members = rows[at]
         feats = dataset.features[members]
         require_finite([dataset.ids[r] for r in members.tolist()], feats)
         alpha = config.alpha[dataset.partition[k]]
         if stream:
-            d_c, rho = streamed_density(feats, alpha)
+            d_c[at], rho[at] = streamed_density(feats, alpha)
         else:
             dmat = distance_matrix(feats, out=buffer[: n * n].reshape(n, n))
-            d_c = cutoff_distance(dmat, alpha)
-            rho = local_density(dmat, d_c)
-        if len(members) < config.min_class_size:
-            subset = np.full(len(members), -1, dtype=np.int64)
-            noisy_subset = None
-        else:
-            subset, noisy_subset = split_subsets(rho, config.n_subsets)
-        if noisy_subset is None:
-            flagged = np.zeros(len(members), dtype=bool)
-        else:
-            flagged = subset == noisy_subset
-        noisy.append(members[flagged])
-        clean.append(members[~flagged])
-        classes.append(
-            ClassDensity(
-                class_index=k,
-                alpha=alpha,
-                d_c=d_c,
-                rows=members,
-                rho=tuple(rho.tolist()),
-                subset=tuple(subset.tolist()),
-                noisy_subset=noisy_subset,
-            )
-        )
-        logger.debug("class %d: n=%d d_c=%.4g flagged=%d", k, len(members), d_c, flagged.sum())
+            d_c[at] = cutoff_distance(dmat, alpha)
+            rho[at] = local_density(dmat, d_c[lo])
+        if n >= config.min_class_size:
+            subset[at], noisy = split_subsets(rho[at], config.n_subsets)
+            if noisy is not None:
+                flagged[at] = subset[at] == noisy
+        logger.debug("class %d: n=%d d_c=%.4g flagged=%d", k, n, d_c[lo], flagged[at].sum())
 
-    empty = rows[:0]
-    return DensityReport(
-        tuple(classes),
-        np.concatenate([empty, *noisy]),
-        np.concatenate([empty, *clean]),
-        dataset.ids,
-    )
+    return DensityReport(rows, labels, d_c, rho, subset, flagged, dataset.ids)
 
 
 def density_report_to_text(report: DensityReport) -> str:
     """Line-delimited audit rows: one sample per line, grouped by class."""
-    flagged = set(report.noisy_rows.tolist())
+    ids = report.ids
+    columns = (report.rows, report.classes, report.rho, report.d_c, report.subset, report.flagged)
     return jsonl_text(
-        {
-            "id": report.ids[row],
-            "class": cls.class_index,
-            "rho": rho,
-            "d_c": cls.d_c,
-            "subset": subset,
-            "flagged": row in flagged,
-        }
-        for cls in report.classes
-        for row, rho, subset in zip(cls.rows.tolist(), cls.rho, cls.subset)
+        {"id": ids[row], "class": k, "rho": rho, "d_c": d_c, "subset": subset, "flagged": flagged}
+        for row, k, rho, d_c, subset, flagged in zip(*(c.tolist() for c in columns))
     )
 
 

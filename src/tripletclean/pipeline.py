@@ -337,7 +337,8 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
     A given dataset is re-banded by ``config.partition``, like a loaded
     one.  Nothing touches the filesystem here; use :func:`write_outputs`
     for persistence.  A stage failure names the stage: invalid input raises
-    DatasetError, anything else PipelineError.
+    DatasetError, anything else PipelineError.  With pos_nsd off the
+    density report is empty and every composed row goes to nsc as clean.
     """
     dataset = load_input(config) if dataset is None else _banded(dataset, config)
 
@@ -362,15 +363,15 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
     if config.stages.pos_nsd:
         with _stage("pos_nsd", timings):
             density = detect_noisy_positives(working, composed, config.pos_nsd)
+        clean = density.clean_rows
     else:
-        density = DensityReport((), composed[:0], composed, working.ids)
+        density = detect_noisy_positives(working, composed[:0], config.pos_nsd)
+        clean = composed
 
     ledger: tuple[CorrectionRecord, ...] = ()
     if config.stages.nsc:
         with _stage("nsc", timings):
-            working, ledger = correct(
-                density.noisy_rows, working, density.clean_rows, config.nsc
-            )
+            working, ledger = correct(density.noisy_rows, working, clean, config.nsc)
 
     timings["total"] = time.perf_counter() - started
 
@@ -383,7 +384,7 @@ def run(config: PipelineConfig, dataset: Dataset | None = None) -> RunResult:
         kept_negatives=len(negatives) - len(promoted.rows),
         composed=len(composed),
         flagged=len(density.noisy_rows),
-        unflagged=len(density.clean_rows),
+        unflagged=len(clean),
         relabeled=relabeled,
         kept_flagged=len(density.noisy_rows) - relabeled,
         config_echo=config_to_dict(config),

@@ -16,6 +16,7 @@ from tripletclean.core import (
     Dataset,
     DatasetError,
     Part,
+    jsonl_text,
 )
 from tripletclean.density import (
     DensityConfig,
@@ -171,15 +172,9 @@ SCREEN_DIMS = [1, 7, 8, 9, 64, 300]
 
 
 def report_values(report):
-    """Every field of a density report as plain values, for equality."""
-    plain = lambda v: v.tolist() if isinstance(v, np.ndarray) else v
-    return (
-        [{f.name: plain(getattr(c, f.name)) for f in dataclasses.fields(c)}
-         for c in report.classes],
-        report.noisy_rows.tolist(),
-        report.clean_rows.tolist(),
-        list(report.ids),
-    )
+    """Every column of a density report as plain values, for equality."""
+    plain = lambda v: v.tolist() if isinstance(v, np.ndarray) else list(v)
+    return {f.name: plain(getattr(report, f.name)) for f in dataclasses.fields(report)}
 
 
 class TestDistanceMatrix:
@@ -635,7 +630,7 @@ class TestDetectNoisyPositives:
         ds = labeled_dataset(rng.normal(size=(12, 2)), [0, 1] * 6)
         rows = np.array([11, 4, 7, 0, 2, 9, 5, 1, 3])
         report = detect_noisy_positives(ds, rows, DensityConfig())
-        assert [c.rows.tolist() for c in report.classes] == [[4, 0, 2], [11, 7, 9, 5, 1, 3]]
+        assert report.rows.tolist() == [4, 0, 2, 11, 7, 9, 5, 1, 3]
 
     def test_permutation_leaves_flagged_set_unchanged(self):
         rng = np.random.default_rng(23)
@@ -660,9 +655,26 @@ class TestDetectNoisyPositives:
         rng = np.random.default_rng(25)
         ds = labeled_dataset(rng.normal(size=(20, 3)), [0] * 10 + [1] * 10)
         report = flag(dataclasses.replace(ds, partition=(Part.HEAD, Part.TAIL)))
-        by_class = {c.class_index: c for c in report.classes}
-        assert by_class[0].alpha == 12.5
-        assert by_class[1].alpha == 50.0
+        for k, alpha in ((0, 12.5), (1, 50.0)):
+            cutoff = cutoff_distance(distance_matrix(ds.features[10 * k : 10 * k + 10]), alpha)
+            assert report.d_c[report.classes == k].tolist() == [cutoff] * 10
+
+    def test_columns_are_aligned_with_the_rows(self):
+        ds = oracle_cases_dataset()
+        rows = np.random.default_rng(43).permutation(len(ds))
+        config = DensityConfig()
+        report = detect_noisy_positives(ds, rows, config)
+        np.testing.assert_array_equal(report.classes, ds.labels[report.rows])
+        assert sorted(report.rows.tolist()) == list(range(len(ds)))
+        for k, size in enumerate(np.bincount(ds.labels).tolist()):
+            at = report.classes == k
+            assert len(set(report.d_c[at].tolist())) == 1
+            assert (report.subset[at] == -1).all() == (size < config.min_class_size)
+            noisy = None
+            if size >= config.min_class_size:
+                _, noisy = split_subsets(report.rho[at], config.n_subsets)
+            np.testing.assert_array_equal(report.flagged[at], report.subset[at] == noisy)
+        assert report.flagged.any()
 
     @pytest.mark.parametrize("sizes", [(2000,), (1500, 1500)])
     def test_peak_memory_is_one_class_matrix(self, sizes):
@@ -742,7 +754,54 @@ class TestDetectNoisyPositives:
             flag(ds)
 
 
+def oracle_report_text(dataset, rows, config):
+    """``density_report.jsonl`` from the loop oracles: classes in index
+    order, each in the order of ``rows``."""
+    by_class = {}
+    for row in rows.tolist():
+        by_class.setdefault(int(dataset.labels[row]), []).append(row)
+    out = []
+    for k in sorted(by_class):
+        members = by_class[k]
+        mat = oracle_distance_matrix(dataset.features[members])
+        d_c = oracle_cutoff(mat, config.alpha[dataset.partition[k]])
+        rho = oracle_density(mat, d_c)
+        subset, noisy = [-1] * len(members), None
+        if len(members) >= config.min_class_size:
+            subset, noisy = split_subsets(rho, config.n_subsets)
+            subset = subset.tolist()
+        for row, r, s in zip(members, rho.tolist(), subset):
+            out.append({"id": dataset.ids[row], "class": k, "rho": r, "d_c": d_c,
+                        "subset": s, "flagged": s == noisy})
+    return jsonl_text(out)
+
+
+def oracle_cases_dataset():
+    """Four classes: 40 rows with outliers, 25 rows, 3 rows (below
+    ``min_class_size``) and 8 identical rows, in three frequency parts."""
+    rng = np.random.default_rng(41)
+    blocks = [rng.normal(0.0, 1.0, size=(40, 3)), rng.normal(5.0, 2.0, size=(25, 3)),
+              rng.normal(-4.0, 1.0, size=(3, 3)), np.full((8, 3), 2.5)]
+    blocks[0][:4] += 9.0
+    labels = [k for k, block in enumerate(blocks) for _ in block]
+    ds = labeled_dataset(np.concatenate(blocks), labels)
+    return dataclasses.replace(ds, partition=(Part.HEAD, Part.BODY, Part.TAIL, Part.TAIL))
+
+
 class TestReportExport:
+    # 30 * 30 entries to a block: class 0 (40 rows) streams, the rest build matrices
+    @pytest.mark.parametrize("budget", [None, 30 * 30])
+    def test_text_matches_the_loop_oracles(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(density, "BLOCK_ELEMENTS", budget)
+        ds = oracle_cases_dataset()
+        # every row but two, out of class order
+        rows = np.random.default_rng(42).permutation(len(ds))[:-2]
+        expected = oracle_report_text(ds, rows, DensityConfig())
+        assert '"flagged": true' in expected and '"subset": -1' in expected
+        got = density_report_to_text(detect_noisy_positives(ds, rows, DensityConfig()))
+        assert got == expected
+
     def test_rows_match_schema(self):
         rng = np.random.default_rng(26)
         report = flag(labeled_dataset(rng.normal(size=(8, 2)), [0] * 8))

@@ -19,6 +19,7 @@ from tripletclean.core import (
     load_dataset,
     partition_predicates,
 )
+from tripletclean.density import density_report_to_text
 from tripletclean.negatives import MinerConfig
 from tripletclean.pipeline import (
     CleaningReport,
@@ -107,6 +108,14 @@ class TestRun:
         result = run(fast_config(stages=StagesConfig(pos_nsd=False)), dataset=ds)
         assert result.report.flagged == 0
         assert result.ledger == ()
+
+    def test_disabled_density_writes_an_empty_report_and_keeps_every_row(self):
+        ds, _ = noisy_dataset()
+        result = run(fast_config(stages=StagesConfig(pos_nsd=False)), dataset=ds)
+        assert density_report_to_text(result.density) == ""
+        assert result.density.clean_rows.size == 0
+        assert result.report.flagged == 0
+        assert result.report.unflagged == result.report.composed > 0
 
     def test_disabled_corrector_keeps_flagged_labels(self):
         ds, _ = noisy_dataset()

@@ -120,8 +120,15 @@ class Pool:
     @classmethod
     def build(cls, ids: Sequence[str], labels, features, config: CorrectionConfig) -> Pool:
         feats = np.asarray(features, dtype=np.float64)
-        require_finite(ids, feats)
         labels = np.asarray(labels, dtype=np.int64)
+        n = len(ids)
+        # an empty pool's features may be a 1-D empty array
+        if labels.shape != (n,) or feats.shape[:1] != (n,) or (n and feats.ndim != 2):
+            raise DatasetError(
+                f"a pool of {n} ids needs {n} labels and {n} feature rows, "
+                f"got labels of shape {labels.shape} and features of shape {feats.shape}"
+            )
+        require_finite(ids, feats)
         return cls(tuple(ids), labels, feats, _kernel_scale(feats, config))
 
     def __len__(self) -> int:

@@ -11,14 +11,13 @@ columns: one stable sort by label groups the rows into classes, and
 each class fills its slice of every column.
 
 Memory: a class whose N*N entries fit in ``BLOCK_ELEMENTS`` (N <= 362)
-gets its matrix, in one buffer sized for the largest such class, so the
-pipeline only ever passes one block of at most 1 MB to
-``cutoff_distance`` and ``local_density``: the cutoff partitions one copy
-of it, and the densities are counted over it in one pass.  A larger class
-is streamed: one ``upper_ranks`` pass over the strictly-upper row strips
-places the cutoff and counts the densities with no N x N array, so memory
-stays bounded however large a class is; the nsc pool median is its second
-caller.  Its temporaries are row strips of at most ``BLOCK_ELEMENTS``
+gets its matrix, one block of at most 1 MB, released before the next
+class builds its own, so one matrix is alive at a time: the cutoff
+partitions one copy of it, and ``local_density`` counts the densities
+over it in one pass.  A larger class is streamed: one ``upper_ranks``
+pass over the strictly-upper row strips places the cutoff and counts the
+densities with no N x N array, so memory stays bounded however large a
+class is; the nsc pool median is its second caller.  Its temporaries are row strips of at most ``BLOCK_ELEMENTS``
 entries, the sample of about pool**(2/3) entries and its bracket, a few
 times that, each gathered entry's place and one count per sample.
 
@@ -103,43 +102,29 @@ def exact_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(diff, axis=-1)
 
 
-def _upper_blocks(feats: np.ndarray):
-    """Yield ``(lo, block)`` over row blocks of a float64 N x d array.
-
-    ``block[r, c]`` is the squared distance between rows ``lo + r`` and
-    ``lo + c``: each block pairs its rows with every row from ``lo`` on.
-    Together the blocks cover the upper triangle, diagonal included, and
-    below it only each block's own square on the diagonal.  The per-block
-    difference temporary holds at most ``max(BLOCK_ELEMENTS, N * d)``
-    float64 values.
-    """
-    n, d = feats.shape
-    rows = max(1, BLOCK_ELEMENTS // max(1, n * d))
-    for lo in range(0, n, rows):
-        yield lo, exact_distances(feats[lo : lo + rows, None, :], feats[None, lo:, :])
-
-
-def distance_matrix(features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs squared Euclidean distances, N x N with zero diagonal,
-    written into ``out`` (an N x N float64 array) when given.
+def distance_matrix(features: np.ndarray) -> np.ndarray:
+    """All-pairs squared Euclidean distances, N x N with zero diagonal.
 
     Each distance is computed once: the upper triangle row block by row
-    block, then mirrored below the diagonal.  The mirror is exact, because
-    IEEE subtraction gives fl(a - b) = -fl(b - a), squaring drops the sign
-    and the reduction over the d features runs in the same order.  Beyond
-    the N x N float64 output the only temporary holds at most
+    block, each block's rows paired with every row from its first on,
+    then mirrored below the diagonal.  The mirror is exact, because IEEE
+    subtraction gives fl(a - b) = -fl(b - a), squaring drops the sign and
+    the reduction over the d features runs in the same order.  Beyond the
+    N x N float64 output the only temporary holds at most
     ``max(BLOCK_ELEMENTS, N * d)`` float64 values (one row of differences
-    when a single row exceeds the budget).
+    when a single row exceeds the budget).  The pipeline builds one only
+    for a class of one block, so it is at most 1 MB, and releases it
+    before the next class builds its own.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise DatasetError(f"expected a 2-D feature array, got shape {feats.shape}")
-    n = feats.shape[0]
-    if out is None:
-        out = np.empty((n, n), dtype=np.float64)
-    for lo, block in _upper_blocks(feats):
-        hi = lo + block.shape[0]
-        out[lo:hi, lo:] = block
+    n, d = feats.shape
+    out = np.empty((n, n), dtype=np.float64)
+    rows = max(1, BLOCK_ELEMENTS // max(1, n * d))
+    for lo in range(0, n, rows):
+        hi = lo + rows
+        out[lo:hi, lo:] = exact_distances(feats[lo:hi, None, :], feats[None, lo:, :])
         out[lo:hi, :lo] = out[:lo, lo:hi].T
     return out
 
@@ -509,23 +494,20 @@ def detect_noisy_positives(
     subset = np.full(rows.size, -1, dtype=np.int64)
     flagged = np.zeros(rows.size, dtype=bool)
     class_ids, starts, sizes = np.unique(labels, return_index=True, return_counts=True)
-    # A class of at most one block's entries fills the front of one buffer
-    # sized for the largest such class, so no freed matrix lingers in the
-    # allocator's heap beside the next one.  A larger class is streamed.
-    streams = sizes * sizes > BLOCK_ELEMENTS
-    buffer = np.empty(int(sizes[~streams].max(initial=0)) ** 2)
-    for k, lo, n, stream in zip(*(a.tolist() for a in (class_ids, starts, sizes, streams))):
+    for k, lo, n in zip(*(a.tolist() for a in (class_ids, starts, sizes))):
         at = slice(lo, lo + n)
         members = rows[at]
         feats = dataset.features[members]
         require_finite([dataset.ids[r] for r in members.tolist()], feats)
         alpha = config.alpha[dataset.partition[k]]
-        if stream:
+        if n * n > BLOCK_ELEMENTS:
             d_c[at], rho[at] = streamed_density(feats, alpha)
         else:
-            dmat = distance_matrix(feats, out=buffer[: n * n].reshape(n, n))
+            dmat = distance_matrix(feats)
             d_c[at] = cutoff_distance(dmat, alpha)
             rho[at] = local_density(dmat, d_c[lo])
+            # freed here, or it stays alive while the next class builds its own
+            del dmat
         if n >= config.min_class_size:
             subset[at], noisy = split_subsets(rho[at], config.n_subsets)
             if noisy is not None:

@@ -283,6 +283,18 @@ class TestPoolMedian:
         with pytest.raises(DatasetError, match="record 'r2' has non-finite features"):
             Pool.build(["r0", "r1", "r2", "r3"], np.zeros(4), feats, CorrectionConfig())
 
+    @pytest.mark.parametrize(
+        "ids, labels, features",
+        [
+            (["r0", "r1"], [0], [[0.0], [1.0]]),  # too few labels
+            (["r0", "r1"], [0, 0], [[0.0], [1.0], [2.0]]),  # too many feature rows
+            (["r0"], [0], [0.5]),  # a 1-D feature list
+        ],
+    )
+    def test_columns_that_are_not_row_aligned_are_rejected(self, ids, labels, features):
+        with pytest.raises(DatasetError, match="feature rows"):
+            Pool.build(ids, labels, features, CorrectionConfig())
+
 
 class TestScreenedVote:
     """``knn_vote`` computes exact distances only for rows its screen cannot

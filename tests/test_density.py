@@ -117,33 +117,17 @@ def assert_streams_like_the_matrix(feats, alpha):
 
 
 def unscreened_upper_ranks(feats, rank, count=1):
-    """``upper_ranks`` by a scan of exact distances over ``_upper_blocks``,
-    with no screen: the reference the screened scan must equal."""
-    n = feats.shape[0]
-    near = np.empty(n, dtype=np.int64)
-    gathered = []
-
-    def scan(lo, hi):
-        near[:] = 0
-        gathered.clear()
-        for start, block in density._upper_blocks(feats):
-            r = block.shape[0]
-            block[:, :r][np.tri(r, dtype=bool)] = np.nan
-            low = block < lo
-            near[start : start + r] += low.sum(axis=1)
-            near[start:] += low.sum(axis=0)
-            keep = (block <= hi) & ~low
-            rows, cols = np.nonzero(keep)
-            gathered.append((rows + start, cols + start, block[keep]))
-        return int(near.sum()) // 2, [values for *_, values in gathered]
-
-    size = n * (n - 1) // 2
-    values = density._select_rank(scan, rank, size, density._pair_sample(feats, size), count)
-    counts = near.copy()
-    for rows, cols, inside in gathered:
-        np.add.at(counts, rows[inside < values[0]], 1)
-        np.add.at(counts, cols[inside < values[0]], 1)
-    return values, counts
+    """``upper_ranks`` from the whole ``distance_matrix``, with no screen,
+    bracket or sample: the reference the screened scan must equal.  The
+    values come from a full sort of the strictly-upper entries (NaN last),
+    the counts from each row's entries below the first value, the diagonal
+    cleared."""
+    mat = distance_matrix(feats)
+    upper = np.sort(mat[np.triu_indices(len(feats), k=1)])
+    values = upper[rank - 1 : rank - 1 + count]
+    below = mat < values[0]
+    np.fill_diagonal(below, False)
+    return values, below.sum(axis=1)
 
 
 def adversarial_features(kind, n, d, seed):
@@ -203,12 +187,6 @@ class TestDistanceMatrix:
     def test_bad_shape_rejected(self):
         with pytest.raises(DatasetError):
             distance_matrix(np.zeros(5))
-
-    def test_writes_into_a_given_buffer(self):
-        feats = np.random.default_rng(15).normal(size=(9, 3))
-        out = np.full(100, np.nan)[:81].reshape(9, 9)
-        assert distance_matrix(feats, out=out) is out
-        np.testing.assert_array_equal(out, oracle_distance_matrix(feats))
 
     @pytest.mark.parametrize("budget", [1, 2 * 17 * 6, 5 * 17 * 6 + 1])
     def test_row_blocks_match_loop_oracle_exactly(self, monkeypatch, budget):
@@ -691,6 +669,29 @@ class TestDetectNoisyPositives:
             tracemalloc.stop()
         assert peak < 1.25 * max(sizes) ** 2 * 8
 
+    def test_one_block_matrix_is_alive_at_a_time(self):
+        # many one-block classes peak above one such class only by their
+        # row columns, not by a second matrix kept alive beside the next
+        n, d = 360, 32
+
+        def peak(classes):
+            labels = [k for k in range(classes) for _ in range(n)]
+            feats = np.random.default_rng(30).normal(size=(len(labels), d))
+            ds = labeled_dataset(feats, labels)
+            rows = np.arange(len(ds))
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                detect_noisy_positives(ds, rows, DensityConfig())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert n * n <= density.BLOCK_ELEMENTS
+        peak(1)  # first-call allocations land outside both measurements
+        one = peak(1)
+        assert peak(32) - one < n * n * 8
+
     def test_matrix_and_streamed_paths_give_the_same_report(self, monkeypatch):
         rng = np.random.default_rng(37)
         sizes = (40, 55, 70)
@@ -718,9 +719,9 @@ class TestDetectNoisyPositives:
         built = []
         real = density.distance_matrix
 
-        def counted(features, out=None):
+        def counted(features):
             built.append(len(features))
-            return real(features, out=out)
+            return real(features)
 
         monkeypatch.setattr(density, "distance_matrix", counted)
         labels = [k for k, n in enumerate(sizes) for _ in range(n)]

@@ -18,6 +18,8 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice, product
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -194,9 +196,47 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+# rows converted, and lines joined, at a time by the text writers
+WRITE_CHUNK = 1024
+
+
+def joined(lines: Iterable[str]) -> str:
+    """The lines as one text.  They are joined ``WRITE_CHUNK`` at a time
+    first, so that few line objects are alive at once beside the text."""
+    lines = iter(lines)
+    pieces = []
+    while piece := "".join(islice(lines, WRITE_CHUNK)):
+        pieces.append(piece)
+    return "".join(pieces)
+
+
+def column_values(*columns: np.ndarray) -> Iterator[tuple]:
+    """Row-aligned columns as Python values, one tuple per row; each
+    column goes through ``tolist()`` ``WRITE_CHUNK`` rows at a time."""
+    for lo in range(0, len(columns[0]), WRITE_CHUNK):
+        yield from zip(*(column[lo : lo + WRITE_CHUNK].tolist() for column in columns))
+
+
 def jsonl_text(rows: Iterable[dict]) -> str:
     """One compact JSON object per line; empty text for no rows."""
-    return "".join(json.dumps(row) + "\n" for row in rows)
+    return joined(json.dumps(row) + "\n" for row in rows)
+
+
+# a string as json.dumps spells it: quoted, with non-ASCII and control
+# characters escaped
+json_string = json.encoder.encode_basestring_ascii
+
+# JSON's spelling of a boolean, indexed by it
+JSON_BOOLS = ("false", "true")
+
+
+def json_numbers(values: Iterable[float]) -> str:
+    """Numbers as json.dumps separates and spells them inside a list."""
+    text = ", ".join(map(repr, values))
+    # of the reprs of numbers only inf and nan hold an "n"
+    if "n" in text:
+        text = text.replace("inf", "Infinity").replace("nan", "NaN")
+    return text
 
 
 # JSON names of the Python types that json.loads produces
@@ -204,6 +244,20 @@ JSON_TYPE_NAMES = {
     str: "a string", int: "an integer", float: "a number", bool: "a boolean",
     list: "a list", dict: "an object", type(None): "null",
 }
+
+
+_scan = json.JSONDecoder().scan_once
+
+
+def _decode(line: str) -> Any:
+    """``json.loads(line)`` for a line without surrounding whitespace,
+    skipping its Python layers; a line that does not scan whole goes
+    through ``json.loads`` itself, for its exact error."""
+    try:
+        obj, end = _scan(line, 0)
+    except StopIteration:
+        end = -1
+    return obj if end == len(line) else json.loads(line)
 
 
 def read_jsonl(
@@ -218,6 +272,11 @@ def read_jsonl(
     naming the path and the line.
     """
     kinds = {key: k if isinstance(k, tuple) else (k,) for key, k in required.items()}
+    # every accepted combination of value types, in key order, so that a
+    # good line costs one set lookup
+    accepted = set(product(*kinds.values()))
+    keys = tuple(kinds)
+    pick = itemgetter(*keys) if len(keys) > 1 else lambda obj: (obj[keys[0]],)
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -226,11 +285,15 @@ def read_jsonl(
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = _decode(line)
                 except json.JSONDecodeError as exc:
                     problem = f"malformed JSON ({exc.msg})"
                 else:
-                    problem = _row_problem(obj, kinds)
+                    try:
+                        good = tuple(map(type, pick(obj))) in accepted
+                    except (KeyError, TypeError):  # a missing key, or not an object
+                        good = False
+                    problem = None if good else _row_problem(obj, kinds)
                 if not problem:
                     rid = str(obj["id"])
                     problem = f"duplicate record id {rid!r}" if rid in seen else None
@@ -281,28 +344,51 @@ def save_vocab(names: Sequence[str], path: str) -> None:
 # the JSON types a feature entry may take; a boolean counts as an integer
 FEATURE_TYPES = {int, float, bool}
 
+# feature values parsed before they are converted and checked together
+FEATURE_CHUNK = 1 << 16
 
-def _feature_row(values: list, where: str) -> np.ndarray:
-    """One line's feature list as float64; DatasetError unless non-empty,
-    all finite numbers, and small enough that every squared distance
-    between two such rows is finite.
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _feature_block(values: list[list], lines: list[int], dim: int, path: str) -> np.ndarray:
+    """The feature lists of consecutive lines (``lines`` their numbers) as
+    one float64 block; DatasetError names the first line whose list is not
+    ``dim`` long, or not a non-empty list of finite numbers small enough
+    that every squared distance between two such rows is finite.
 
     A squared distance over d features is at most d * (2 * max|x|)**2, so
     max|x| may not exceed sqrt(float_max / (4 * d)); the limit is lowered by
     one part in a million to absorb rounding in the differences and sums.
+    A list of another length is checked against its own length before its
+    dimension is named.
     """
-    row = None
-    if values and set(map(type, values)) <= FEATURE_TYPES:
+    n = len(values)
+    sizes = list(map(len, values))
+    odd = n if sizes.count(dim) == n else next(i for i, size in enumerate(sizes) if size != dim)
+    if odd < n:
+        _feature_block(values[:odd], lines[:odd], dim, path)
+        _feature_block(values[odd : odd + 1], lines[odd : odd + 1], sizes[odd], path)
+        raise DatasetError(f"{path}: line {lines[odd]}: feature dimension {sizes[odd]} != {dim}")
+    block = None
+    if dim and set(map(type, chain.from_iterable(values))) <= FEATURE_TYPES:
         try:
-            row = np.asarray(values, dtype=np.float64)
+            block = np.array(values, dtype=np.float64).reshape(n, dim)
         except OverflowError:  # an integer beyond the float range
             pass
-    if row is not None:
-        limit = math.sqrt(sys.float_info.max / (4 * row.size)) * (1 - 1e-6)
-        # NaN and infinities fail this one comparison too
-        if np.abs(row).max() <= limit:
-            return row
-    if row is None or not np.isfinite(row).all():
+    if block is None:
+        if n > 1:  # one line at a time, so the first that cannot convert is named
+            for i in range(n):
+                _feature_block(values[i : i + 1], lines[i : i + 1], dim, path)
+        raise DatasetError(
+            f"{path}: line {lines[0]}: feature must be a non-empty list of finite numbers"
+        )
+    limit = math.sqrt(sys.float_info.max / (4 * dim)) * (1 - 1e-6)
+    # NaN and infinities fail this one comparison too
+    over = np.flatnonzero(~(np.abs(block).max(axis=1) <= limit))
+    if not over.size:
+        return block
+    where = f"{path}: line {lines[over[0]]}"
+    if not np.isfinite(block[over[0]]).all():
         raise DatasetError(f"{where}: feature must be a non-empty list of finite numbers")
     raise DatasetError(
         f"{where}: feature magnitude exceeds {limit:.6g}, so squared distances would overflow"
@@ -317,8 +403,12 @@ def load_dataset(path: str, vocab_path: str | None = None) -> Dataset:
     ``subject_class``, ``object_class``, ``predicate`` (string or null for
     negatives), and ``feature``.  When no vocabulary sidecar is given, the
     vocabulary is inferred in first-appearance order of predicate names.
-    The default bands count annotated records only.  Each feature list
-    becomes a float64 row as its line is read.
+    The default bands count annotated records only.  Each line's fields are
+    appended to columns as it is read; the feature lists wait until about
+    ``FEATURE_CHUNK`` values have been read, and are then checked and
+    converted to float64 rows together.  A line's own problem is raised
+    only after the lists still waiting have been checked, so the first bad
+    line is the one named.
     """
     explicit_names = load_vocab(vocab_path) if vocab_path is not None else None
     names: list[str] = list(explicit_names) if explicit_names is not None else []
@@ -328,57 +418,88 @@ def load_dataset(path: str, vocab_path: str | None = None) -> Dataset:
     image_ids: list[str] = []
     pairs: list[tuple[int, int]] = []
     labels: list[int] = []
-    rows: list[np.ndarray] = []
-    for lineno, obj in read_jsonl(path, DATASET_FIELDS):
-        where = f"{path}: line {lineno}"
-        row = _feature_row(obj["feature"], where)
-        if rows and row.size != rows[0].size:
-            raise DatasetError(f"{where}: feature dimension {row.size} != {rows[0].size}")
-        pred = obj["predicate"]
-        if pred is None:
-            label = NO_LABEL
-        else:
-            if pred not in name_to_idx:
-                if explicit_names is not None:
-                    raise DatasetError(f"{where}: unknown predicate name {pred!r}")
-                name_to_idx[pred] = len(names)
-                names.append(pred)
-            label = name_to_idx[pred]
-        pair = (obj["subject_class"], obj["object_class"])
-        if not all(-(2**63) <= v < 2**63 for v in pair):
-            raise DatasetError(
-                f"{where}: subject_class and object_class must be signed 64-bit integers"
-            )
-        rows.append(row)
-        ids.append(str(obj["id"]))
-        image_ids.append(str(obj["image_id"]))
-        pairs.append(pair)
-        labels.append(label)
+    blocks: list[np.ndarray] = []
+    waiting: list[list] = []
+    waiting_lines: list[int] = []
+
+    def convert() -> None:
+        nonlocal waiting, waiting_lines
+        values, lines, waiting, waiting_lines = waiting, waiting_lines, [], []
+        if values:
+            dim = blocks[0].shape[1] if blocks else len(values[0])
+            blocks.append(_feature_block(values, lines, dim, path))
+
+    size = 0
+    try:
+        for lineno, obj in read_jsonl(path, DATASET_FIELDS):
+            feature = obj["feature"]
+            waiting.append(feature)
+            waiting_lines.append(lineno)
+            pred = obj["predicate"]
+            if pred is None:
+                label = NO_LABEL
+            else:
+                label = name_to_idx.get(pred)
+                if label is None:
+                    if explicit_names is not None:
+                        raise DatasetError(
+                            f"{path}: line {lineno}: unknown predicate name {pred!r}"
+                        )
+                    label = name_to_idx[pred] = len(names)
+                    names.append(pred)
+            pair = (obj["subject_class"], obj["object_class"])
+            if not (INT64_MIN <= pair[0] <= INT64_MAX and INT64_MIN <= pair[1] <= INT64_MAX):
+                raise DatasetError(
+                    f"{path}: line {lineno}: "
+                    "subject_class and object_class must be signed 64-bit integers"
+                )
+            ids.append(str(obj["id"]))
+            image_ids.append(str(obj["image_id"]))
+            pairs.append(pair)
+            labels.append(label)
+            size += len(feature)
+            if size >= FEATURE_CHUNK:
+                convert()
+                size = 0
+    except DatasetError:
+        convert()  # an earlier line's feature problem comes first
+        raise
+    convert()
     if not ids:
         raise DatasetError(f"{path}: empty dataset")
-    return Dataset.counted(ids, image_ids, pairs, np.stack(rows), labels, names)
+    return Dataset.counted(ids, image_ids, pairs, np.concatenate(blocks), labels, names)
+
+
+# one dataset line, in json.dumps's key order and spelling
+RECORD_LINE = (
+    '{"id": %s, "image_id": %s, "subject_class": %d, "object_class": %d, '
+    '"predicate": %s, "feature": [%s]}\n'
+)
 
 
 def dataset_to_text(dataset: Dataset) -> str:
-    """Canonical line-delimited form: one compact record object per line."""
-    names = dataset.vocab.names
-    columns = zip(
+    """Canonical line-delimited form: one compact record object per line,
+    byte for byte as ``json.dumps`` writes it."""
+    # NO_LABEL (-1) picks the last entry, JSON's null
+    predicates = [*map(json_string, dataset.vocab.names), "null"]
+    pairs = dataset.pairs
+    rows = zip(
         dataset.ids,
         dataset.image_ids,
-        dataset.pairs.tolist(),
-        dataset.labels.tolist(),
+        column_values(pairs[:, 0], pairs[:, 1], dataset.labels),
         dataset.features,
     )
-    return jsonl_text(
-        {
-            "id": rid,
-            "image_id": image_id,
-            "subject_class": subject,
-            "object_class": obj,
-            "predicate": names[label] if label != NO_LABEL else None,
-            "feature": feature.tolist(),
-        }
-        for rid, image_id, (subject, obj), label, feature in columns
+    return joined(
+        RECORD_LINE
+        % (
+            json_string(rid),
+            json_string(image_id),
+            subject,
+            obj,
+            predicates[label],
+            json_numbers(feature.tolist()),
+        )
+        for rid, image_id, (subject, obj, label), feature in rows
     )
 
 

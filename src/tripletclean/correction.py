@@ -7,11 +7,12 @@ predicate replaces the old label unless it matches, in which case the
 record is kept as-is.  Clean pools are frozen before any correction is
 applied, so corrections never feed each other within a pass.
 
-Each vote screens its pool with one matrix-vector product and
-``density.screened_distances``' error bound, then computes
-``density.exact_distances`` only for the rows the bound cannot rule out
-of the K nearest, so the neighbors, their order and their weights are
-those of exact distances to every row.
+Each vote screens its pool with one matrix-vector product and the same
+error bound as ``density.screened_distances``, computed in Python floats
+from the query's norm and the largest row norm that the pool computes
+once.  It then computes ``density.exact_distances`` only for the rows the
+bound cannot rule out of the K nearest, so the neighbors, their order and
+their weights are those of exact distances to every row.
 """
 
 from __future__ import annotations
@@ -23,14 +24,24 @@ from typing import Sequence
 
 import numpy as np
 
+from tripletclean import density
 from tripletclean.core import (
+    JSON_BOOLS,
     Dataset,
     DatasetError,
-    jsonl_text,
+    joined,
+    json_numbers,
+    json_string,
     read_jsonl,
     require_finite,
 )
-from tripletclean.density import exact_distances, screened_distances, squared_norms, upper_ranks
+from tripletclean.density import (
+    SCREEN_MAX_SCALE,
+    exact_distances,
+    screen_terms,
+    squared_norms,
+    upper_ranks,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -104,18 +115,21 @@ def _kernel_scale(pool_features: np.ndarray, config: CorrectionConfig) -> float:
 @dataclass(frozen=True, eq=False)
 class Pool:
     """Clean rows of one subject-object pair, with the kernel scale of all
-    their votes and the rows' squared norms, which screen each vote."""
+    their votes, and the rows' squared norms and largest norm, which
+    screen each vote."""
 
     ids: tuple[str, ...]
     labels: np.ndarray
     features: np.ndarray
     scale: float
     sq_norms: np.ndarray = field(init=False, repr=False)
+    max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         # an empty pool's features may be a 1-D empty array
         norms = squared_norms(self.features) if len(self) else np.zeros(0)
         object.__setattr__(self, "sq_norms", norms)
+        object.__setattr__(self, "max_norm", math.sqrt(norms.max(initial=0.0)))
 
     @classmethod
     def build(cls, ids: Sequence[str], labels, features, config: CorrectionConfig) -> Pool:
@@ -145,19 +159,27 @@ def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) ->
         return VoteResult(label=None)
     query = np.asarray(query_feature, dtype=np.float64)[None, :]
     k = min(config.k, len(pool))
-    approx, bound = screened_distances(query, pool.features, pool.sq_norms)
-    approx, bound = approx[0], float(bound[0])
-    if math.isfinite(bound):
+    # density.screened_distances for one row, with the bound in Python floats
+    with np.errstate(all="ignore"):  # an overflow only makes the bound infinite
+        q_sq = float(density._products(query, query)[0, 0])
+        approx = density._products(-2.0 * query, pool.features)[0]
+        approx += q_sq
+        approx += pool.sq_norms
+    scale = math.sqrt(q_sq) + pool.max_norm
+    scale *= scale
+    if scale < SCREEN_MAX_SCALE:
+        relative, absolute = screen_terms(query.size)
+        bound = scale * relative + absolute
         # The exact k-th distance is at most the approximate one plus the
         # bound, so a row within it lies within twice the bound of the
         # approximate k-th distance: only such rows can be neighbors.
-        rows = np.flatnonzero(approx <= np.partition(approx, k - 1)[k - 1] + 2 * bound)
+        rows = (approx <= float(np.partition(approx, k - 1)[k - 1]) + 2 * bound).nonzero()[0]
     else:
         rows = np.arange(len(pool))
     dists = exact_distances(pool.features[rows], query)
     # The candidate rows ascend, so a stable sort of their distances starts
     # with the same k rows, in the same order, as one of the whole pool.
-    near = np.argsort(dists, kind="stable")[:k]
+    near = dists.argsort(kind="stable")[:k]
     order = rows[near]
 
     c = pool.scale
@@ -172,7 +194,7 @@ def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) ->
     winner = min(score, key=lambda v: (-score[v], total_dist[v], v))
     return VoteResult(
         label=winner,
-        neighbor_ids=tuple(pool.ids[i] for i in order),
+        neighbor_ids=tuple(pool.ids[i] for i in order.tolist()),
         weights=tuple(weights.tolist()),
     )
 
@@ -261,9 +283,28 @@ LEDGER_FIELDS = {
 }
 
 
+# one ledger line, keys in LEDGER_FIELDS order
+LEDGER_LINE = (
+    '{"id": %s, "old_label": %d, "new_label": %d, "changed": %s, '
+    '"neighbor_ids": [%s], "weights": [%s]}\n'
+)
+
+
 def ledger_to_text(ledger: Sequence[CorrectionRecord]) -> str:
-    """One ledger entry per line, keys in field order."""
-    return jsonl_text({key: getattr(entry, key) for key in LEDGER_FIELDS} for entry in ledger)
+    """One ledger entry per line, keys in field order, byte for byte as
+    ``json.dumps`` writes them."""
+    return joined(
+        LEDGER_LINE
+        % (
+            json_string(entry.id),
+            entry.old_label,
+            entry.new_label,
+            JSON_BOOLS[entry.changed],
+            ", ".join(map(json_string, entry.neighbor_ids)),
+            json_numbers(entry.weights),
+        )
+        for entry in ledger
+    )
 
 
 def load_ledger(path: str) -> tuple[CorrectionRecord, ...]:

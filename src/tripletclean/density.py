@@ -43,10 +43,14 @@ from typing import Sequence
 import numpy as np
 
 from tripletclean.core import (
+    JSON_BOOLS,
     Dataset,
     DatasetError,
     Part,
-    jsonl_text,
+    column_values,
+    joined,
+    json_numbers,
+    json_string,
     read_jsonl,
     require_finite,
 )
@@ -99,7 +103,7 @@ def exact_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     diff = a - b
     diff *= diff
-    return np.sum(diff, axis=-1)
+    return diff.sum(axis=-1)
 
 
 def distance_matrix(features: np.ndarray) -> np.ndarray:
@@ -203,7 +207,7 @@ def _pair_sample(feats: np.ndarray, size: int) -> np.ndarray:
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b.T`` over the last two axes: every dot product the distance
     screen takes goes through here, in whatever order BLAS sums it."""
-    return a @ np.swapaxes(b, -1, -2)
+    return a @ b.swapaxes(-1, -2)
 
 
 def squared_norms(feats: np.ndarray) -> np.ndarray:
@@ -211,6 +215,16 @@ def squared_norms(feats: np.ndarray) -> np.ndarray:
     overflows is infinite, and makes the row's screening bound infinite."""
     with np.errstate(over="ignore"):
         return _products(feats[:, None, :], feats[:, None, :])[:, 0, 0]
+
+
+# (s + R)² from which on the screen's bound E is infinite
+SCREEN_MAX_SCALE = 2.0**1000
+
+
+def screen_terms(d: int) -> tuple[float, float]:
+    """E = (s + R)² · relative + absolute below ``SCREEN_MAX_SCALE``, for
+    rows of d features (see ``screened_distances``)."""
+    return 4 * (d + 8) * 2.0**-53, (d + 8) * 2.0**-1020
 
 
 def screened_distances(
@@ -252,7 +266,7 @@ def screened_distances(
     infinite, as it is for a non-finite row: no threshold then decides
     and every entry is computed exactly.
     """
-    d = a.shape[1]
+    relative, absolute = screen_terms(a.shape[1])
     # an overflow here only makes E infinite, so it warns of nothing
     with np.errstate(all="ignore"):
         # squared_norms(a), under this errstate
@@ -261,9 +275,7 @@ def screened_distances(
         approx += a_sq[:, None]
         approx += b_sq
         scale = (np.sqrt(a_sq) + math.sqrt(b_sq.max())) ** 2
-        bound = np.where(
-            scale < 2.0**1000, scale * (4 * (d + 8) * 2.0**-53) + (d + 8) * 2.0**-1020, np.inf
-        )
+        bound = np.where(scale < SCREEN_MAX_SCALE, scale * relative + absolute, np.inf)
     return approx, bound
 
 
@@ -517,14 +529,30 @@ def detect_noisy_positives(
     return DensityReport(rows, labels, d_c, rho, subset, flagged, dataset.ids)
 
 
+# one density report line, its class and cutoff filled in once per run
+DENSITY_LINE = (
+    '{"id": %%s, "class": %d, "rho": %%d, "d_c": %s, "subset": %%d, "flagged": %%s}\n'
+)
+
+
 def density_report_to_text(report: DensityReport) -> str:
-    """Line-delimited audit rows: one sample per line, grouped by class."""
-    ids = report.ids
-    columns = (report.rows, report.classes, report.rho, report.d_c, report.subset, report.flagged)
-    return jsonl_text(
-        {"id": ids[row], "class": k, "rho": rho, "d_c": d_c, "subset": subset, "flagged": flagged}
-        for row, k, rho, d_c, subset, flagged in zip(*(c.tolist() for c in columns))
-    )
+    """Line-delimited audit rows: one sample per line, grouped by class,
+    byte for byte as ``json.dumps`` writes them."""
+    classes, d_c, ids = report.classes, report.d_c, report.ids
+    bits = d_c.view(np.int64)
+    ends = np.flatnonzero((classes[1:] != classes[:-1]) | (bits[1:] != bits[:-1])) + 1
+    bounds = [0, *ends.tolist(), len(classes)] if len(classes) else []
+
+    def lines():
+        # each run of rows that share a class and a cutoff spells both once
+        for lo, hi in zip(bounds, bounds[1:]):
+            line = DENSITY_LINE % (classes[lo], json_numbers(d_c[lo : lo + 1].tolist()))
+            at = slice(lo, hi)
+            columns = (report.rows[at], report.rho[at], report.subset[at], report.flagged[at])
+            for row, rho, subset, flagged in column_values(*columns):
+                yield line % (json_string(ids[row]), rho, subset, JSON_BOOLS[flagged])
+
+    return joined(lines())
 
 
 def load_flagged(path: str) -> frozenset[str]:

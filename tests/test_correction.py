@@ -1,5 +1,6 @@
 """Tests for the weighted-KNN correction stage."""
 
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -10,10 +11,12 @@ import pytest
 
 from tripletclean.core import NO_LABEL, Dataset, DatasetError
 from tripletclean import correction, density
+from test_core import INT64_LIMITS, ODD_FLOATS, ODD_STRINGS, json_lines, traced
 from test_density import FEATURE_KINDS, SCREEN_DIMS, adversarial_features
 from tripletclean.correction import (
     KERNEL_SCALE_FLOOR,
     CorrectionConfig,
+    CorrectionRecord,
     Pool,
     correct,
     knn_vote,
@@ -426,6 +429,16 @@ class TestCorrect:
         with pytest.raises(DatasetError, match="flagged record 'neg' has no label"):
             correct_ids(["neg"], ds, [c.id for c in cleans], CorrectionConfig())
 
+    def test_a_screen_that_overflows_stays_silent(self):
+        # x·y overflows for rows near 1e154, so the vote's screen does,
+        # inside correct's errstate(over="raise"); identical rows still lie
+        # at distance 0 and vote
+        cleans = [rec(f"c{i}", 6, [1e154] * 3, pair=(1, 2)) for i in range(5)]
+        ds = build_dataset(cleans + [rec("bad", 3, [1e154] * 3, pair=(1, 2))])
+        config = CorrectionConfig(kernel_c=1.0)
+        _, ledger = correct_ids(["bad"], ds, [c.id for c in cleans], config)
+        assert ledger[0].new_label == 6 and ledger[0].weights == (1.0, 1.0, 1.0)
+
     def test_kernel_scale_that_underflows_is_rejected(self):
         # 2 * c * c underflows to 0, so every weight would divide by zero
         ds, noisy_ids, clean_ids = self.surrounded_dataset()
@@ -549,6 +562,34 @@ class TestLedgerExport:
         _, ledger = correct_ids(["bad", "lone"], ds, [c.id for c in cleans], CorrectionConfig())
         assert ledger_to_text(ledger) == jsonl_text(map(dataclasses.asdict, ledger))
 
+    def test_matches_json_dumps_on_odd_values(self):
+        ledger = [
+            CorrectionRecord(
+                id=rid,
+                old_label=INT64_LIMITS[i % 2],
+                new_label=INT64_LIMITS[i % 2] if i % 3 else 0,
+                changed=bool(i % 3 == 0),
+                neighbor_ids=tuple(ODD_STRINGS[i:]),
+                weights=tuple(np.roll(ODD_FLOATS, i)[: len(ODD_STRINGS) - i].tolist()),
+            )
+            for i, rid in enumerate(ODD_STRINGS)
+        ]
+        ledger.append(CorrectionRecord("lone", 3, 3, False, (), ()))
+        ledger.append(CorrectionRecord("loaded", 1, 2, True, ("a", "b"), (1, 0.5)))
+        expected = json_lines(map(dataclasses.asdict, ledger))
+        assert ledger_to_text(ledger) == expected
+
+    def test_peak_memory_is_about_two_texts(self):
+        weights = np.random.default_rng(8).random((5_000, 3)).tolist()
+        ledger = [
+            CorrectionRecord(
+                f"r{i:06d}", i % 5, (i + 1) % 5, True,
+                tuple(f"r{(i + j) % 5_000:06d}" for j in (1, 2, 3)), tuple(w),
+            )
+            for i, w in enumerate(weights)
+        ]
+        text, peak = traced(ledger_to_text, ledger)
+        assert peak < 2.5 * len(text)
 
 # a consistent ledger entry
 LEDGER_ENTRY = {

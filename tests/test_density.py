@@ -20,6 +20,7 @@ from tripletclean.core import (
 )
 from tripletclean.density import (
     DensityConfig,
+    DensityReport,
     cutoff_distance,
     density_report_to_text,
     detect_noisy_positives,
@@ -29,6 +30,7 @@ from tripletclean.density import (
     split_subsets,
     streamed_density,
 )
+from test_core import INT64_LIMITS, ODD_FLOATS, ODD_STRINGS, json_lines, traced
 
 
 def oracle_distance_matrix(feats):
@@ -530,6 +532,27 @@ class TestAnySummationOrder:
         assert not np.array_equal(swapped, approx)  # the swap changes the screen
         assert self.outcomes() == expected
 
+    def test_the_swap_reaches_every_screen(self, monkeypatch):
+        # the stream, the pool median and the vote each take their dot
+        # products from the helper that the swaps replace
+        feats = adversarial_features("offset 1e4", 60, 9, 6)
+        config = CorrectionConfig(k=3)
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return a @ b.swapaxes(-1, -2)
+
+        monkeypatch.setattr(density, "_products", counted)
+        streamed_density(feats, 25.0)
+        assert calls
+        calls.clear()
+        pool = Pool.build([f"r{i}" for i in range(50)], np.arange(50) % 4, feats[:50], config)
+        assert calls
+        calls.clear()
+        knn_vote(feats[50], pool, config)
+        assert calls
+
 
 class TestSplitSubsets:
     def test_reference_two_means(self):
@@ -802,6 +825,61 @@ class TestReportExport:
         assert '"flagged": true' in expected and '"subset": -1' in expected
         got = density_report_to_text(detect_noisy_positives(ds, rows, DensityConfig()))
         assert got == expected
+
+    @staticmethod
+    def reference_text(report):
+        """The report as json.dumps writes each row."""
+        columns = (report.rows, report.classes, report.rho, report.d_c, report.subset)
+        return json_lines(
+            {"id": report.ids[row], "class": k, "rho": rho, "d_c": d_c, "subset": subset,
+             "flagged": flagged}
+            for row, k, rho, d_c, subset, flagged in zip(
+                *(c.tolist() for c in columns), report.flagged.tolist()
+            )
+        )
+
+    def test_matches_json_dumps_on_odd_values(self):
+        # two rows to each cutoff; -0.0 and 0.0 are two cutoffs of class 3,
+        # and classes 0 and 2 hold two cutoffs each
+        d_c = np.repeat([-0.0, 0.0, *ODD_FLOATS[1:]], 2)
+        classes = np.repeat([3, 3, INT64_LIMITS[0], 0, 0, 1, 2, 2, 4, 5, INT64_LIMITS[1]], 2)
+        n = d_c.size
+        ids = [*ODD_STRINGS, *(f"r{i}" for i in range(n))]
+        report = DensityReport(
+            rows=np.random.default_rng(2).permutation(len(ids))[:n],
+            classes=classes,
+            d_c=d_c,
+            rho=np.array([INT64_LIMITS[0], 0, 1, INT64_LIMITS[1]] * (n // 4) + [7] * (n % 4)),
+            subset=np.arange(n) % 3 - 1,
+            flagged=np.arange(n) % 2 == 0,
+            ids=ids,
+        )
+        assert density_report_to_text(report) == self.reference_text(report)
+
+    def test_infinite_cutoff(self):
+        # rows near 0 and near 1e154 alternate: every cross distance is inf
+        feats = adversarial_features("huge", 40, 3, 4)
+        feats[::2] = np.random.default_rng(4).normal(size=(20, 3))
+        config = DensityConfig(alpha={part: 99.0 for part in Part})
+        with np.errstate(over="ignore"):
+            report = flag(labeled_dataset(feats, [0] * 40), config)
+        text = density_report_to_text(report)
+        assert '"d_c": Infinity' in text
+        assert text == self.reference_text(report)
+
+    def test_peak_memory_is_about_two_texts(self):
+        n = 20_000
+        report = DensityReport(
+            rows=np.arange(n),
+            classes=np.repeat(np.arange(8), n // 8),
+            d_c=np.repeat(np.random.default_rng(7).random(8), n // 8),
+            rho=np.arange(n) % 500,
+            subset=np.arange(n) % 3,
+            flagged=np.arange(n) % 3 == 0,
+            ids=[f"r{i:06d}" for i in range(n)],
+        )
+        text, peak = traced(density_report_to_text, report)
+        assert peak < 2.5 * len(text)
 
     def test_rows_match_schema(self):
         rng = np.random.default_rng(26)

@@ -308,14 +308,13 @@ BAD_LINES = {
 
 
 def bad_line(kind, rid):
-    """Line ``kind`` of BAD_LINES with id ``rid``, unless its id is the fault."""
+    """Line ``kind`` of BAD_LINES with id ``rid``, unless its id is the
+    fault; a field changed to None is left out."""
     change = BAD_LINES[kind][0]
     if isinstance(change, str):
         return change
     row = {**sample_rows()[1], "id": rid, **change}
-    if change.get("feature", 0) is None:
-        del row["feature"]
-    return json.dumps(row)
+    return json.dumps({key: value for key, value in row.items() if value is not None})
 
 
 class TestLoaderErrorOrder:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -122,14 +122,8 @@ class Pool:
     labels: np.ndarray
     features: np.ndarray
     scale: float
-    sq_norms: np.ndarray = field(init=False, repr=False)
-    max_norm: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # an empty pool's features may be a 1-D empty array
-        norms = squared_norms(self.features) if len(self) else np.zeros(0)
-        object.__setattr__(self, "sq_norms", norms)
-        object.__setattr__(self, "max_norm", math.sqrt(norms.max(initial=0.0)))
+    sq_norms: np.ndarray
+    max_norm: float
 
     @classmethod
     def build(cls, ids: Sequence[str], labels, features, config: CorrectionConfig) -> Pool:
@@ -143,7 +137,9 @@ class Pool:
                 f"got labels of shape {labels.shape} and features of shape {feats.shape}"
             )
         require_finite(ids, feats)
-        return cls(tuple(ids), labels, feats, _kernel_scale(feats, config))
+        norms = squared_norms(feats) if n else np.zeros(0)
+        scale = _kernel_scale(feats, config)
+        return cls(tuple(ids), labels, feats, scale, norms, math.sqrt(norms.max(initial=0.0)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -237,7 +233,7 @@ def correct(
         pools[pair] = Pool.build(
             [ids[r] for r in rows], labels[rows], dataset.features[rows], config
         )
-    no_pool = Pool((), labels[:0], dataset.features[:0], KERNEL_SCALE_FLOOR)
+    no_pool = Pool((), labels[:0], dataset.features[:0], KERNEL_SCALE_FLOOR, np.zeros(0), 0.0)
 
     new_labels = labels.copy()
     ledger: list[CorrectionRecord] = []

@@ -42,14 +42,14 @@ from tripletclean.correction import (
     CorrectionRecord,
     correct,
     ledger_to_text,
-    load_ledger,  # noqa: F401  re-exported beside load_mined for eval
+    load_ledger,  # noqa: F401  re-exported: perfbench/run.py still imports it here
 )
 from tripletclean.density import (
     DensityConfig,
     DensityReport,
     density_report_to_text,
     detect_noisy_positives,
-    load_flagged,  # noqa: F401  re-exported beside load_mined for eval
+    load_flagged,  # noqa: F401  re-exported: perfbench/run.py still imports it here
 )
 from tripletclean.negatives import (
     ConfidenceModel,

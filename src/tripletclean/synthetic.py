@@ -258,8 +258,9 @@ class Metrics:
         return asdict(self)
 
 
-def _ratio(num: int, den: int) -> float:
-    return num / den if den else 1.0
+def _ratio(num, den) -> float:
+    # numpy counts become Python ints, so every metric is a Python float
+    return int(num) / int(den) if den else 1.0
 
 
 def score(
@@ -273,8 +274,9 @@ def score(
 
     ``mined`` maps promoted negative ids to their pseudo predicate name;
     ``flagged_ids`` is the density stage's noisy set; ``ledger`` the
-    correction outcomes.  Labels are compared by predicate name.  An id in
-    any of the three that the dataset lacks raises DatasetError.
+    correction outcomes.  Labels are compared by predicate name, so a name
+    outside the cleaned vocabulary matches no label.  An id in any of the
+    three that the dataset lacks raises DatasetError.
     """
     known = set(cleaned.ids)
     if known != set(truth.true_predicate):
@@ -284,22 +286,6 @@ def score(
         unknown = sorted(set(ids) - known)
         if unknown:
             raise DatasetError(f"{what} ids not in the dataset ({len(unknown)}): {unknown[:5]}")
-
-    missing = truth.tagged(NoiseTag.MISSING)
-    mined_ids = set(mined)
-    neg_recall = _ratio(len(mined_ids & missing), len(missing))
-    neg_precision = _ratio(len(mined_ids & missing), len(mined_ids))
-    recovered = sorted(mined_ids & missing)
-    pseudo_acc = _ratio(
-        sum(1 for rid in recovered if mined[rid] == truth.true_predicate[rid]),
-        len(recovered),
-    )
-
-    noisy_pos = truth.tagged(NoiseTag.COMMON) | truth.tagged(NoiseTag.SYNONYM)
-    flagged = set(flagged_ids)
-    pos_recall = _ratio(len(flagged & noisy_pos), len(noisy_pos))
-    pos_precision = _ratio(len(flagged & noisy_pos), len(flagged))
-
     names = cleaned.vocab.names
     for entry in ledger:
         if not (0 <= entry.old_label < len(names) and 0 <= entry.new_label < len(names)):
@@ -307,38 +293,39 @@ def score(
                 f"ledger entry {entry.id!r}: label index outside the vocabulary of "
                 f"{len(names)} predicates"
             )
-    changed = [entry for entry in ledger if entry.changed]
-    correction_acc = _ratio(
-        sum(
-            1
-            for entry in changed
-            if truth.true_predicate[entry.id] == names[entry.new_label]
-        ),
-        len(changed),
-    )
 
-    truth_labeled = [rid for rid, name in truth.true_predicate.items() if name is not None]
-    before_correct = sum(1 for rid in truth_labeled if truth.tag[rid] is NoiseTag.NONE)
-    after_correct = background_kept = 0
-    for rid, label in zip(cleaned.ids, cleaned.labels.tolist()):
-        true_name = truth.true_predicate[rid]
-        if label == NO_LABEL:
-            background_kept += true_name is None
-        else:
-            after_correct += names[label] == true_name
+    # Names compare as codes: a vocabulary name codes as its label index,
+    # background (None) as NO_LABEL, any other name as a code of its own.
+    code = {None: NO_LABEL, **{name: label for label, name in enumerate(names)}}
+    encode = lambda name: code.setdefault(name, len(code))
+    row_of = {rid: row for row, rid in enumerate(cleaned.ids)}.__getitem__
+    column = lambda values: np.fromiter(values, dtype=np.int64)
+    true = column(encode(truth.true_predicate[rid]) for rid in cleaned.ids)
+    tags = column(TAGS.index(truth.tag[rid]) for rid in cleaned.ids)
+    is_tag = lambda tag: tags == TAGS.index(tag)
 
+    promoted = column(map(row_of, mined))
+    pseudo_right = column(map(encode, mined.values())) == true[promoted]
+    missing = is_tag(NoiseTag.MISSING)
+    recovered = missing[promoted]
+    noisy = is_tag(NoiseTag.COMMON) | is_tag(NoiseTag.SYNONYM)
+    caught = noisy[column(map(row_of, flagged_ids))]
+    fixes = [entry for entry in ledger if entry.changed]
+    fixed_right = true[column(row_of(e.id) for e in fixes)] == column(e.new_label for e in fixes)
+    labeled = true != NO_LABEL
+    right = cleaned.labels == true
     return Metrics(
-        neg_recall=neg_recall,
-        neg_precision=neg_precision,
-        pseudo_label_accuracy=pseudo_acc,
-        false_promotions=sum(1 for rid in mined_ids if truth.true_predicate[rid] is None),
-        pos_recall=pos_recall,
-        pos_precision=pos_precision,
-        correction_accuracy=correction_acc,
-        accuracy_before=_ratio(before_correct, len(truth_labeled)),
-        accuracy_after=_ratio(after_correct, len(truth_labeled)),
-        label_accuracy_all=_ratio(after_correct + background_kept, len(cleaned.ids)),
-        tag_counts={t.value: len(truth.tagged(t)) for t in NoiseTag},
+        neg_recall=_ratio(recovered.sum(), missing.sum()),
+        neg_precision=_ratio(recovered.sum(), len(promoted)),
+        pseudo_label_accuracy=_ratio(pseudo_right[recovered].sum(), recovered.sum()),
+        false_promotions=int(np.sum(true[promoted] == NO_LABEL)),
+        pos_recall=_ratio(caught.sum(), noisy.sum()),
+        pos_precision=_ratio(caught.sum(), len(caught)),
+        correction_accuracy=_ratio(fixed_right.sum(), len(fixed_right)),
+        accuracy_before=_ratio(np.sum(labeled & is_tag(NoiseTag.NONE)), labeled.sum()),
+        accuracy_after=_ratio(np.sum(labeled & right), labeled.sum()),
+        label_accuracy_all=_ratio(right.sum(), len(right)),
+        tag_counts={tag.value: int(is_tag(tag).sum()) for tag in TAGS},
     )
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tripletclean.core import DatasetError, dataset_to_text
+from tripletclean.core import NO_LABEL, Dataset, DatasetError, dataset_to_text
 from tripletclean.correction import CorrectionRecord
 from tripletclean.synthetic import (
     GroundTruth,
@@ -198,21 +198,209 @@ class TestGenerate:
             base_config(feature_dim=3)
 
 
-class TestScore:
-    def noisy_setup(self):
-        config = base_config(
-            coarse_of={1: 0},
-            synonym_pairs=((2, 3),),
-            eta_common=0.3,
-            eta_syn=0.3,
-            eta_neg=0.1,
-            n_background=20,
-        )
-        return generate(config)
+def oracle_score(cleaned, truth, mined, flagged_ids, ledger) -> Metrics:
+    """``score`` as a loop over records for each metric, on the id-keyed
+    truth and its ``tagged`` sets, comparing predicate names as strings."""
+    known = set(cleaned.ids)
+    if known != set(truth.true_predicate):
+        raise DatasetError("dataset ids do not match ground truth ids")
+    given = (("mined", mined), ("flagged", flagged_ids), ("ledger", [e.id for e in ledger]))
+    for what, ids in given:
+        unknown = sorted(set(ids) - known)
+        if unknown:
+            raise DatasetError(f"{what} ids not in the dataset ({len(unknown)}): {unknown[:5]}")
+    ratio = lambda num, den: num / den if den else 1.0
 
+    missing = truth.tagged(NoiseTag.MISSING)
+    mined_ids = set(mined)
+    neg_recall = ratio(len(mined_ids & missing), len(missing))
+    neg_precision = ratio(len(mined_ids & missing), len(mined_ids))
+    recovered = sorted(mined_ids & missing)
+    pseudo_acc = ratio(
+        sum(1 for rid in recovered if mined[rid] == truth.true_predicate[rid]),
+        len(recovered),
+    )
+
+    noisy_pos = truth.tagged(NoiseTag.COMMON) | truth.tagged(NoiseTag.SYNONYM)
+    flagged = set(flagged_ids)
+    pos_recall = ratio(len(flagged & noisy_pos), len(noisy_pos))
+    pos_precision = ratio(len(flagged & noisy_pos), len(flagged))
+
+    names = cleaned.vocab.names
+    for entry in ledger:
+        if not (0 <= entry.old_label < len(names) and 0 <= entry.new_label < len(names)):
+            raise DatasetError(
+                f"ledger entry {entry.id!r}: label index outside the vocabulary of "
+                f"{len(names)} predicates"
+            )
+    changed = [entry for entry in ledger if entry.changed]
+    correction_acc = ratio(
+        sum(
+            1
+            for entry in changed
+            if truth.true_predicate[entry.id] == names[entry.new_label]
+        ),
+        len(changed),
+    )
+
+    truth_labeled = [rid for rid, name in truth.true_predicate.items() if name is not None]
+    before_correct = sum(1 for rid in truth_labeled if truth.tag[rid] is NoiseTag.NONE)
+    after_correct = background_kept = 0
+    for rid, label in zip(cleaned.ids, cleaned.labels.tolist()):
+        true_name = truth.true_predicate[rid]
+        if label == NO_LABEL:
+            background_kept += true_name is None
+        else:
+            after_correct += names[label] == true_name
+
+    return Metrics(
+        neg_recall=neg_recall,
+        neg_precision=neg_precision,
+        pseudo_label_accuracy=pseudo_acc,
+        false_promotions=sum(1 for rid in mined_ids if truth.true_predicate[rid] is None),
+        pos_recall=pos_recall,
+        pos_precision=pos_precision,
+        correction_accuracy=correction_acc,
+        accuracy_before=ratio(before_correct, len(truth_labeled)),
+        accuracy_after=ratio(after_correct, len(truth_labeled)),
+        label_accuracy_all=ratio(after_correct + background_kept, len(cleaned.ids)),
+        tag_counts={t.value: len(truth.tagged(t)) for t in NoiseTag},
+    )
+
+
+def checked_score(cleaned, truth, mined, flagged, ledger) -> Metrics:
+    """``score``, after asserting that it equals ``oracle_score`` with every
+    value of the same Python type, so ``eval`` writes the same JSON."""
+    typed = lambda d: {k: typed(v) if isinstance(v, dict) else (type(v), v) for k, v in d.items()}
+    metrics = score(cleaned, truth, mined, flagged, ledger)
+    assert typed(metrics.to_dict()) == typed(
+        oracle_score(cleaned, truth, mined, flagged, ledger).to_dict()
+    )
+    return metrics
+
+
+def noisy_setup():
+    config = base_config(
+        coarse_of={1: 0},
+        synonym_pairs=((2, 3),),
+        eta_common=0.3,
+        eta_syn=0.3,
+        eta_neg=0.1,
+        n_background=20,
+    )
+    return generate(config)
+
+
+def perfect_outcome(ds, truth):
+    """The cleaned dataset, mined map, flagged set and ledger of a pipeline
+    that finds and fixes every planted error."""
+    index_of = {n: i for i, n in enumerate(ds.vocab.names)}
+    mined, flagged, ledger = {}, set(), []
+    labels = ds.labels.copy()
+    for row, rid in enumerate(ds.ids):
+        tag = truth.tag[rid]
+        true_name = truth.true_predicate[rid]
+        if tag is NoiseTag.MISSING:
+            mined[rid] = true_name
+        elif tag in (NoiseTag.COMMON, NoiseTag.SYNONYM):
+            flagged.add(rid)
+            ledger.append(
+                CorrectionRecord(rid, int(labels[row]), index_of[true_name], True, (), ())
+            )
+        if tag is not NoiseTag.NONE:
+            labels[row] = index_of[true_name]
+    return replace(ds, labels=labels), mined, flagged, tuple(ledger)
+
+
+def random_half_outcome(ds, seed):
+    """Each stage acts on a random half of its records: half the unlabeled
+    rows are mined under a random name, half the labeled ones are flagged
+    and re-voted to a random label, often their own (``changed`` false)."""
+    rng = np.random.default_rng(seed)
+    names = ds.vocab.names
+    labels = ds.labels.copy()
+    negatives, positives = ds.negatives(), ds.positives()
+    mined = {}
+    for row in rng.choice(negatives, size=len(negatives) // 2, replace=False).tolist():
+        labels[row] = int(rng.integers(len(names)))
+        mined[ds.ids[row]] = names[labels[row]]
+    flagged_rows = rng.choice(positives, size=len(positives) // 2, replace=False)
+    ledger = []
+    for row in sorted(flagged_rows.tolist(), key=ds.ids.__getitem__):
+        old = int(labels[row])
+        new = old if rng.random() < 0.3 else int(rng.integers(len(names)))
+        labels[row] = new
+        ledger.append(CorrectionRecord(ds.ids[row], old, new, new != old, (), ()))
+    flagged = frozenset(ds.ids[row] for row in flagged_rows.tolist())
+    return replace(ds, labels=labels), mined, flagged, tuple(ledger)
+
+
+def reordered(ds, order) -> Dataset:
+    """``ds`` with its rows in ``order``."""
+    return Dataset.counted(
+        [ds.ids[r] for r in order],
+        [ds.image_ids[r] for r in order],
+        ds.pairs[order],
+        ds.features[order],
+        ds.labels[order],
+        ds.vocab.names,
+    )
+
+
+class TestScoreMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_half_cleaner(self, seed):
+        ds, truth = noisy_setup()
+        cleaned, mined, flagged, ledger = random_half_outcome(ds, seed)
+        assert any(not e.changed for e in ledger) and any(e.changed for e in ledger)
+        checked_score(cleaned, truth, mined, flagged, ledger)
+
+    def test_names_outside_the_vocabulary_match_only_themselves(self):
+        ds, truth = noisy_setup()
+        cleaned, mined, flagged, ledger = random_half_outcome(ds, 5)
+        # mined "far" against true "far", "other" against "far", and "far"
+        # against a vocabulary name
+        missing = sorted(truth.tagged(NoiseTag.MISSING))
+        mined = {**mined, **{rid: ("far", "other", "far")[i % 3] for i, rid in enumerate(missing)}}
+        rename = {rid: "far" for i, rid in enumerate(missing) if i % 3 < 2}
+        # a true name outside the vocabulary on flagged, voted and untouched rows
+        rename.update({ds.ids[row]: "elsewhere" for row in ds.positives()[::5].tolist()})
+        renamed = GroundTruth({**truth.true_predicate, **rename}, truth.tag)
+        metrics = checked_score(cleaned, renamed, mined, flagged, ledger)
+        assert metrics.pseudo_label_accuracy == len(missing[::3]) / len(missing)
+
+    def test_cleaned_rows_in_another_order_than_the_truth(self):
+        ds, truth = noisy_setup()
+        cleaned, mined, flagged, ledger = random_half_outcome(ds, 6)
+        shuffled = reordered(cleaned, np.random.default_rng(7).permutation(len(cleaned)))
+        backwards = GroundTruth(
+            dict(reversed(truth.true_predicate.items())), dict(reversed(truth.tag.items()))
+        )
+        metrics = checked_score(shuffled, backwards, mined, flagged, ledger)
+        assert metrics == score(cleaned, truth, mined, flagged, ledger)
+
+    def test_all_negative_cleaned_dataset(self):
+        ds, truth = noisy_setup()
+        cleaned = replace(ds, labels=np.full(len(ds), NO_LABEL))
+        metrics = checked_score(cleaned, truth, {}, frozenset(), ())
+        assert metrics.accuracy_after == 0.0 and metrics.label_accuracy_all == 20 / len(ds)
+
+    def test_ledger_entries_that_change_nothing(self):
+        ds, truth = noisy_setup()
+        rows = ds.positives()[::3].tolist()
+        ledger = tuple(
+            CorrectionRecord(ds.ids[r], int(ds.labels[r]), int(ds.labels[r]), False, (), ())
+            for r in rows
+        )
+        flagged = frozenset(ds.ids[r] for r in rows)
+        metrics = checked_score(ds, truth, {}, flagged, ledger)
+        assert metrics.correction_accuracy == 1.0
+
+
+class TestScore:
     def test_identity_cleaner_accuracy_matches_tag_counts(self):
-        ds, truth = self.noisy_setup()
-        metrics = score(ds, truth, {}, frozenset(), ())
+        ds, truth = noisy_setup()
+        metrics = checked_score(ds, truth, {}, frozenset(), ())
         n_labeled = sum(1 for v in truth.true_predicate.values() if v is not None)
         n_clean = sum(
             1
@@ -224,34 +412,9 @@ class TestScore:
         assert metrics.neg_recall == 0.0 and metrics.pos_recall == 0.0
 
     def test_perfect_pipeline_scores_ones(self):
-        ds, truth = self.noisy_setup()
-        names = ds.vocab.names
-        index_of = {n: i for i, n in enumerate(names)}
-        mined = {}
-        flagged = set()
-        ledger = []
-        labels = ds.labels.copy()
-        for row, rid in enumerate(ds.ids):
-            tag = truth.tag[rid]
-            true_name = truth.true_predicate[rid]
-            if tag is NoiseTag.MISSING:
-                mined[rid] = true_name
-            elif tag in (NoiseTag.COMMON, NoiseTag.SYNONYM):
-                flagged.add(rid)
-                ledger.append(
-                    CorrectionRecord(
-                        id=rid,
-                        old_label=int(labels[row]),
-                        new_label=index_of[true_name],
-                        changed=True,
-                        neighbor_ids=(),
-                        weights=(),
-                    )
-                )
-            if tag is not NoiseTag.NONE:
-                labels[row] = index_of[true_name]
-        cleaned = replace(ds, labels=labels)
-        metrics = score(cleaned, truth, mined, flagged, tuple(ledger))
+        ds, truth = noisy_setup()
+        cleaned, mined, flagged, ledger = perfect_outcome(ds, truth)
+        metrics = checked_score(cleaned, truth, mined, flagged, ledger)
         assert metrics.neg_recall == 1.0 and metrics.neg_precision == 1.0
         assert metrics.pseudo_label_accuracy == 1.0
         assert metrics.pos_recall == 1.0 and metrics.pos_precision == 1.0
@@ -259,8 +422,8 @@ class TestScore:
         assert metrics.accuracy_after == 1.0
 
     def test_promoted_background_lowers_label_accuracy_all_only(self):
-        ds, truth = self.noisy_setup()
-        before = score(ds, truth, {}, frozenset(), ())
+        ds, truth = noisy_setup()
+        before = checked_score(ds, truth, {}, frozenset(), ())
         background = [row for row, rid in enumerate(ds.ids) if truth.true_predicate[rid] is None]
         assert len(background) == 20
         assert before.false_promotions == 0
@@ -270,23 +433,23 @@ class TestScore:
         labels = ds.labels.copy()
         labels[background] = 0
         mined = {ds.ids[row]: ds.vocab.names[0] for row in background}
-        after = score(replace(ds, labels=labels), truth, mined, frozenset(), ())
+        after = checked_score(replace(ds, labels=labels), truth, mined, frozenset(), ())
         assert after.accuracy_after == before.accuracy_after
         assert after.false_promotions == 20
         assert after.label_accuracy_all == (n_right - 20) / len(ds)
 
     def test_random_half_flagging_precision_tracks_noise_rate(self):
-        ds, truth = self.noisy_setup()
+        ds, truth = noisy_setup()
         rng = np.random.default_rng(5)
         positives = [ds.ids[row] for row in ds.positives()]
         flagged = set(rng.choice(positives, size=len(positives) // 2, replace=False))
-        metrics = score(ds, truth, {}, flagged, ())
+        metrics = checked_score(ds, truth, {}, flagged, ())
         noisy = truth.tagged(NoiseTag.COMMON) | truth.tagged(NoiseTag.SYNONYM)
         noise_rate = len(noisy & set(positives)) / len(positives)
         assert abs(metrics.pos_precision - noise_rate) < 0.06
 
     def test_id_mismatch_rejected(self):
-        ds, truth = self.noisy_setup()
+        ds, truth = noisy_setup()
         bad_truth = GroundTruth(
             dict(list(truth.true_predicate.items())[:-1]),
             dict(list(truth.tag.items())[:-1]),
@@ -296,7 +459,7 @@ class TestScore:
 
     @pytest.mark.parametrize("which", ["mined", "flagged", "ledger"])
     def test_ids_outside_the_dataset_rejected(self, which):
-        ds, truth = self.noisy_setup()
+        ds, truth = noisy_setup()
         ghosts = [f"ghost{i}" for i in range(7)]
         inputs = {"mined": {}, "flagged": frozenset(), "ledger": ()}
         inputs[which] = {
@@ -309,7 +472,7 @@ class TestScore:
             score(ds, truth, inputs["mined"], inputs["flagged"], inputs["ledger"])
 
     def test_metrics_serialize(self):
-        ds, truth = self.noisy_setup()
+        ds, truth = noisy_setup()
         metrics = score(ds, truth, {}, frozenset(), ())
         payload = metrics.to_dict()
         assert payload["tag_counts"]["missing"] > 0

@@ -95,8 +95,9 @@ class Dataset:
     Row i is one subject-predicate-object sample: ``ids[i]``,
     ``image_ids[i]``, the subject and object classes ``pairs[i]``, the
     feature row ``features[i]`` and the predicate index ``labels[i]``, which
-    is ``NO_LABEL`` (-1) for a negative.  The arrays are read-only; a stage
-    derives a new dataset with ``dataclasses.replace``.
+    is ``NO_LABEL`` (-1) for a negative.  Every feature is finite, however
+    the dataset was built, so no stage checks it again.  The arrays are
+    read-only; a stage derives a new dataset with ``dataclasses.replace``.
     """
 
     ids: tuple[str, ...]
@@ -119,6 +120,7 @@ class Dataset:
             raise DatasetError(f"columns must hold one row for each of the {n} ids")
         if self.features.shape[1] == 0:
             raise DatasetError("feature rows must hold at least one value")
+        require_finite(self.ids, self.features)
         if len(set(self.ids)) != n:
             dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
             raise DatasetError(f"duplicate record id {dup!r}")

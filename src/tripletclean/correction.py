@@ -155,23 +155,23 @@ def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) ->
         return VoteResult(label=None)
     query = np.asarray(query_feature, dtype=np.float64)[None, :]
     k = min(config.k, len(pool))
-    # density.screened_distances for one row, with the bound in Python floats
-    with np.errstate(all="ignore"):  # an overflow only makes the bound infinite
+    # density.screened_distances for one row, with the bound in Python floats;
+    # an overflow only makes the bound infinite, and then the threshold is
+    # infinite or NaN and every row is kept, a NaN entry included
+    with np.errstate(all="ignore"):
         q_sq = float(density._products(query, query)[0, 0])
         approx = density._products(-2.0 * query, pool.features)[0]
         approx += q_sq
         approx += pool.sq_norms
-    scale = math.sqrt(q_sq) + pool.max_norm
-    scale *= scale
-    if scale < SCREEN_MAX_SCALE:
+        scale = math.sqrt(q_sq) + pool.max_norm
+        scale *= scale
         relative, absolute = screen_terms(query.size)
-        bound = scale * relative + absolute
+        bound = scale * relative + absolute if scale < SCREEN_MAX_SCALE else math.inf
         # The exact k-th distance is at most the approximate one plus the
         # bound, so a row within it lies within twice the bound of the
         # approximate k-th distance: only such rows can be neighbors.
-        rows = (approx <= float(np.partition(approx, k - 1)[k - 1]) + 2 * bound).nonzero()[0]
-    else:
-        rows = np.arange(len(pool))
+        kth = float(np.partition(approx, k - 1)[k - 1])
+        rows = np.flatnonzero(~(approx > kth + 2 * bound))
     dists = exact_distances(pool.features[rows], query)
     # The candidate rows ascend, so a stable sort of their distances starts
     # with the same k rows, in the same order, as one of the whole pool.
@@ -207,8 +207,7 @@ def correct(
     outcome does not depend on correction order.  A flagged row takes the
     vote's label when it disagrees with the old one and keeps its label
     otherwise (including when no vote was possible).  The ledger is
-    ordered by record id.  A flagged or pooled record whose features are
-    not all finite is rejected.
+    ordered by record id.
     """
     noisy = np.unique(np.asarray(noisy_rows, dtype=np.int64))
     clean = np.unique(np.asarray(clean_rows, dtype=np.int64))
@@ -220,7 +219,6 @@ def correct(
         unlabeled = checked[labels[checked] < 0]
         if unlabeled.size:
             raise DatasetError(f"{role} record {ids[unlabeled[0]]!r} has no label")
-    require_finite([ids[r] for r in noisy.tolist()], dataset.features[noisy])
 
     pair_of = list(map(tuple, dataset.pairs.tolist()))
     members: dict[tuple[int, int], list[int]] = {}

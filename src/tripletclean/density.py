@@ -52,7 +52,6 @@ from tripletclean.core import (
     json_numbers,
     json_string,
     read_jsonl,
-    require_finite,
 )
 
 logger = logging.getLogger(__name__)
@@ -135,7 +134,7 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
 
 def _select_rank(scan, rank: int, size: int, sample: np.ndarray, count: int = 1) -> np.ndarray:
     """The rank-th to (rank + count - 1)-th smallest (1-based) of ``size``
-    pool entries, ascending; NaN sorts last.
+    pool entries, none of them NaN, ascending.
 
     ``scan(lo, hi)`` makes one pass over the pool and returns how many
     entries lie below ``lo`` and a list of arrays of those in
@@ -155,15 +154,10 @@ def _select_rank(scan, rank: int, size: int, sample: np.ndarray, count: int = 1)
         i, j = math.floor(center - margin), math.ceil(center + margin)
         lo = float(sample[i]) if i >= 0 else -math.inf
         hi = float(sample[j]) if j < m else math.inf
-        # a NaN sample entry bounds nothing
-        lo = -math.inf if math.isnan(lo) else lo
-        hi = math.inf if math.isnan(hi) else hi
         below, inside = scan(lo, hi)
-        gathered = sum(map(len, inside))
-        if below < rank and (last <= below + gathered or (lo, hi) == (-math.inf, math.inf)):
-            # only NaN entries lie past all gathered ones; the appended NaN stands for them
-            pool = np.concatenate([*inside, [math.nan]])
-            at = np.minimum(np.arange(rank - below - 1, last - below), gathered)
+        if below < rank and last <= below + sum(map(len, inside)):
+            pool = np.concatenate(inside)
+            at = np.arange(rank - below - 1, last - below)
             pool.partition(at)
             return pool[at]
         margin *= 4
@@ -269,8 +263,7 @@ def screened_distances(
     relative, absolute = screen_terms(a.shape[1])
     # an overflow here only makes E infinite, so it warns of nothing
     with np.errstate(all="ignore"):
-        # squared_norms(a), under this errstate
-        a_sq = _products(a[:, None, :], a[:, None, :])[:, 0, 0]
+        a_sq = squared_norms(a)
         approx = _products(-2.0 * a, b)
         approx += a_sq[:, None]
         approx += b_sq
@@ -491,8 +484,8 @@ def detect_noisy_positives(
     One stable sort by label groups the rows into classes in
     predicate-index order; within a class, rows keep their order in
     ``rows``.  Classes are handled independently.  Classes below the size
-    guard, or degenerate under K-means, flag nothing.  A record whose
-    features are not all finite is rejected.
+    guard, or degenerate under K-means, flag nothing.  The dataset's
+    features are finite, so every distance is a number.
     """
     rows = np.asarray(rows, dtype=np.int64)
     labels = dataset.labels[rows]
@@ -508,9 +501,7 @@ def detect_noisy_positives(
     class_ids, starts, sizes = np.unique(labels, return_index=True, return_counts=True)
     for k, lo, n in zip(*(a.tolist() for a in (class_ids, starts, sizes))):
         at = slice(lo, lo + n)
-        members = rows[at]
-        feats = dataset.features[members]
-        require_finite([dataset.ids[r] for r in members.tolist()], feats)
+        feats = dataset.features[rows[at]]
         alpha = config.alpha[dataset.partition[k]]
         if n * n > BLOCK_ELEMENTS:
             d_c[at], rho[at] = streamed_density(feats, alpha)

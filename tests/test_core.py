@@ -390,7 +390,10 @@ class TestDatasetText:
         n = len(ODD_STRINGS)
         names = ["on", 'quote"d', "caf\u00e9"]
         pairs = [(INT64_LIMITS[i % 2], INT64_LIMITS[1 - i % 2] if i % 3 else 0) for i in range(n)]
-        features = [np.roll(ODD_FLOATS, i) for i in range(n)]
+        # a dataset's features are finite; json_numbers spells the others
+        finite = [v for v in ODD_FLOATS if math.isfinite(v)]
+        assert core.json_numbers(ODD_FLOATS) == json.dumps(ODD_FLOATS)[1:-1]
+        features = [np.roll(finite, i) for i in range(n)]
         labels = [NO_LABEL if i % 4 == 3 else i % 3 for i in range(n)]
         images = [*ODD_STRINGS[::-1]]
         ds = Dataset.counted(ODD_STRINGS, images, pairs, features, labels, names)
@@ -498,6 +501,17 @@ class TestDataset:
         ds = small_dataset()
         with pytest.raises(DatasetError, match="at least one value"):
             dataclasses.replace(ds, features=np.zeros((len(ds), 0)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected_when_built(self, value):
+        # however the dataset is built, the first bad record is named
+        features = np.zeros((4, 3))
+        features[1, 2] = features[3, 0] = value
+        ids = ("a", "b", "c", "d")
+        with pytest.raises(DatasetError, match="^record 'b' has non-finite features$"):
+            Dataset.counted(ids, ["img0"] * 4, [(1, 2)] * 4, features, [0] * 4, ["on"])
+        with pytest.raises(DatasetError, match="^record 'b' has non-finite features$"):
+            dataclasses.replace(small_dataset(ids, [0] * 4, dim=3), features=features)
 
     def test_vocab_counts_are_labeled_rows(self):
         ds = small_dataset(ids=("a", "b", "c"), labels=(0, NO_LABEL, 0))

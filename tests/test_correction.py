@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 from collections import namedtuple
@@ -318,6 +319,27 @@ class TestScreenedVote:
             for q in queries:
                 assert knn_vote(q, pool, config) == oracle_vote(q, pool, config)
 
+    @pytest.mark.parametrize("top", [2.0**499, 1e155])
+    def test_pool_norms_across_the_screen_limit(self, top):
+        # row norms from 1 to top: with 2^499 the query decides whether
+        # (s + R)^2 reaches SCREEN_MAX_SCALE, and with 1e155 every vote is at
+        # it and the largest rows' approximate distances are NaN
+        m, d = 40, 3
+        rng = np.random.default_rng(11)
+        directions = rng.normal(size=(m, d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        feats = np.geomspace(1.0, top, m)[:, None] * directions
+        config = CorrectionConfig(k=3, kernel_c=1.0)
+        pool = Pool.build([f"r{i}" for i in range(m)], np.arange(m) % 3, feats, config)
+        queries = [np.zeros(d), feats[m // 2], feats[m - 2], feats[m - 1], -feats[m - 1]]
+        screened = []
+        with np.errstate(over="ignore"):
+            for q in queries:
+                scale = math.sqrt(float(q @ q)) + pool.max_norm
+                screened.append(scale * scale < density.SCREEN_MAX_SCALE)
+                assert knn_vote(q, pool, config) == oracle_vote(q, pool, config)
+        assert screened == ([True, True, True, False, False] if top < 1e155 else [False] * 5)
+
     @pytest.mark.parametrize("d", SCREEN_DIMS)
     @pytest.mark.parametrize("kind", FEATURE_KINDS)
     def test_pool_median_matches_the_matrix(self, monkeypatch, kind, d):
@@ -449,14 +471,14 @@ class TestCorrect:
     def test_non_finite_features_are_rejected(self, where):
         # six cleans and two flagged records on one pair; a NaN in the pool
         # would make the median scale NaN, and one in a flagged record would
-        # leave its vote without neighbours
+        # leave its vote without neighbours, so the dataset that holds
+        # either is rejected when it is built
         cleans = [rec(f"c{i}", 6, [float(i), 0.5 * i], pair=(1, 2)) for i in range(6)]
         flagged = [rec(f"f{i}", 3, [0.5 + i, 1.0], pair=(1, 2)) for i in range(2)]
         bad = cleans[4] if where == "pool" else flagged[1]
         bad.feature[1] = np.nan
-        ds = build_dataset(cleans + flagged)
         with pytest.raises(DatasetError, match=f"record '{bad.id}' has non-finite features"):
-            correct_ids(["f0", "f1"], ds, [c.id for c in cleans], CorrectionConfig())
+            build_dataset(cleans + flagged)
 
     def test_ledger_sorted_by_id(self):
         cleans = [rec(f"c{i}", 6, [float(i) * 0.01], pair=(1, 2)) for i in range(8)]

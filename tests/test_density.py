@@ -768,14 +768,14 @@ class TestDetectNoisyPositives:
     @pytest.mark.parametrize("budget", [None, 1])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, monkeypatch, budget, value):
-        # the matrix path, then the streamed one
+        # under the matrix path's budget, then the streamed one's, the
+        # dataset is rejected when it is built, so neither path meets it
         if budget is not None:
             monkeypatch.setattr(density, "BLOCK_ELEMENTS", budget)
         feats = np.random.default_rng(40).normal(size=(8, 2))
         feats[5, 1] = value
-        ds = labeled_dataset(feats, [0, 1] * 4)
         with pytest.raises(DatasetError, match="'r5' has non-finite features"):
-            flag(ds)
+            flag(labeled_dataset(feats, [0, 1] * 4))
 
 
 def oracle_report_text(dataset, rows, config):

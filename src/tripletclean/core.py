@@ -95,9 +95,11 @@ class Dataset:
     Row i is one subject-predicate-object sample: ``ids[i]``,
     ``image_ids[i]``, the subject and object classes ``pairs[i]``, the
     feature row ``features[i]`` and the predicate index ``labels[i]``, which
-    is ``NO_LABEL`` (-1) for a negative.  Every feature is finite, however
-    the dataset was built, so no stage checks it again.  The arrays are
-    read-only; a stage derives a new dataset with ``dataclasses.replace``.
+    is ``NO_LABEL`` (-1) for a negative.  Every feature is finite and within
+    ``unbounded_rows``' magnitude limit, however the dataset was built, so
+    every squared distance is finite and no stage checks it again.  The
+    arrays are read-only; a stage derives a new dataset with
+    ``dataclasses.replace``.
     """
 
     ids: tuple[str, ...]
@@ -120,7 +122,7 @@ class Dataset:
             raise DatasetError(f"columns must hold one row for each of the {n} ids")
         if self.features.shape[1] == 0:
             raise DatasetError("feature rows must hold at least one value")
-        require_finite(self.ids, self.features)
+        require_bounded(self.ids, self.features)
         if len(set(self.ids)) != n:
             dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
             raise DatasetError(f"duplicate record id {dup!r}")
@@ -170,12 +172,33 @@ class Dataset:
         return np.flatnonzero(self.labels < 0)
 
 
-def require_finite(ids: Sequence[str], features: np.ndarray) -> None:
-    """Reject the first record whose feature row holds a NaN or an
-    infinity; ``ids`` names the rows of ``features``."""
-    finite = np.isfinite(features).all(axis=-1)
-    if not finite.all():
-        raise DatasetError(f"record {ids[int(finite.argmin())]!r} has non-finite features")
+def unbounded_rows(features: np.ndarray) -> tuple[np.ndarray, float]:
+    """The rows of an N x d array that hold a NaN, an infinity or a value
+    beyond the feature magnitude limit, and that limit.
+
+    A squared distance over d features is at most d * (2 * max|x|)**2, so
+    max|x| may not exceed sqrt(float_max / (4 * d)); the limit is lowered by
+    one part in a million to absorb rounding in the differences and sums.
+    """
+    limit = math.sqrt(sys.float_info.max / (4 * features.shape[1])) * (1 - 1e-6)
+    # each row's largest magnitude, with no N x d copy; NaN and infinities
+    # fail the one comparison too
+    top = np.maximum(features.max(axis=1), -features.min(axis=1))
+    return np.flatnonzero(~(top <= limit)), limit
+
+
+def require_bounded(ids: Sequence[str], features: np.ndarray) -> None:
+    """Reject the first record that ``unbounded_rows`` names; ``ids`` names
+    the rows of ``features``."""
+    over, limit = unbounded_rows(features)
+    if not over.size:
+        return
+    record = f"record {ids[over[0]]!r}"
+    if not np.isfinite(features[over[0]]).all():
+        raise DatasetError(f"{record} has non-finite features")
+    raise DatasetError(
+        f"{record}: feature magnitude exceeds {limit:.6g}, so squared distances would overflow"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +378,9 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 def _feature_block(values: list[list], lines: list[int], dim: int, path: str) -> np.ndarray:
     """The feature lists of consecutive lines (``lines`` their numbers) as
     one float64 block; DatasetError names the first line whose list is not
-    ``dim`` long, or not a non-empty list of finite numbers small enough
-    that every squared distance between two such rows is finite.
-
-    A squared distance over d features is at most d * (2 * max|x|)**2, so
-    max|x| may not exceed sqrt(float_max / (4 * d)); the limit is lowered by
-    one part in a million to absorb rounding in the differences and sums.
-    A list of another length is checked against its own length before its
-    dimension is named.
+    ``dim`` long, or not a non-empty list of finite numbers within
+    ``unbounded_rows``' magnitude limit.  A list of another length is
+    checked against its own length before its dimension is named.
     """
     n = len(values)
     sizes = list(map(len, values))
@@ -384,9 +402,7 @@ def _feature_block(values: list[list], lines: list[int], dim: int, path: str) ->
         raise DatasetError(
             f"{path}: line {lines[0]}: feature must be a non-empty list of finite numbers"
         )
-    limit = math.sqrt(sys.float_info.max / (4 * dim)) * (1 - 1e-6)
-    # NaN and infinities fail this one comparison too
-    over = np.flatnonzero(~(np.abs(block).max(axis=1) <= limit))
+    over, limit = unbounded_rows(block)
     if not over.size:
         return block
     where = f"{path}: line {lines[over[0]]}"

@@ -33,7 +33,7 @@ from tripletclean.core import (
     json_numbers,
     json_string,
     read_jsonl,
-    require_finite,
+    require_bounded,
 )
 from tripletclean.density import (
     SCREEN_MAX_SCALE,
@@ -136,8 +136,10 @@ class Pool:
                 f"a pool of {n} ids needs {n} labels and {n} feature rows, "
                 f"got labels of shape {labels.shape} and features of shape {feats.shape}"
             )
-        require_finite(ids, feats)
-        norms = squared_norms(feats) if n else np.zeros(0)
+        norms = np.zeros(0)
+        if n:
+            require_bounded(ids, feats)
+            norms = squared_norms(feats)
         scale = _kernel_scale(feats, config)
         return cls(tuple(ids), labels, feats, scale, norms, math.sqrt(norms.max(initial=0.0)))
 

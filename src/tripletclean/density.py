@@ -10,19 +10,34 @@ density is flagged as noisy.  The report is one set of row-aligned
 columns: one stable sort by label groups the rows into classes, and
 each class fills its slice of every column.
 
-Memory: a class whose N*N entries fit in ``BLOCK_ELEMENTS`` (N <= 362)
-gets its matrix, one block of at most 1 MB, released before the next
-class builds its own, so one matrix is alive at a time: the cutoff
-partitions one copy of it, and ``local_density`` counts the densities
-over it in one pass.  A larger class is streamed: one ``upper_ranks``
-pass over the strictly-upper row strips places the cutoff and counts the
-densities with no N x N array, so memory stays bounded however large a
-class is; the nsc pool median is its second caller.  Its temporaries are row strips of at most ``BLOCK_ELEMENTS``
-entries, the sample of about pool**(2/3) entries and its bracket, a few
-times that, each gathered entry's place and one count per sample.
+Paths: a class of at most ``MATRIX_MAX_MEMBERS`` (64) members gets its
+matrix, at most 32 KB, released before the next class builds its own:
+the cutoff partitions one copy of it, and ``local_density`` counts the
+densities over it in one pass.  A larger class is streamed: one
+``upper_ranks`` pass over square tiles of the strictly-upper triangle
+places the cutoff and counts the densities with no N x N array; the nsc
+pool median is its second caller.  The floor is where the stream starts
+to win.  Each cell reads matrix / stream in ms: ``distance_matrix`` +
+``cutoff_distance`` + ``local_density`` against ``streamed_density``,
+standard-normal features, alpha 50, one BLAS thread, best of 5 (2-vCPU
+KVM guest, numpy 2.4.6):
+
+    N      d = 8        d = 16       d = 32       d = 64
+    32     0.06 / 0.15  0.07 / 0.15  0.10 / 0.16  0.15 / 0.19
+    48     0.11 / 0.19  0.14 / 0.17  0.21 / 0.18  0.29 / 0.22
+    64     0.22 / 0.30  0.22 / 0.20  0.33 / 0.21  0.42 / 0.31
+    96     0.50 / 0.35  0.44 / 0.26  0.57 / 0.32  0.71 / 0.40
+    362    3.81 / 1.20  4.43 / 1.19  5.54 / 1.58  7.38 / 2.05
+
+Memory: each of the stream's tiles holds at most ``BLOCK_ELEMENTS``
+entries, and a class of up to 362 members is one tile, so the tiles stay
+bounded however large a class is.  What a pass gathers does not yet: the
+sample of about pool**(2/3) entries, the bracket it sets, a few times
+that, each gathered entry's place and one count per sample grow about as
+N**(4/3), to a peak of 2.1 MB at N = 1,500 and 99 MB at 48,000 (d = 16).
 
 Speed: every exact distance, in the matrix, the stream and the nsc vote,
-comes from ``exact_distances``.  The streamed pass screens each strip
+comes from ``exact_distances``.  The streamed pass screens each tile
 with BLAS.  One GEMM gives every entry an approximate distance,
 ‖x‖² + ‖y‖² − 2·x·y, and ``screened_distances`` a bound on its error,
 valid for any summation order; an entry that the bound places below or
@@ -59,9 +74,12 @@ logger = logging.getLogger(__name__)
 KMEANS_MAX_ITER = 200
 
 # Element budget of every per-block temporary: distance_matrix's
-# differences and the streamed pass's row strips (1 MB of float64).  A
-# class with more than this many N*N entries gets no matrix: it streams.
+# differences and the streamed pass's square tiles (1 MB of float64).
 BLOCK_ELEMENTS = 1 << 17
+
+# The largest class that gets its N x N matrix; a larger one streams, the
+# faster path above this size (the crossover in the module docstring).
+MATRIX_MAX_MEMBERS = 64
 
 DEFAULT_ALPHA = {Part.HEAD: 12.5, Part.BODY: 25.0, Part.TAIL: 50.0}
 
@@ -116,8 +134,8 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
     N x N float64 output the only temporary holds at most
     ``max(BLOCK_ELEMENTS, N * d)`` float64 values (one row of differences
     when a single row exceeds the budget).  The pipeline builds one only
-    for a class of one block, so it is at most 1 MB, and releases it
-    before the next class builds its own.
+    for a class of at most ``MATRIX_MAX_MEMBERS`` members, so it is at
+    most 32 KB, and releases it before the next class builds its own.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -228,9 +246,10 @@ def screened_distances(
     (``b_sq`` the ``squared_norms`` of ``b``), and for each row of ``a`` a
     bound E on their error.
 
-    The approximation D̃ of an entry is ‖x‖² + ‖y‖² − 2·x·y, from one GEMM.
-    Let D' be the entry's ``exact_distances`` value, D the exact squared
-    distance, s = ‖x‖, R the largest row norm of ``b``, u = 2^-53 and
+    The approximation D̃ of an entry is ‖x‖² + ‖y‖² − 2·x·y, from one GEMM
+    whose two extra columns carry the norms, each times 1.  Let D' be the
+    entry's ``exact_distances`` value, D the exact squared distance,
+    s = ‖x‖, R the largest row norm of ``b``, u = 2^-53 and
     γ_n = n·u / (1 − n·u) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., §3.1 and §3.5).  E is chosen so that
 
@@ -242,9 +261,9 @@ def screened_distances(
     For d·u < 0.01:
 
     - D̃ sums the d + 2 terms −2·x_k·y_k, ‖x‖², ‖y‖² (the computed norms)
-      in some order, with or without fused multiply-adds (scaling by −2 is
-      exact), so it lies within γ_{d+2}·(1 + γ_d)·(s + R)² of the same sum
-      of exact terms.
+      in some order, with or without fused multiply-adds (scaling by −2 or
+      by 1 is exact), so it lies within γ_{d+2}·(1 + γ_d)·(s + R)² of the
+      same sum of exact terms.
     - The computed norms lie within γ_d·(s² + R²) of the exact ones, so
       that sum lies within γ_d·(s + R)² of D.
     - D' rounds each difference and square once and sums d non-negative
@@ -264,9 +283,10 @@ def screened_distances(
     # an overflow here only makes E infinite, so it warns of nothing
     with np.errstate(all="ignore"):
         a_sq = squared_norms(a)
-        approx = _products(-2.0 * a, b)
-        approx += a_sq[:, None]
-        approx += b_sq
+        approx = _products(
+            np.column_stack([-2.0 * a, a_sq, np.ones(len(a))]),
+            np.column_stack([b, np.ones(len(b)), b_sq]),
+        )
         scale = (np.sqrt(a_sq) + math.sqrt(b_sq.max())) ** 2
         bound = np.where(scale < SCREEN_MAX_SCALE, scale * relative + absolute, np.inf)
     return approx, bound
@@ -286,8 +306,9 @@ def cutoff_distance(matrix: np.ndarray, alpha: float) -> float:
     is ceil(alpha/100 * N*N), 1-based, and NaN sorts last.
 
     Partitioning one copy of the matrix places the rank exactly.  The
-    pipeline only ever passes one block (N*N <= ``BLOCK_ELEMENTS``), so the
-    copy is at most 1 MB; a larger class streams instead.
+    pipeline only passes the matrix of a class of at most
+    ``MATRIX_MAX_MEMBERS`` members, so the copy is at most 32 KB; a larger
+    class streams instead.
     """
     size = matrix.size
     rank = _rank(alpha, size)
@@ -298,8 +319,7 @@ def cutoff_distance(matrix: np.ndarray, alpha: float) -> float:
 
 def local_density(matrix: np.ndarray, d_c: float) -> np.ndarray:
     """Per-sample count of samples strictly closer than the cutoff, the
-    sample itself included, in one pass over the matrix (one block in the
-    pipeline)."""
+    sample itself included, in one pass over the matrix."""
     if not d_c >= 0:
         raise DatasetError(f"cutoff must be non-negative, got {d_c}")
     return np.count_nonzero(matrix < d_c, axis=1).astype(np.int64, copy=False)
@@ -311,56 +331,64 @@ def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarra
     ascending, and each sample's count of strictly-upper entries below the
     first of them in its row or column.
 
-    Each ``_select_rank`` pass goes over row strips of at most
-    ``BLOCK_ELEMENTS`` entries, each row paired with every later row.  A
-    strip's ``screened_distances`` decide most entries against the bracket
-    [lo, hi] by their error bound E: below lo when D̃ < lo − E, past hi
-    when D̃ > hi + E.  Only the rest are computed by ``exact_distances``
-    and placed by that value; so every count and entry is the one a scan
-    of exact distances gives.  The pass counts the entries below the
-    bracket and keeps where each gathered one sits: no N x N array, entry
-    copy or second pass.
+    Each ``_select_rank`` pass walks the strictly-upper triangle in square
+    tiles of at most ``BLOCK_ELEMENTS`` entries: row blocks of one tile's
+    side, each paired with the column tiles from its diagonal on, so N <=
+    362 is one tile.  A tile's ``screened_distances``, bounded by its own
+    columns' norms, decide most entries against the bracket [lo, hi] by
+    their error bound E: below lo when D̃ < lo − E, past hi when
+    D̃ > hi + E.  Only the rest are computed by ``exact_distances`` and
+    placed by that value; so every count and entry is the one a scan of
+    exact distances gives.  The pass counts the entries below the bracket
+    into their rows and columns and keeps where each gathered one sits:
+    no N x N array, entry copy or second pass.
     """
     n = feats.shape[0]
     sq = squared_norms(feats)
+    # the fewest row blocks whose tiles fit the budget, of about one height
+    blocks = -(-n // max(1, math.isqrt(BLOCK_ELEMENTS)))
+    side = -(-n // blocks)
     near = np.empty(n, dtype=np.int64)
     gathered = []
+
+    def screen_tile(lo, hi, top, left):
+        # a function, so that one tile's temporaries are gone before the next's
+        rows_at, cols_at = slice(top, top + side), slice(left, left + side)
+        approx, bound = screened_distances(feats[rows_at], feats[cols_at], sq[cols_at])
+        # one bound for the tile, its largest; in float arithmetic a
+        # threshold that overflows, or is NaN (inf - inf), decides nothing
+        bound = float(bound.max())
+        low = approx < lo - bound
+        # neither below nor past: a NaN entry (an overflow) is undecided too
+        undecided = approx > hi + bound
+        undecided |= low
+        np.logical_not(undecided, out=undecided)
+        height, width = approx.shape
+        del approx
+        if left == top:  # a tile on the diagonal counts only the entries right of it
+            upper = ~np.tri(height, width, dtype=bool)
+            low &= upper
+            undecided &= upper
+        near[rows_at] += np.add.reduce(low, axis=1, dtype=np.int32)
+        near[cols_at] += np.add.reduce(low, axis=0, dtype=np.int32)
+        rows, cols = np.divmod(np.flatnonzero(undecided), width)
+        rows += top
+        cols += left
+        exact = _pair_distances(feats, rows, cols)
+        below = exact < lo
+        if below.any():
+            near[rows_at] += np.bincount(rows[below] - top, minlength=height)
+            near[cols_at] += np.bincount(cols[below] - left, minlength=width)
+        keep = exact <= hi
+        keep ^= below
+        gathered.append((rows[keep] * n + cols[keep], exact[keep]))
 
     def scan(lo, hi):
         near[:] = 0
         gathered.clear()
-        start = 0
-        while start < n:
-            stop = min(n, start + max(1, BLOCK_ELEMENTS // (n - start)))
-            r = stop - start
-            approx, bound = screened_distances(feats[start:stop], feats[start:], sq[start:])
-            # one bound for the strip, its largest; in float arithmetic a
-            # threshold that overflows, or is NaN (inf - inf), decides nothing
-            bound = float(bound.max())
-            low = approx < lo - bound
-            # neither below nor past: a NaN entry (an overflow) is undecided too
-            undecided = approx > hi + bound
-            undecided |= low
-            np.logical_not(undecided, out=undecided)
-            # in the strip's own square only the entries right of the diagonal count
-            upper = ~np.tri(r, dtype=bool)
-            low[:, :r] &= upper
-            undecided[:, :r] &= upper
-            del approx
-            near[start:stop] += np.add.reduce(low, axis=1, dtype=np.int32)
-            near[start:] += np.add.reduce(low, axis=0, dtype=np.int32)
-            rows, cols = np.divmod(np.flatnonzero(undecided), n - start)
-            rows += start
-            cols += start
-            exact = _pair_distances(feats, rows, cols)
-            below = exact < lo
-            if below.any():
-                ends = np.concatenate([rows[below], cols[below]])
-                near[start:] += np.bincount(ends - start, minlength=n - start)
-            keep = exact <= hi
-            keep ^= below
-            gathered.append((rows[keep] * n + cols[keep], exact[keep]))
-            start = stop
+        for top in range(0, n, side):
+            for left in range(top, n, side):
+                screen_tile(lo, hi, top, left)
         # each entry below the bracket counts once in its row, once in its column
         return int(near.sum()) // 2, [values for _, values in gathered]
 
@@ -503,7 +531,7 @@ def detect_noisy_positives(
         at = slice(lo, lo + n)
         feats = dataset.features[rows[at]]
         alpha = config.alpha[dataset.partition[k]]
-        if n * n > BLOCK_ELEMENTS:
+        if n > MATRIX_MAX_MEMBERS:
             d_c[at], rho[at] = streamed_density(feats, alpha)
         else:
             dmat = distance_matrix(feats)

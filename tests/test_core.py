@@ -23,6 +23,7 @@ from tripletclean.core import (
     save_vocab,
 )
 from tripletclean.density import distance_matrix
+from tripletclean.synthetic import SynthConfig, generate
 
 # strings and numbers whose JSON spelling a hand-made writer could get wrong
 ODD_STRINGS = [
@@ -512,6 +513,22 @@ class TestDataset:
             Dataset.counted(ids, ["img0"] * 4, [(1, 2)] * 4, features, [0] * 4, ["on"])
         with pytest.raises(DatasetError, match="^record 'b' has non-finite features$"):
             dataclasses.replace(small_dataset(ids, [0] * 4, dim=3), features=features)
+
+    def test_features_beyond_the_magnitude_limit_rejected_when_built(self):
+        # one positive row of a generated dataset set to 1e200: its squared
+        # distances would overflow, so no stage may meet it
+        ds, _ = generate(SynthConfig(seed=1))
+        row = int(ds.positives()[3])
+        features = np.array(ds.features)
+        features[row, 2] = 1e200
+        message = (
+            f"^record '{ds.ids[row]}': feature magnitude exceeds 1.67597e\\+153, "
+            "so squared distances would overflow$"
+        )
+        with pytest.raises(DatasetError, match=message):
+            dataclasses.replace(ds, features=features)
+        with pytest.raises(DatasetError, match=message):
+            Dataset.counted(ds.ids, ds.image_ids, ds.pairs, features, ds.labels, ds.vocab.names)
 
     def test_vocab_counts_are_labeled_rows(self):
         ds = small_dataset(ids=("a", "b", "c"), labels=(0, NO_LABEL, 0))

@@ -13,7 +13,7 @@ import pytest
 from tripletclean.core import NO_LABEL, Dataset, DatasetError
 from tripletclean import correction, density
 from test_core import INT64_LIMITS, ODD_FLOATS, ODD_STRINGS, json_lines, traced
-from test_density import FEATURE_KINDS, SCREEN_DIMS, adversarial_features
+from test_density import FEATURE_KINDS, SCREEN_DIMS, admit_unbounded, adversarial_features
 from tripletclean.correction import (
     KERNEL_SCALE_FLOOR,
     CorrectionConfig,
@@ -252,8 +252,8 @@ class TestPoolMedian:
             feats = rng.normal(size=(m, d))
         upper = density.distance_matrix(feats)[np.triu_indices(m, k=1)]
         expected = max(float(np.median(upper)), KERNEL_SCALE_FLOOR)
-        # blocks of 1, 2 and 5 rows, the last one short when they do not divide m
-        monkeypatch.setattr(density, "BLOCK_ELEMENTS", block_rows * m * d)
+        # tiles of 1, 2 and 5 rows and columns, the last short when they do not divide m
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", block_rows * block_rows)
         if skew is not None:
             # a sample wholly below or above the distances, or all at the lower
             # middle one: the first bracket misses one or both middle entries
@@ -287,6 +287,15 @@ class TestPoolMedian:
         with pytest.raises(DatasetError, match="record 'r2' has non-finite features"):
             Pool.build(["r0", "r1", "r2", "r3"], np.zeros(4), feats, CorrectionConfig())
 
+    def test_features_beyond_the_magnitude_limit_are_rejected(self):
+        # at d = 2 the limit is sqrt(float_max / 8), about 4.74e153
+        feats = np.zeros((4, 2))
+        feats[1, 0] = 4.75e153
+        with pytest.raises(DatasetError, match=r"^record 'r1': feature magnitude exceeds 4\.74"):
+            Pool.build(["r0", "r1", "r2", "r3"], np.zeros(4), feats, CorrectionConfig())
+        feats[1, 0] = 4.74e153
+        assert len(Pool.build(["r0", "r1", "r2", "r3"], np.zeros(4), feats, CorrectionConfig()))
+
     @pytest.mark.parametrize(
         "ids, labels, features",
         [
@@ -308,7 +317,9 @@ class TestScreenedVote:
     @pytest.mark.parametrize("d", SCREEN_DIMS)
     @pytest.mark.parametrize("kind", FEATURE_KINDS)
     @pytest.mark.parametrize("m", [1, 2, 3, 40])
-    def test_matches_full_stable_sort(self, kind, d, m):
+    def test_matches_full_stable_sort(self, monkeypatch, kind, d, m):
+        if kind == "huge":
+            admit_unbounded(monkeypatch)
         feats = adversarial_features(kind, m + 2, d, 7)
         config = CorrectionConfig(k=3, kernel_c=1.0)
         labels = np.arange(m) % 3
@@ -320,10 +331,12 @@ class TestScreenedVote:
                 assert knn_vote(q, pool, config) == oracle_vote(q, pool, config)
 
     @pytest.mark.parametrize("top", [2.0**499, 1e155])
-    def test_pool_norms_across_the_screen_limit(self, top):
+    def test_pool_norms_across_the_screen_limit(self, monkeypatch, top):
         # row norms from 1 to top: with 2^499 the query decides whether
-        # (s + R)^2 reaches SCREEN_MAX_SCALE, and with 1e155 every vote is at
-        # it and the largest rows' approximate distances are NaN
+        # (s + R)^2 reaches SCREEN_MAX_SCALE, and with 1e155, beyond the
+        # feature magnitude limit, every vote is at it and the largest rows'
+        # approximate distances are NaN
+        admit_unbounded(monkeypatch)
         m, d = 40, 3
         rng = np.random.default_rng(11)
         directions = rng.normal(size=(m, d))
@@ -343,6 +356,8 @@ class TestScreenedVote:
     @pytest.mark.parametrize("d", SCREEN_DIMS)
     @pytest.mark.parametrize("kind", FEATURE_KINDS)
     def test_pool_median_matches_the_matrix(self, monkeypatch, kind, d):
+        if kind == "huge":
+            admit_unbounded(monkeypatch)
         m = 41
         feats = adversarial_features(kind, m, d, 8)
         upper = density.distance_matrix(feats)[np.triu_indices(m, k=1)]
@@ -451,10 +466,11 @@ class TestCorrect:
         with pytest.raises(DatasetError, match="flagged record 'neg' has no label"):
             correct_ids(["neg"], ds, [c.id for c in cleans], CorrectionConfig())
 
-    def test_a_screen_that_overflows_stays_silent(self):
-        # x·y overflows for rows near 1e154, so the vote's screen does,
-        # inside correct's errstate(over="raise"); identical rows still lie
-        # at distance 0 and vote
+    def test_a_screen_that_overflows_stays_silent(self, monkeypatch):
+        # x·y overflows for rows near 1e154, beyond the feature magnitude
+        # limit, so the vote's screen does, inside correct's
+        # errstate(over="raise"); identical rows still lie at distance 0 and vote
+        admit_unbounded(monkeypatch)
         cleans = [rec(f"c{i}", 6, [1e154] * 3, pair=(1, 2)) for i in range(5)]
         ds = build_dataset(cleans + [rec("bad", 3, [1e154] * 3, pair=(1, 2))])
         config = CorrectionConfig(kernel_c=1.0)

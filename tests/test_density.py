@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tripletclean import density
+from tripletclean import core, correction, density
 
 from tripletclean.correction import CorrectionConfig, Pool, knn_vote
 from tripletclean.core import (
@@ -151,6 +151,14 @@ def adversarial_features(kind, n, d, seed):
         # products overflow while every distance stays finite
         return 1e154 * (1.0 + 1e-4 * rng.normal(size=(n, d)))
     raise ValueError(kind)
+
+
+def admit_unbounded(monkeypatch):
+    """Let datasets and pools hold rows beyond the feature magnitude limit,
+    such as the "huge" kind, so that those rows reach the overflow guards
+    that the stages keep behind it."""
+    for module in (core, correction):
+        monkeypatch.setattr(module, "require_bounded", lambda ids, features: None)
 
 
 FEATURE_KINDS = ["offset 1e4", "offset 1e8", "grid", "duplicates", "subnormal", "huge"]
@@ -371,8 +379,8 @@ class TestStreamedDensity:
     def test_matches_the_matrix_at_every_grid_rank_boundary(self, monkeypatch, rows):
         # 60 points on a 4 x 4 grid: repeated points, many equal distances
         feats = np.random.default_rng(36).integers(0, 4, size=(60, 2)).astype(np.float64)
-        if rows is not None:
-            monkeypatch.setattr(density, "BLOCK_ELEMENTS", rows * 60 * 2)
+        if rows is not None:  # tiles of 1 and 7 rows and columns
+            monkeypatch.setattr(density, "BLOCK_ELEMENTS", rows * rows)
         ordered = np.sort(distance_matrix(feats).ravel())
         for rank in boundary_ranks(ordered):
             assert_streams_like_the_matrix(feats, alpha_for(rank, ordered.size))
@@ -428,13 +436,60 @@ class TestScreenedScan:
         n = 45
         feats = adversarial_features(kind, n, d, 1)
         size = n * (n - 1) // 2
-        # strips of a few rows, so most of them hold part of the diagonal
+        # tiles of at most 13: four row blocks, each starting on the diagonal
         monkeypatch.setattr(density, "BLOCK_ELEMENTS", 4 * n)
         for rank in sorted({1, 2, size // 9, size // 2, size // 2 + 1, size - 1}):
             values, counts = density.upper_ranks(feats, rank, 2)
             expected, expected_counts = unscreened_upper_ranks(feats, rank, 2)
             assert values.tobytes() == expected.tobytes()
             np.testing.assert_array_equal(counts, expected_counts)
+
+    @pytest.mark.parametrize("side, shapes", [(1, {(1, 1)}), (7, {(7, 7), (7, 3), (3, 3)})])
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    def test_tiles_match_the_unscreened_scan(self, monkeypatch, kind, side, shapes):
+        # 45 samples in tiles of 1 and of 7: every row block starts with a
+        # tile across the diagonal, then holds several more, the last short
+        n = 45
+        feats = adversarial_features(kind, n, 9, 6)
+        size = n * (n - 1) // 2
+        # a budget short of the next square still gives tiles of ``side``
+        monkeypatch.setattr(density, "BLOCK_ELEMENTS", side * side + side - 1)
+        seen = set()
+        screen = density.screened_distances
+
+        def recorded(a, b, b_sq):
+            seen.add((len(a), len(b)))
+            return screen(a, b, b_sq)
+
+        monkeypatch.setattr(density, "screened_distances", recorded)
+        for rank in sorted({1, 2, size // 9, size // 2, size // 2 + 1, size - 1}):
+            values, counts = density.upper_ranks(feats, rank, 2)
+            expected, expected_counts = unscreened_upper_ranks(feats, rank, 2)
+            assert values.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(counts, expected_counts)
+        assert seen == shapes
+
+    def test_a_tile_keeps_its_temporaries_within_the_budget(self, monkeypatch):
+        # the bracket pinned to the answer gathers next to nothing, so the
+        # peak is one tile's approximate distances (8 bytes an entry) and its
+        # two masks (1 byte each), over 2,000 samples in six row blocks
+        n = 2000
+        feats = np.random.default_rng(44).normal(size=(n, 8))
+        rank = n * (n - 1) // 6
+        expected, expected_counts = unscreened_upper_ranks(feats, rank)
+        pinned = np.full(4096, expected[0])
+        monkeypatch.setattr(density, "_pair_sample", lambda feats, size: pinned.copy())
+        density.upper_ranks(feats, rank)  # first-call allocations land outside the peak
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            values, counts = density.upper_ranks(feats, rank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(counts, expected_counts)
+        assert peak < 11 * density.BLOCK_ELEMENTS
 
     @pytest.mark.parametrize("d", SCREEN_DIMS)
     @pytest.mark.parametrize("kind", FEATURE_KINDS)
@@ -692,10 +747,11 @@ class TestDetectNoisyPositives:
             tracemalloc.stop()
         assert peak < 1.25 * max(sizes) ** 2 * 8
 
-    def test_one_block_matrix_is_alive_at_a_time(self):
+    def test_one_block_matrix_is_alive_at_a_time(self, monkeypatch):
         # many one-block classes peak above one such class only by their
         # row columns, not by a second matrix kept alive beside the next
         n, d = 360, 32
+        monkeypatch.setattr(density, "MATRIX_MAX_MEMBERS", n)
 
         def peak(classes):
             labels = [k for k in range(classes) for _ in range(n)]
@@ -724,7 +780,10 @@ class TestDetectNoisyPositives:
         feats[[3, 50, 120]] += 20.0
         labels = [k for k, n in enumerate(sizes) for _ in range(n)]
         ds = labeled_dataset(feats, labels)
+        monkeypatch.setattr(density, "MATRIX_MAX_MEMBERS", max(sizes))
         by_matrix = flag(ds)
+        monkeypatch.setattr(density, "MATRIX_MAX_MEMBERS", min(sizes) - 1)
+        # tiles of 39, so that each class spans two row blocks
         monkeypatch.setattr(density, "BLOCK_ELEMENTS", 39 * 39)
         monkeypatch.setattr(density, "distance_matrix", None)  # any matrix call fails
         streamed = flag(ds)
@@ -733,12 +792,17 @@ class TestDetectNoisyPositives:
         assert by_matrix.noisy_rows.size  # the comparison covers flagged rows
 
     @pytest.mark.parametrize(
-        "budget, sizes, matrices",
-        [(None, (362, 363), [362]), (40 * 40, (30, 40, 41, 60), [30, 40])],
+        "floor, sizes, matrices",
+        [
+            (None, (64, 65), [64]),
+            (362, (362, 363), [362]),
+            (40, (30, 40, 41, 60), [30, 40]),
+        ],
     )
-    def test_a_class_above_one_block_builds_no_matrix(self, monkeypatch, budget, sizes, matrices):
-        if budget is not None:
-            monkeypatch.setattr(density, "BLOCK_ELEMENTS", budget)
+    def test_a_class_above_one_block_builds_no_matrix(self, monkeypatch, floor, sizes, matrices):
+        # a class builds its matrix up to the floor, of 64 members unless patched
+        if floor is not None:
+            monkeypatch.setattr(density, "MATRIX_MAX_MEMBERS", floor)
         built = []
         real = density.distance_matrix
 
@@ -768,10 +832,11 @@ class TestDetectNoisyPositives:
     @pytest.mark.parametrize("budget", [None, 1])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, monkeypatch, budget, value):
-        # under the matrix path's budget, then the streamed one's, the
-        # dataset is rejected when it is built, so neither path meets it
+        # on the matrix path, then streamed in one-entry tiles, the dataset
+        # is rejected when it is built, so neither path meets it
         if budget is not None:
             monkeypatch.setattr(density, "BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(density, "MATRIX_MAX_MEMBERS", 0)
         feats = np.random.default_rng(40).normal(size=(8, 2))
         feats[5, 1] = value
         with pytest.raises(DatasetError, match="'r5' has non-finite features"):
@@ -813,11 +878,11 @@ def oracle_cases_dataset():
 
 
 class TestReportExport:
-    # 30 * 30 entries to a block: class 0 (40 rows) streams, the rest build matrices
-    @pytest.mark.parametrize("budget", [None, 30 * 30])
-    def test_text_matches_the_loop_oracles(self, monkeypatch, budget):
-        if budget is not None:
-            monkeypatch.setattr(density, "BLOCK_ELEMENTS", budget)
+    # a floor of 30 members: class 0 (40 rows) streams, the rest build matrices
+    @pytest.mark.parametrize("floor", [None, 30])
+    def test_text_matches_the_loop_oracles(self, monkeypatch, floor):
+        if floor is not None:
+            monkeypatch.setattr(density, "MATRIX_MAX_MEMBERS", floor)
         ds = oracle_cases_dataset()
         # every row but two, out of class order
         rows = np.random.default_rng(42).permutation(len(ds))[:-2]
@@ -856,8 +921,9 @@ class TestReportExport:
         )
         assert density_report_to_text(report) == self.reference_text(report)
 
-    def test_infinite_cutoff(self):
+    def test_infinite_cutoff(self, monkeypatch):
         # rows near 0 and near 1e154 alternate: every cross distance is inf
+        admit_unbounded(monkeypatch)
         feats = adversarial_features("huge", 40, 3, 4)
         feats[::2] = np.random.default_rng(4).normal(size=(20, 3))
         config = DensityConfig(alpha={part: 99.0 for part in Part})

@@ -7,10 +7,10 @@ predicate replaces the old label unless it matches, in which case the
 record is kept as-is.  Clean pools are frozen before any correction is
 applied, so corrections never feed each other within a pass.
 
-Each vote screens its pool with one matrix-vector product and the same
-error bound as ``density.screened_distances``, computed in Python floats
-from the query's norm and the largest row norm that the pool computes
-once.  It then computes ``density.exact_distances`` only for the rows the
+Each vote screens its pool with one matrix-vector product and the error
+bound of ``density.screened_distances``: ``density.screen_bound`` of the
+query's norm and the largest row norm that the pool computes once.  It
+then computes ``density.exact_distances`` only for the rows the
 bound cannot rule out of the K nearest, so the neighbors, their order and
 their weights are those of exact distances to every row.
 """
@@ -35,13 +35,7 @@ from tripletclean.core import (
     read_jsonl,
     require_bounded,
 )
-from tripletclean.density import (
-    SCREEN_MAX_SCALE,
-    exact_distances,
-    screen_terms,
-    squared_norms,
-    upper_ranks,
-)
+from tripletclean.density import exact_distances, squared_norms, upper_ranks
 
 logger = logging.getLogger(__name__)
 
@@ -157,18 +151,15 @@ def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) ->
         return VoteResult(label=None)
     query = np.asarray(query_feature, dtype=np.float64)[None, :]
     k = min(config.k, len(pool))
-    # density.screened_distances for one row, with the bound in Python floats;
-    # an overflow only makes the bound infinite, and then the threshold is
-    # infinite or NaN and every row is kept, a NaN entry included
+    # density.screened_distances for one row; an overflow only makes the
+    # bound infinite, and then the threshold is infinite or NaN and every
+    # row is kept, a NaN entry included
     with np.errstate(all="ignore"):
         q_sq = float(density._products(query, query)[0, 0])
         approx = density._products(-2.0 * query, pool.features)[0]
         approx += q_sq
         approx += pool.sq_norms
-        scale = math.sqrt(q_sq) + pool.max_norm
-        scale *= scale
-        relative, absolute = screen_terms(query.size)
-        bound = scale * relative + absolute if scale < SCREEN_MAX_SCALE else math.inf
+        bound = density.screen_bound(math.sqrt(q_sq), pool.max_norm, query.size)
         # The exact k-th distance is at most the approximate one plus the
         # bound, so a row within it lies within twice the bound of the
         # approximate k-th distance: only such rows can be neighbors.

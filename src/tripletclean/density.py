@@ -39,12 +39,13 @@ N**(4/3), to a peak of 2.1 MB at N = 1,500 and 99 MB at 48,000 (d = 16).
 Speed: every exact distance, in the matrix, the stream and the nsc vote,
 comes from ``exact_distances``.  The streamed pass screens each tile
 with BLAS.  One GEMM gives every entry an approximate distance,
-‖x‖² + ‖y‖² − 2·x·y, and ``screened_distances`` a bound on its error,
-valid for any summation order; an entry that the bound places below or
-past the selection's bracket is counted or skipped, and only the rest
-are computed exactly.  So the cutoff, every density and the pool median
-keep their bits.  The nsc vote screens its pool the same way, through the
-same helper.
+‖x‖² + ‖y‖² − 2·x·y, and ``screened_distances`` one bound E on the
+error of every entry in it, from both sides' largest norms, valid for
+any summation order; an entry that E places below or past the
+selection's bracket is counted or skipped, and only the rest are
+computed exactly.  So the cutoff, every density and the pool median keep
+their bits.  The nsc vote screens its pool the same way: E comes from
+``screen_bound`` for both.
 """
 
 from __future__ import annotations
@@ -224,36 +225,43 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def squared_norms(feats: np.ndarray) -> np.ndarray:
     """Each row's squared Euclidean norm, by ``_products``; one that
-    overflows is infinite, and makes the row's screening bound infinite."""
+    overflows is infinite, and so is the bound of any screen that holds it."""
     with np.errstate(over="ignore"):
         return _products(feats[:, None, :], feats[:, None, :])[:, 0, 0]
 
 
-# (s + R)² from which on the screen's bound E is infinite
+# (s + r)² from which on the screen's bound E is infinite
 SCREEN_MAX_SCALE = 2.0**1000
 
 
-def screen_terms(d: int) -> tuple[float, float]:
-    """E = (s + R)² · relative + absolute below ``SCREEN_MAX_SCALE``, for
-    rows of d features (see ``screened_distances``)."""
-    return 4 * (d + 8) * 2.0**-53, (d + 8) * 2.0**-1020
+def screen_bound(s: float, r: float, d: int) -> float:
+    """E of ``screened_distances`` for rows of d features whose norms are
+    at most s on one side and r on the other.  Every step is non-decreasing
+    under round-to-nearest, so the E of the largest norms is, bit for bit,
+    the largest E of any pair of rows."""
+    scale = s + r
+    scale *= scale
+    if scale < SCREEN_MAX_SCALE:
+        return scale * (4 * (d + 8) * 2.0**-53) + (d + 8) * 2.0**-1020
+    return math.inf
 
 
 def screened_distances(
-    a: np.ndarray, b: np.ndarray, b_sq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Approximate squared distances between the rows of ``a`` and ``b``
-    (``b_sq`` the ``squared_norms`` of ``b``), and for each row of ``a`` a
-    bound E on their error.
+    (``a_sq`` and ``b_sq`` their ``squared_norms``), and one bound E on
+    the error of every one of them, from both sides' largest norms.
 
     The approximation D̃ of an entry is ‖x‖² + ‖y‖² − 2·x·y, from one GEMM
     whose two extra columns carry the norms, each times 1.  Let D' be the
     entry's ``exact_distances`` value, D the exact squared distance,
-    s = ‖x‖, R the largest row norm of ``b``, u = 2^-53 and
+    s and r the largest row norms of ``a`` and ``b`` (so ‖x‖ <= s and
+    ‖y‖ <= r), u = 2^-53 and
     γ_n = n·u / (1 − n·u) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., §3.1 and §3.5).  E is chosen so that
 
-        E·(1 − u) >= (1 + u)·|D̃ − D'| + 2u·(s + R)²,
+        E·(1 − u) >= (1 + u)·|D̃ − D'| + 2u·(s + r)²,
 
     which makes every decision a threshold t takes exact: D̃ < fl(t − E)
     implies D' < t, D̃ > fl(t + E) implies D' > t, and the rounding of
@@ -262,34 +270,30 @@ def screened_distances(
 
     - D̃ sums the d + 2 terms −2·x_k·y_k, ‖x‖², ‖y‖² (the computed norms)
       in some order, with or without fused multiply-adds (scaling by −2 or
-      by 1 is exact), so it lies within γ_{d+2}·(1 + γ_d)·(s + R)² of the
+      by 1 is exact), so it lies within γ_{d+2}·(1 + γ_d)·(s + r)² of the
       same sum of exact terms.
-    - The computed norms lie within γ_d·(s² + R²) of the exact ones, so
-      that sum lies within γ_d·(s + R)² of D.
+    - The computed norms lie within γ_d·(s² + r²) of the exact ones, so
+      that sum lies within γ_d·(s + r)² of D.
     - D' rounds each difference and square once and sums d non-negative
-      terms: |D' − D| <= γ_{d+2}·D <= γ_{d+2}·(s + R)².
+      terms: |D' − D| <= γ_{d+2}·D <= γ_{d+2}·(s + r)².
 
-    So |D̃ − D'| <= (3.1·d + 4.1)·u·(s + R)², and the condition needs
-    E >= (3.1·d + 6.3)·u·(s + R)².  E is 4·(d + 8)·u·(s + R)² from the
-    computed norms, at least 3.9·(d + 8)·u·(s + R)² however the norms,
+    So |D̃ − D'| <= (3.1·d + 4.1)·u·(s + r)², and the condition needs
+    E >= (3.1·d + 6.3)·u·(s + r)².  E is 4·(d + 8)·u·(s + r)² from the
+    computed norms, at least 3.9·(d + 8)·u·(s + r)² however the norms,
     their square roots and E itself round, plus (d + 8)·2^-1020: a
     product, square or norm that underflows errs by at most 2^-1074
     beyond the relative model, at most 6·d·2^-1075 in all.  Where
-    (s + R)² reaches 2^1000 an intermediate may overflow, so E is
+    (s + r)² reaches 2^1000 an intermediate may overflow, so E is
     infinite, as it is for a non-finite row: no threshold then decides
-    and every entry is computed exactly.
+    and every entry is computed exactly.  ``screen_bound`` computes E.
     """
-    relative, absolute = screen_terms(a.shape[1])
     # an overflow here only makes E infinite, so it warns of nothing
     with np.errstate(all="ignore"):
-        a_sq = squared_norms(a)
         approx = _products(
             np.column_stack([-2.0 * a, a_sq, np.ones(len(a))]),
             np.column_stack([b, np.ones(len(b)), b_sq]),
         )
-        scale = (np.sqrt(a_sq) + math.sqrt(b_sq.max())) ** 2
-        bound = np.where(scale < SCREEN_MAX_SCALE, scale * relative + absolute, np.inf)
-    return approx, bound
+    return approx, screen_bound(math.sqrt(a_sq.max()), math.sqrt(b_sq.max()), a.shape[1])
 
 
 def _rank(alpha: float, size: int) -> int:
@@ -334,14 +338,14 @@ def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarra
     Each ``_select_rank`` pass walks the strictly-upper triangle in square
     tiles of at most ``BLOCK_ELEMENTS`` entries: row blocks of one tile's
     side, each paired with the column tiles from its diagonal on, so N <=
-    362 is one tile.  A tile's ``screened_distances``, bounded by its own
-    columns' norms, decide most entries against the bracket [lo, hi] by
-    their error bound E: below lo when D̃ < lo − E, past hi when
-    D̃ > hi + E.  Only the rest are computed by ``exact_distances`` and
-    placed by that value; so every count and entry is the one a scan of
-    exact distances gives.  The pass counts the entries below the bracket
-    into their rows and columns and keeps where each gathered one sits:
-    no N x N array, entry copy or second pass.
+    362 is one tile.  A tile's ``screened_distances``, with one error bound
+    E from both sides' largest norms, decide most entries against the
+    bracket [lo, hi]: below lo when D̃ < lo − E, past hi when D̃ > hi + E.
+    Only the rest are computed by ``exact_distances`` and placed by that
+    value; so every count and entry is the one a scan of exact distances
+    gives.  The pass counts the entries below the bracket into their rows
+    and columns and keeps where each gathered one sits: no N x N array,
+    entry copy or second pass.
     """
     n = feats.shape[0]
     sq = squared_norms(feats)
@@ -354,10 +358,9 @@ def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarra
     def screen_tile(lo, hi, top, left):
         # a function, so that one tile's temporaries are gone before the next's
         rows_at, cols_at = slice(top, top + side), slice(left, left + side)
-        approx, bound = screened_distances(feats[rows_at], feats[cols_at], sq[cols_at])
-        # one bound for the tile, its largest; in float arithmetic a
-        # threshold that overflows, or is NaN (inf - inf), decides nothing
-        bound = float(bound.max())
+        approx, bound = screened_distances(feats[rows_at], sq[rows_at], feats[cols_at], sq[cols_at])
+        # lo - E is finite or -inf and hi + E finite or +inf: a threshold
+        # that overflows decides nothing
         low = approx < lo - bound
         # neither below nor past: a NaN entry (an overflow) is undecided too
         undecided = approx > hi + bound

@@ -333,8 +333,8 @@ class TestScreenedVote:
     @pytest.mark.parametrize("top", [2.0**499, 1e155])
     def test_pool_norms_across_the_screen_limit(self, monkeypatch, top):
         # row norms from 1 to top: with 2^499 the query decides whether
-        # (s + R)^2 reaches SCREEN_MAX_SCALE, and with 1e155, beyond the
-        # feature magnitude limit, every vote is at it and the largest rows'
+        # the vote's bound is infinite, and with 1e155, beyond the feature
+        # magnitude limit, every vote's is and the largest rows'
         # approximate distances are NaN
         admit_unbounded(monkeypatch)
         m, d = 40, 3
@@ -348,8 +348,8 @@ class TestScreenedVote:
         screened = []
         with np.errstate(over="ignore"):
             for q in queries:
-                scale = math.sqrt(float(q @ q)) + pool.max_norm
-                screened.append(scale * scale < density.SCREEN_MAX_SCALE)
+                bound = density.screen_bound(math.sqrt(float(q @ q)), pool.max_norm, d)
+                screened.append(not math.isinf(bound))
                 assert knn_vote(q, pool, config) == oracle_vote(q, pool, config)
         assert screened == ([True, True, True, False, False] if top < 1e155 else [False] * 5)
 

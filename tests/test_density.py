@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -285,18 +286,14 @@ class TestCutoffDistance:
             rank = int(np.ceil(Fraction(alpha) * ordered.size / 100))
             assert cutoff_distance(mat, alpha) == ordered[rank - 1]
 
-    @pytest.mark.parametrize("rows", [None, 1, 7])
-    def test_grid_rank_boundaries_in_row_blocks(self, monkeypatch, rows):
+    def test_grid_rank_boundaries(self):
         mat = grid_matrix(30)
-        if rows is not None:
-            monkeypatch.setattr(density, "BLOCK_ELEMENTS", rows * mat.shape[1])
         ordered = np.sort(mat.ravel())
         for rank in boundary_ranks(ordered):
             alpha = alpha_for(rank, ordered.size)
             assert cutoff_distance(mat, alpha) == ordered[rank - 1], rank
 
-    def test_non_symmetric_and_transposed_matrices(self, monkeypatch):
-        monkeypatch.setattr(density, "BLOCK_ELEMENTS", 5 * 45)
+    def test_non_symmetric_and_transposed_matrices(self):
         base = np.random.default_rng(31).integers(0, 9, size=(45, 45)).astype(np.float64)
         for mat in (base, base.T):
             ordered = np.sort(mat.ravel())
@@ -304,8 +301,7 @@ class TestCutoffDistance:
                 alpha = alpha_for(rank, ordered.size)
                 assert cutoff_distance(mat, alpha) == ordered[rank - 1]
 
-    def test_nan_entries_sort_last(self, monkeypatch):
-        monkeypatch.setattr(density, "BLOCK_ELEMENTS", 3 * 20)
+    def test_nan_entries_sort_last(self):
         mat = grid_matrix(33, n=20)
         mat[[0, 3, 3, 7, 19], [5, 3, 9, 1, 0]] = np.nan
         mat[[2, 4, 6], [8, 11, 6]] = [np.inf, np.inf, -np.inf]
@@ -356,10 +352,8 @@ class TestLocalDensity:
         with pytest.raises(DatasetError, match="cutoff must be non-negative"):
             local_density(mat, d_c)
 
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_grid_cutoffs_in_row_blocks(self, monkeypatch, rows):
+    def test_grid_cutoffs(self):
         mat = grid_matrix(35)
-        monkeypatch.setattr(density, "BLOCK_ELEMENTS", rows * mat.shape[1])
         for d_c in [*np.unique(mat).tolist(), 0.5, float(mat.max()) + 1]:
             np.testing.assert_array_equal(local_density(mat, d_c), oracle_density(mat, d_c))
 
@@ -457,9 +451,9 @@ class TestScreenedScan:
         seen = set()
         screen = density.screened_distances
 
-        def recorded(a, b, b_sq):
+        def recorded(a, a_sq, b, b_sq):
             seen.add((len(a), len(b)))
-            return screen(a, b, b_sq)
+            return screen(a, a_sq, b, b_sq)
 
         monkeypatch.setattr(density, "screened_distances", recorded)
         for rank in sorted({1, 2, size // 9, size // 2, size // 2 + 1, size - 1}):
@@ -539,15 +533,62 @@ class TestScreenedScan:
 
     @pytest.mark.parametrize("kind", FEATURE_KINDS)
     def test_bound_covers_every_entry(self, kind):
-        # |approximate - exact| <= E wherever E is finite
+        # |approximate - exact| <= each row's own E wherever that E is finite
         for d in SCREEN_DIMS:
             feats = adversarial_features(kind, 30, d, 5)
             sq = density.squared_norms(feats)
-            approx, bound = density.screened_distances(feats, feats, sq)
             exact = distance_matrix(feats)
-            finite = np.isfinite(bound)
-            assert kind != "huge" or not finite.any()
-            assert (np.abs(approx - exact) <= bound[:, None])[finite].all()
+            for i in range(len(feats)):
+                row = slice(i, i + 1)
+                approx, bound = density.screened_distances(feats[row], sq[row], feats, sq)
+                assert kind != "huge" or math.isinf(bound)
+                assert math.isinf(bound) or (np.abs(approx[0] - exact[i]) <= bound).all()
+
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    def test_a_tile_bound_is_its_rows_largest(self, kind):
+        # E grows with each norm under rounding, so the tile's one E, from
+        # both sides' largest norms, is bit for bit its rows' largest E
+        for d in SCREEN_DIMS:
+            feats = adversarial_features(kind, 30, d, 5)
+            sq = density.squared_norms(feats)
+            for rows, cols in [(slice(0, 30), slice(0, 30)), (slice(3, 17), slice(11, 30))]:
+                b, b_sq = feats[cols], sq[cols]
+                _, bound = density.screened_distances(feats[rows], sq[rows], b, b_sq)
+                per_row = [
+                    density.screened_distances(feats[i : i + 1], sq[i : i + 1], b, b_sq)[1]
+                    for i in range(30)[rows]
+                ]
+                assert bound.hex() == max(per_row).hex()
+
+    @pytest.mark.parametrize("d", [1, 9, 64])
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    def test_an_infinite_bound_changes_no_result(self, monkeypatch, kind, d):
+        # with E infinite no threshold decides and every distance is
+        # computed exactly: the screen only saves work
+        admit_unbounded(monkeypatch)
+        feats = adversarial_features(kind, 60, d, 6)
+        config = CorrectionConfig(k=3, kernel_c=1.0)
+        pool = Pool.build([f"r{i}" for i in range(50)], np.arange(50) % 4, feats[:50], config)
+
+        def stream():
+            d_c, rho = streamed_density(feats, 25.0)
+            return d_c.hex(), rho.tolist()
+
+        runs = {
+            "stream": stream,
+            "median": lambda: correction._kernel_scale(feats, CorrectionConfig()).hex(),
+            "votes": lambda: [knn_vote(q, pool, config) for q in feats[50:]],
+        }
+        # the weights of distances near 1e300 overflow their square
+        with np.errstate(over="ignore"):
+            screened = {name: run() for name, run in runs.items()}
+            calls = []
+            unbounded = lambda *args: calls.append(args) or math.inf
+            monkeypatch.setattr(density, "screen_bound", unbounded)
+            for name, run in runs.items():
+                calls.clear()
+                assert run() == screened[name], name
+                assert calls, name
 
 
 # dot products summed in orders other than BLAS's
@@ -581,9 +622,9 @@ class TestAnySummationOrder:
         expected = self.outcomes()
         feats = adversarial_features("offset 1e4", 60, 64, 6)
         sq = density.squared_norms(feats)
-        approx, _ = density.screened_distances(feats, feats, sq)
+        approx, _ = density.screened_distances(feats, sq, feats, sq)
         monkeypatch.setattr(density, "_products", PRODUCT_SWAPS[swap])
-        swapped, _ = density.screened_distances(feats, feats, sq)
+        swapped, _ = density.screened_distances(feats, sq, feats, sq)
         assert not np.array_equal(swapped, approx)  # the swap changes the screen
         assert self.outcomes() == expected
 

@@ -12,7 +12,9 @@ bound of ``density.screened_distances``: ``density.screen_bound`` of the
 query's norm and the largest row norm that the pool computes once.  It
 then computes ``density.exact_distances`` only for the rows the
 bound cannot rule out of the K nearest, so the neighbors, their order and
-their weights are those of exact distances to every row.
+their weights are those of exact distances to every row.  Rows within
+the feature magnitude limit overflow no step of the screen or the pool
+median (``density.screened_distances``); only a kernel weight can.
 """
 
 from __future__ import annotations
@@ -93,8 +95,10 @@ def _kernel_scale(pool_features: np.ndarray, config: CorrectionConfig) -> float:
     """``kernel_c``, or the median of the pool's m(m-1)/2 pairwise distances.
 
     ``density.upper_ranks`` places the one or two middle distances by
-    exact selection, and their mean is the median as ``np.median`` forms
-    it; neither an m x m matrix nor the m(m-1)/2 distances are held.
+    exact selection; neither an m x m matrix nor the m(m-1)/2 distances
+    are held.  Each is halved before the sum, which then cannot overflow;
+    halving is exact above 2^-1021 (a smaller median takes the floor), so
+    the mean is ``np.median``'s bit for bit wherever that is finite.
     """
     if config.kernel_c is not None:
         return config.kernel_c
@@ -103,7 +107,7 @@ def _kernel_scale(pool_features: np.ndarray, config: CorrectionConfig) -> float:
         return KERNEL_SCALE_FLOOR
     size = m * (m - 1) // 2
     middle, _ = upper_ranks(pool_features, (size + 1) // 2, 2 - size % 2)
-    return max(float(np.mean(middle)), KERNEL_SCALE_FLOOR)
+    return max(float((middle / middle.size).sum()), KERNEL_SCALE_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,20 +155,17 @@ def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) ->
         return VoteResult(label=None)
     query = np.asarray(query_feature, dtype=np.float64)[None, :]
     k = min(config.k, len(pool))
-    # density.screened_distances for one row; an overflow only makes the
-    # bound infinite, and then the threshold is infinite or NaN and every
-    # row is kept, a NaN entry included
-    with np.errstate(all="ignore"):
-        q_sq = float(density._products(query, query)[0, 0])
-        approx = density._products(-2.0 * query, pool.features)[0]
-        approx += q_sq
-        approx += pool.sq_norms
-        bound = density.screen_bound(math.sqrt(q_sq), pool.max_norm, query.size)
-        # The exact k-th distance is at most the approximate one plus the
-        # bound, so a row within it lies within twice the bound of the
-        # approximate k-th distance: only such rows can be neighbors.
-        kth = float(np.partition(approx, k - 1)[k - 1])
-        rows = np.flatnonzero(~(approx > kth + 2 * bound))
+    # density.screened_distances for one row
+    q_sq = float(density._products(query, query)[0, 0])
+    approx = density._products(-2.0 * query, pool.features)[0]
+    approx += q_sq
+    approx += pool.sq_norms
+    bound = density.screen_bound(math.sqrt(q_sq), pool.max_norm, query.size)
+    # The exact k-th distance is at most the approximate one plus the
+    # bound, so a row within it lies within twice the bound of the
+    # approximate k-th distance: only such rows can be neighbors.
+    kth = float(np.partition(approx, k - 1)[k - 1])
+    rows = np.flatnonzero(approx <= kth + 2 * bound)
     dists = exact_distances(pool.features[rows], query)
     # The candidate rows ascend, so a stable sort of their distances starts
     # with the same k rows, in the same order, as one of the whole pool.

@@ -41,11 +41,11 @@ comes from ``exact_distances``.  The streamed pass screens each tile
 with BLAS.  One GEMM gives every entry an approximate distance,
 ‖x‖² + ‖y‖² − 2·x·y, and ``screened_distances`` one bound E on the
 error of every entry in it, from both sides' largest norms, valid for
-any summation order; an entry that E places below or past the
-selection's bracket is counted or skipped, and only the rest are
-computed exactly.  So the cutoff, every density and the pool median keep
-their bits.  The nsc vote screens its pool the same way: E comes from
-``screen_bound`` for both.
+any summation order and finite on rows within the feature magnitude
+limit; an entry that E places below or past the selection's bracket is
+counted or skipped, and only the rest are computed exactly.  So the
+cutoff, every density and the pool median keep their bits.  The nsc vote
+screens its pool the same way: E comes from ``screen_bound`` for both.
 """
 
 from __future__ import annotations
@@ -224,26 +224,18 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def squared_norms(feats: np.ndarray) -> np.ndarray:
-    """Each row's squared Euclidean norm, by ``_products``; one that
-    overflows is infinite, and so is the bound of any screen that holds it."""
-    with np.errstate(over="ignore"):
-        return _products(feats[:, None, :], feats[:, None, :])[:, 0, 0]
-
-
-# (s + r)² from which on the screen's bound E is infinite
-SCREEN_MAX_SCALE = 2.0**1000
+    """Each row's squared Euclidean norm, by ``_products``: at most
+    float_max / 4 for a row within the feature magnitude limit."""
+    return _products(feats[:, None, :], feats[:, None, :])[:, 0, 0]
 
 
 def screen_bound(s: float, r: float, d: int) -> float:
     """E of ``screened_distances`` for rows of d features whose norms are
     at most s on one side and r on the other.  Every step is non-decreasing
     under round-to-nearest, so the E of the largest norms is, bit for bit,
-    the largest E of any pair of rows."""
+    the largest E of any pair of rows; it is finite on bounded rows."""
     scale = s + r
-    scale *= scale
-    if scale < SCREEN_MAX_SCALE:
-        return scale * (4 * (d + 8) * 2.0**-53) + (d + 8) * 2.0**-1020
-    return math.inf
+    return scale * scale * (4 * (d + 8) * 2.0**-53) + (d + 8) * 2.0**-1020
 
 
 def screened_distances(
@@ -282,17 +274,21 @@ def screened_distances(
     computed norms, at least 3.9·(d + 8)·u·(s + r)² however the norms,
     their square roots and E itself round, plus (d + 8)·2^-1020: a
     product, square or norm that underflows errs by at most 2^-1074
-    beyond the relative model, at most 6·d·2^-1075 in all.  Where
-    (s + r)² reaches 2^1000 an intermediate may overflow, so E is
-    infinite, as it is for a non-finite row: no threshold then decides
-    and every entry is computed exactly.  ``screen_bound`` computes E.
+    beyond the relative model, at most 6·d·2^-1075 in all.
+
+    No step overflows on rows within ``core.unbounded_rows``' limit
+    L = sqrt(float_max / 4d)·(1 − 10⁻⁶), as in every ``Dataset`` and
+    pool: every |x_k| <= L, so ‖x‖² <= d·L² <= float_max / 4 and
+    |x·y| <= float_max / 4, and every partial sum of D̃'s d + 2 terms, in
+    any order, is at most (s + r)²·(1 + γ_{d+2}) < float_max; the 10⁻⁶
+    margin covers the rounding for any d below about 10⁹.  So E, from
+    ``screen_bound``, is finite and valid everywhere, and a threshold
+    t ± E that rounds past float_max is ±∞ and decides nothing.
     """
-    # an overflow here only makes E infinite, so it warns of nothing
-    with np.errstate(all="ignore"):
-        approx = _products(
-            np.column_stack([-2.0 * a, a_sq, np.ones(len(a))]),
-            np.column_stack([b, np.ones(len(b)), b_sq]),
-        )
+    approx = _products(
+        np.column_stack([-2.0 * a, a_sq, np.ones(len(a))]),
+        np.column_stack([b, np.ones(len(b)), b_sq]),
+    )
     return approx, screen_bound(math.sqrt(a_sq.max()), math.sqrt(b_sq.max()), a.shape[1])
 
 
@@ -331,9 +327,9 @@ def local_density(matrix: np.ndarray, d_c: float) -> np.ndarray:
 
 def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The rank-th to (rank + count - 1)-th smallest (1-based) strictly-upper
-    entries of the squared-distance matrix of a finite N x d float64 array,
-    ascending, and each sample's count of strictly-upper entries below the
-    first of them in its row or column.
+    entries of the squared-distance matrix of an N x d float64 array within
+    the feature magnitude limit, ascending, and each sample's count of
+    strictly-upper entries below the first of them in its row or column.
 
     Each ``_select_rank`` pass walks the strictly-upper triangle in square
     tiles of at most ``BLOCK_ELEMENTS`` entries: row blocks of one tile's
@@ -359,10 +355,8 @@ def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarra
         # a function, so that one tile's temporaries are gone before the next's
         rows_at, cols_at = slice(top, top + side), slice(left, left + side)
         approx, bound = screened_distances(feats[rows_at], sq[rows_at], feats[cols_at], sq[cols_at])
-        # lo - E is finite or -inf and hi + E finite or +inf: a threshold
-        # that overflows decides nothing
         low = approx < lo - bound
-        # neither below nor past: a NaN entry (an overflow) is undecided too
+        # neither below nor past
         undecided = approx > hi + bound
         undecided |= low
         np.logical_not(undecided, out=undecided)
@@ -407,7 +401,7 @@ def streamed_density(features: np.ndarray, alpha: float) -> tuple[float, np.ndar
     its diagonal and every off-diagonal entry twice, so its rank r is 0 when
     r <= N and otherwise the ceil((r - N) / 2)-th smallest strictly-upper
     entry; the diagonal adds one to every count when the cutoff is positive.
-    Features must be finite, so that the diagonal is zero.
+    Features must lie within the magnitude limit, so the diagonal is zero.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:

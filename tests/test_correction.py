@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from tripletclean.core import NO_LABEL, Dataset, DatasetError
-from tripletclean import correction, density
+from tripletclean import core, correction, density
 from test_core import INT64_LIMITS, ODD_FLOATS, ODD_STRINGS, json_lines, traced
-from test_density import FEATURE_KINDS, SCREEN_DIMS, admit_unbounded, adversarial_features
+from test_density import FEATURE_KINDS, SCREEN_DIMS, adversarial_features
 from tripletclean.correction import (
     KERNEL_SCALE_FLOOR,
     CorrectionConfig,
@@ -262,6 +262,17 @@ class TestPoolMedian:
         pool = pool_of([rec(f"r{i}", 0, f) for i, f in enumerate(feats)], CorrectionConfig())
         assert pool.scale.hex() == expected.hex()
 
+    def test_a_median_near_float_max_is_finite(self):
+        # at d = 1 the two middle distances each pass float_max / 2, so
+        # their sum overflows while their mean does not
+        limit = core.unbounded_rows(np.zeros((1, 1)))[1]
+        feats = np.array([[0.99], [0.98], [-0.99], [-0.98]]) * limit
+        with np.errstate(all="raise"):
+            pool = Pool.build(list("abcd"), [0, 0, 1, 1], feats, CorrectionConfig())
+        upper = density.distance_matrix(feats)[np.triu_indices(4, k=1)]
+        assert math.isfinite(pool.scale)
+        assert pool.scale.hex() == float(2 * np.median(upper / 2)).hex()
+
     def test_identical_features_take_the_floor(self):
         feats = [rec(f"r{i}", 0, [1.5, -2.0]) for i in range(6)]
         assert pool_of(feats, CorrectionConfig()).scale == KERNEL_SCALE_FLOOR
@@ -317,51 +328,44 @@ class TestScreenedVote:
     @pytest.mark.parametrize("d", SCREEN_DIMS)
     @pytest.mark.parametrize("kind", FEATURE_KINDS)
     @pytest.mark.parametrize("m", [1, 2, 3, 40])
-    def test_matches_full_stable_sort(self, monkeypatch, kind, d, m):
-        if kind == "huge":
-            admit_unbounded(monkeypatch)
+    def test_matches_full_stable_sort(self, kind, d, m):
         feats = adversarial_features(kind, m + 2, d, 7)
         config = CorrectionConfig(k=3, kernel_c=1.0)
         labels = np.arange(m) % 3
         pool = Pool.build([f"r{i}" for i in range(m)], labels, feats[:m], config)
         queries = [feats[0], feats[m - 1], feats[m], feats[m + 1], np.nextafter(feats[0], 0)]
-        # the weights of distances near 1e300 overflow their square
+        # the weights of distances near float_max overflow their square
         with np.errstate(over="ignore"):
             for q in queries:
                 assert knn_vote(q, pool, config) == oracle_vote(q, pool, config)
 
-    @pytest.mark.parametrize("top", [2.0**499, 1e155])
-    def test_pool_norms_across_the_screen_limit(self, monkeypatch, top):
-        # row norms from 1 to top: with 2^499 the query decides whether
-        # the vote's bound is infinite, and with 1e155, beyond the feature
-        # magnitude limit, every vote's is and the largest rows'
-        # approximate distances are NaN
-        admit_unbounded(monkeypatch)
-        m, d = 40, 3
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_pool_norms_up_to_the_magnitude_limit(self, d):
+        # row norms from 1 to the limit L, so no feature exceeds it: every
+        # vote's bound is finite, up to the query opposite the largest row
+        m = 40
+        limit = core.unbounded_rows(np.zeros((1, d)))[1]
         rng = np.random.default_rng(11)
         directions = rng.normal(size=(m, d))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        feats = np.geomspace(1.0, top, m)[:, None] * directions
+        feats = np.geomspace(1.0, limit, m)[:, None] * directions
         config = CorrectionConfig(k=3, kernel_c=1.0)
         pool = Pool.build([f"r{i}" for i in range(m)], np.arange(m) % 3, feats, config)
         queries = [np.zeros(d), feats[m // 2], feats[m - 2], feats[m - 1], -feats[m - 1]]
-        screened = []
+        # the weights of distances near float_max overflow their square
         with np.errstate(over="ignore"):
             for q in queries:
-                bound = density.screen_bound(math.sqrt(float(q @ q)), pool.max_norm, d)
-                screened.append(not math.isinf(bound))
+                assert math.isfinite(density.screen_bound(math.sqrt(q @ q), pool.max_norm, d))
                 assert knn_vote(q, pool, config) == oracle_vote(q, pool, config)
-        assert screened == ([True, True, True, False, False] if top < 1e155 else [False] * 5)
 
     @pytest.mark.parametrize("d", SCREEN_DIMS)
     @pytest.mark.parametrize("kind", FEATURE_KINDS)
     def test_pool_median_matches_the_matrix(self, monkeypatch, kind, d):
-        if kind == "huge":
-            admit_unbounded(monkeypatch)
         m = 41
         feats = adversarial_features(kind, m, d, 8)
         upper = density.distance_matrix(feats)[np.triu_indices(m, k=1)]
-        expected = max(float(np.median(upper)), KERNEL_SCALE_FLOOR)
+        # halved, so that the mean of two middle entries near float_max is finite
+        expected = max(float(2 * np.median(upper / 2)), KERNEL_SCALE_FLOOR)
         monkeypatch.setattr(density, "BLOCK_ELEMENTS", 3 * m)
         pool = Pool.build([f"r{i}" for i in range(m)], np.zeros(m), feats, CorrectionConfig())
         assert pool.scale.hex() == expected.hex()
@@ -466,13 +470,14 @@ class TestCorrect:
         with pytest.raises(DatasetError, match="flagged record 'neg' has no label"):
             correct_ids(["neg"], ds, [c.id for c in cleans], CorrectionConfig())
 
-    def test_a_screen_that_overflows_stays_silent(self, monkeypatch):
-        # x·y overflows for rows near 1e154, beyond the feature magnitude
-        # limit, so the vote's screen does, inside correct's
-        # errstate(over="raise"); identical rows still lie at distance 0 and vote
-        admit_unbounded(monkeypatch)
-        cleans = [rec(f"c{i}", 6, [1e154] * 3, pair=(1, 2)) for i in range(5)]
-        ds = build_dataset(cleans + [rec("bad", 3, [1e154] * 3, pair=(1, 2))])
+    def test_a_screen_near_float_max_stays_silent(self):
+        # rows at 0.999 of the magnitude limit: the query's opposites lie
+        # near float_max, and the vote's screen runs inside correct's
+        # errstate(over="raise"); copies of the query lie at distance 0 and vote
+        top = 0.999 * core.unbounded_rows(np.zeros((1, 3)))[1]
+        cleans = [rec(f"c{i}", 6, [top] * 3, pair=(1, 2)) for i in range(5)]
+        cleans += [rec(f"o{i}", 5, [-top] * 3, pair=(1, 2)) for i in range(5)]
+        ds = build_dataset(cleans + [rec("bad", 3, [top] * 3, pair=(1, 2))])
         config = CorrectionConfig(kernel_c=1.0)
         _, ledger = correct_ids(["bad"], ds, [c.id for c in cleans], config)
         assert ledger[0].new_label == 6 and ledger[0].weights == (1.0, 1.0, 1.0)

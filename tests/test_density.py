@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -148,18 +149,13 @@ def adversarial_features(kind, n, d, seed):
     if kind == "subnormal":  # squared distances below 2^-1022
         return rng.normal(size=(n, d)) * 1e-160
     if kind == "huge":
-        # above load_dataset's sqrt(float_max / (4d)), so the norms and
-        # products overflow while every distance stays finite
-        return 1e154 * (1.0 + 1e-4 * rng.normal(size=(n, d)))
+        # just inside the feature magnitude limit L, each row near L or -L
+        # in every feature: distances between opposite rows come within a
+        # rounding margin of float_max
+        limit = core.unbounded_rows(np.zeros((1, d)))[1]
+        signs = rng.choice([-1.0, 1.0], size=(n, 1))
+        return signs * limit * (1 - 1e-3 * rng.random(size=(n, d)))
     raise ValueError(kind)
-
-
-def admit_unbounded(monkeypatch):
-    """Let datasets and pools hold rows beyond the feature magnitude limit,
-    such as the "huge" kind, so that those rows reach the overflow guards
-    that the stages keep behind it."""
-    for module in (core, correction):
-        monkeypatch.setattr(module, "require_bounded", lambda ids, features: None)
 
 
 FEATURE_KINDS = ["offset 1e4", "offset 1e8", "grid", "duplicates", "subnormal", "huge"]
@@ -518,31 +514,49 @@ class TestScreenedScan:
             assert values.tobytes() == expected.tobytes()
             np.testing.assert_array_equal(counts, expected_counts)
 
-    def test_distances_that_overflow_match_the_unscreened_scan(self):
-        # rows near 0 and near 1e154 alternate: every cross distance is inf
-        feats = adversarial_features("huge", 40, 3, 4)
-        feats[::2] = np.random.default_rng(4).normal(size=(20, 3))
+    @pytest.mark.parametrize("d", [1, 2, 300, 2000])
+    def test_distances_near_float_max_match_the_unscreened_scan(self, d):
+        # rows near 0 and near the magnitude limit alternate, and no step
+        # of the screen may overflow
+        feats = adversarial_features("huge", 40, d, 4)
+        feats[::2] = np.random.default_rng(4).normal(size=(20, d))
         size = 40 * 39 // 2
-        with np.errstate(over="ignore"):
+        with np.errstate(all="raise"):
             for rank in (1, size // 4, size // 2, size):
                 values, counts = density.upper_ranks(feats, rank)
                 expected, expected_counts = unscreened_upper_ranks(feats, rank)
                 assert values.tobytes() == expected.tobytes()
                 np.testing.assert_array_equal(counts, expected_counts)
-        assert np.isinf(values[0])
+        assert values[0] > 0.99 * sys.float_info.max
 
     @pytest.mark.parametrize("kind", FEATURE_KINDS)
     def test_bound_covers_every_entry(self, kind):
-        # |approximate - exact| <= each row's own E wherever that E is finite
+        # |approximate - exact| <= each row's own E, which is finite
         for d in SCREEN_DIMS:
             feats = adversarial_features(kind, 30, d, 5)
             sq = density.squared_norms(feats)
             exact = distance_matrix(feats)
             for i in range(len(feats)):
                 row = slice(i, i + 1)
-                approx, bound = density.screened_distances(feats[row], sq[row], feats, sq)
-                assert kind != "huge" or math.isinf(bound)
-                assert math.isinf(bound) or (np.abs(approx[0] - exact[i]) <= bound).all()
+                with np.errstate(over="raise", invalid="raise"):
+                    approx, bound = density.screened_distances(feats[row], sq[row], feats, sq)
+                assert math.isfinite(bound)
+                assert (np.abs(approx[0] - exact[i]) <= bound).all()
+
+    @pytest.mark.parametrize("d", [*SCREEN_DIMS, 2000])
+    def test_bound_meets_its_condition_up_to_the_limit(self, d):
+        # E·(1 − u) >= (3.1·d + 6.3)·u·(s + r)², the condition that
+        # screened_distances derives, in exact arithmetic, for norms up to
+        # those of rows at the magnitude limit, where E is still finite
+        u = Fraction(2) ** -53
+        factor = (Fraction(31, 10) * d + Fraction(63, 10)) * u
+        at_limit = np.full((1, d), core.unbounded_rows(np.zeros((1, d)))[1])
+        top = math.sqrt(density.squared_norms(at_limit)[0])
+        for s in (1.0, top / 3, top):
+            for r in (1.0, top):
+                bound = density.screen_bound(s, r, d)
+                assert math.isfinite(bound)
+                assert Fraction(bound) * (1 - u) >= factor * (Fraction(s) + Fraction(r)) ** 2
 
     @pytest.mark.parametrize("kind", FEATURE_KINDS)
     def test_a_tile_bound_is_its_rows_largest(self, kind):
@@ -565,7 +579,6 @@ class TestScreenedScan:
     def test_an_infinite_bound_changes_no_result(self, monkeypatch, kind, d):
         # with E infinite no threshold decides and every distance is
         # computed exactly: the screen only saves work
-        admit_unbounded(monkeypatch)
         feats = adversarial_features(kind, 60, d, 6)
         config = CorrectionConfig(k=3, kernel_c=1.0)
         pool = Pool.build([f"r{i}" for i in range(50)], np.arange(50) % 4, feats[:50], config)
@@ -579,7 +592,7 @@ class TestScreenedScan:
             "median": lambda: correction._kernel_scale(feats, CorrectionConfig()).hex(),
             "votes": lambda: [knn_vote(q, pool, config) for q in feats[50:]],
         }
-        # the weights of distances near 1e300 overflow their square
+        # the weights of distances near float_max overflow their square
         with np.errstate(over="ignore"):
             screened = {name: run() for name, run in runs.items()}
             calls = []
@@ -962,16 +975,16 @@ class TestReportExport:
         )
         assert density_report_to_text(report) == self.reference_text(report)
 
-    def test_infinite_cutoff(self, monkeypatch):
-        # rows near 0 and near 1e154 alternate: every cross distance is inf
-        admit_unbounded(monkeypatch)
+    def test_cutoff_near_float_max(self):
+        # rows near the magnitude limit in every feature, with either sign:
+        # the 99th percentile lies between opposite rows
         feats = adversarial_features("huge", 40, 3, 4)
-        feats[::2] = np.random.default_rng(4).normal(size=(20, 3))
         config = DensityConfig(alpha={part: 99.0 for part in Part})
-        with np.errstate(over="ignore"):
+        with np.errstate(all="raise"):
             report = flag(labeled_dataset(feats, [0] * 40), config)
+        assert report.d_c[0] > 0.99 * sys.float_info.max
         text = density_report_to_text(report)
-        assert '"d_c": Infinity' in text
+        assert f'"d_c": {float(report.d_c[0])!r}' in text
         assert text == self.reference_text(report)
 
     def test_peak_memory_is_about_two_texts(self):

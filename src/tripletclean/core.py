@@ -120,8 +120,6 @@ class Dataset:
             or self.labels.shape != (n,)
         ):
             raise DatasetError(f"columns must hold one row for each of the {n} ids")
-        if self.features.shape[1] == 0:
-            raise DatasetError("feature rows must hold at least one value")
         require_bounded(self.ids, self.features)
         if len(set(self.ids)) != n:
             dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
@@ -188,8 +186,10 @@ def unbounded_rows(features: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def require_bounded(ids: Sequence[str], features: np.ndarray) -> None:
-    """Reject the first record that ``unbounded_rows`` names; ``ids`` names
-    the rows of ``features``."""
+    """Reject rows of no values, then the first record that
+    ``unbounded_rows`` names; ``ids`` names the rows of ``features``."""
+    if features.shape[1] == 0:
+        raise DatasetError("feature rows must hold at least one value")
     over, limit = unbounded_rows(features)
     if not over.size:
         return

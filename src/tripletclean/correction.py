@@ -134,11 +134,11 @@ class Pool:
                 f"a pool of {n} ids needs {n} labels and {n} feature rows, "
                 f"got labels of shape {labels.shape} and features of shape {feats.shape}"
             )
-        norms = np.zeros(0)
+        norms, scale = np.zeros(0), KERNEL_SCALE_FLOOR
         if n:
             require_bounded(ids, feats)
             norms = squared_norms(feats)
-        scale = _kernel_scale(feats, config)
+            scale = _kernel_scale(feats, config)
         return cls(tuple(ids), labels, feats, scale, norms, math.sqrt(norms.max(initial=0.0)))
 
     def __len__(self) -> int:
@@ -225,7 +225,7 @@ def correct(
         pools[pair] = Pool.build(
             [ids[r] for r in rows], labels[rows], dataset.features[rows], config
         )
-    no_pool = Pool((), labels[:0], dataset.features[:0], KERNEL_SCALE_FLOOR, np.zeros(0), 0.0)
+    no_pool = Pool.build((), labels[:0], dataset.features[:0], config)
 
     new_labels = labels.copy()
     ledger: list[CorrectionRecord] = []

@@ -175,19 +175,19 @@ def adjust_probs(p: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     return c * p + (1.0 - c) * y
 
 
-def loss_value(
-    P: np.ndarray,
-    Y: np.ndarray,
-    C: np.ndarray,
-    class_weights: np.ndarray,
-    lam: float,
-) -> float:
-    """Mean of weighted cross-entropy on adjusted probabilities plus the
-    confidence penalty; logs are floored at 1e-12."""
-    P_adj = C[:, None] * P + (1.0 - C[:, None]) * Y
-    ce = -np.sum(class_weights[None, :] * np.log(np.maximum(P_adj, LOG_FLOOR)) * Y, axis=1)
+def _loss(p: np.ndarray, C: np.ndarray, w: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
+    """The miner's objective, from each row's label column alone: the mean
+    of -w*log(C*p + 1 - C) - lam*log(C), each log floored at LOG_FLOOR.
+
+    That is the weighted cross-entropy of the one-hot target on the blend
+    c*p + (1-c)*y, plus the confidence penalty; ``p`` is the probability of
+    each row's label, ``C`` its confidence and ``w`` its label's class
+    weight.  Also returns each row's floored blend, which the gradient
+    divides by.
+    """
+    clamped = np.maximum(C * p + (1.0 - C), LOG_FLOOR)
     penalty = -lam * np.log(np.maximum(C, LOG_FLOOR))
-    return float(np.mean(ce + penalty))
+    return float(np.mean(-(w * np.log(clamped)) + penalty)), clamped
 
 
 def loss_and_gradients(
@@ -198,10 +198,11 @@ def loss_and_gradients(
     ``labels`` holds each row's class index: a 1-D integer array, one entry
     per row of ``X``, each in [0, n_classes); anything else raises
     DatasetError.  The targets are the one-hot rows of these labels, so
-    dL/dP_adj is non-zero only in each row's label column, and the loss and
-    gradients are computed from that column alone.  They equal, bit for bit
-    and signs of zeros included, what ``loss_value``'s formula gives when
-    evaluated over every column of ``one_hot(labels, n_classes)``.
+    dL/dP_adj is non-zero only in each row's label column, and the loss
+    (``_loss``) and gradients are computed from that column alone.  They
+    equal, bit for bit and signs of zeros included, what the dense formula
+    over every column of the one-hot targets gives; the tests hold them to
+    that formula, ``dense_loss_and_gradients`` in ``tests/test_negatives.py``.
     """
     n = X.shape[0]
     labels = np.asarray(labels)
@@ -213,16 +214,11 @@ def loss_and_gradients(
     P, C, A = _forward_cached(model, X)
     w = model.class_weights[labels]
     p = P[rows, labels]
-
-    p_adj = C * p + (1.0 - C)
-    clamped = np.maximum(p_adj, LOG_FLOOR)
-    ce = -(w * np.log(clamped))
-    penalty = -model.lam * np.log(np.maximum(C, LOG_FLOOR))
-    loss = float(np.mean(ce + penalty))
+    loss, clamped = _loss(p, C, w, model.lam)
 
     # dL/dP_adj in the label column, zero where the clamp is active (the
     # floor is constant there)
-    g = np.where(p_adj > LOG_FLOOR, -w / clamped, 0.0) / n
+    g = np.where(clamped > LOG_FLOOR, -w / clamped, 0.0) / n
     dp = g * C
     # Off the label column the dense terms are signed zeros: they add nothing
     # to the row sums dC and s, and dP - s is -s there.  They can change only
@@ -254,13 +250,6 @@ def loss_and_gradients(
         "b3": float(dV.sum()),
     }
     return loss, grads
-
-
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """The dense targets of ``labels``, as ``loss_value`` reads them."""
-    Y = np.zeros((len(labels), n_classes))
-    Y[np.arange(len(labels)), labels] = 1.0
-    return Y
 
 
 PARAMS = ("W1", "b1", "W2", "b2", "w3", "b3")
@@ -313,7 +302,7 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
                     raise TrainingError(f"non-finite parameters {at}; {remedy}")
             at = "after the last epoch"
             P, C = forward(model, X)
-            final_loss = loss_value(P, one_hot(labels, n_classes), C, class_weights, config.lam)
+            final_loss, _ = _loss(P[np.arange(n), labels], C, class_weights[labels], config.lam)
     except FloatingPointError as exc:
         raise TrainingError(f"non-finite values {at}; {remedy}") from exc
     if not np.isfinite(final_loss):

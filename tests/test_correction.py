@@ -307,6 +307,11 @@ class TestPoolMedian:
         feats[1, 0] = 4.74e153
         assert len(Pool.build(["r0", "r1", "r2", "r3"], np.zeros(4), feats, CorrectionConfig()))
 
+    def test_feature_rows_of_no_values_are_rejected(self):
+        # as a Dataset rejects them; the magnitude limit divides by the width
+        with pytest.raises(DatasetError, match="^feature rows must hold at least one value$"):
+            Pool.build(["a", "b"], [0, 1], np.zeros((2, 0)), CorrectionConfig())
+
     @pytest.mark.parametrize(
         "ids, labels, features",
         [

@@ -15,6 +15,7 @@ from tripletclean.negatives import (
     ConfidenceModel,
     MinerConfig,
     TrainingError,
+    _loss,
     _sigmoid,
     adjust_probs,
     detect_noisy_negatives,
@@ -22,8 +23,6 @@ from tripletclean.negatives import (
     initialize_model,
     load_model,
     loss_and_gradients,
-    loss_value,
-    one_hot,
     save_model,
     train,
 )
@@ -98,7 +97,9 @@ def dense_loss_and_gradients(model, X, Y):
 
     P_adj = C[:, None] * P + (1.0 - C[:, None]) * Y
     clamped = np.maximum(P_adj, LOG_FLOOR)
-    loss = loss_value(P, Y, C, w, model.lam)
+    ce = -np.sum(w[None, :] * np.log(clamped) * Y, axis=1)
+    penalty = -model.lam * np.log(np.maximum(C, LOG_FLOOR))
+    loss = float(np.mean(ce + penalty))
 
     G = np.where(P_adj > LOG_FLOOR, -(w[None, :] * Y) / clamped, 0.0) / n
     dP = G * C[:, None]
@@ -163,39 +164,29 @@ class TestAdjustProbs:
 
 
 class TestLoss:
+    """``_loss`` on the label column: p is the label's probability."""
+
     def test_reference_value(self):
-        loss = loss_value(
-            P=np.array([[0.7, 0.3]]),
-            Y=np.array([[0.0, 1.0]]),
-            C=np.array([0.5]),
-            class_weights=np.ones(2),
-            lam=0.1,
-        )
+        loss, clamped = _loss(p=np.array([0.3]), C=np.array([0.5]), w=np.ones(1), lam=0.1)
         expected = -np.log(0.65) - 0.1 * np.log(0.5)
         np.testing.assert_allclose(loss, expected, rtol=1e-12)
         np.testing.assert_allclose(loss, 0.5001, atol=5e-5)
+        np.testing.assert_allclose(clamped, [0.65], rtol=1e-15)
 
     def test_perfect_prediction_at_full_confidence(self):
-        P = np.array([[0.0, 1.0]])
-        loss = loss_value(P, P.copy(), np.array([1.0]), np.ones(2), lam=0.1)
+        loss, _ = _loss(np.array([1.0]), np.array([1.0]), np.ones(1), lam=0.1)
         assert loss == 0.0
 
     def test_zero_confidence_no_penalty_is_free(self):
-        loss = loss_value(
-            P=np.array([[0.9, 0.1]]),
-            Y=np.array([[0.0, 1.0]]),
-            C=np.array([0.0]),
-            class_weights=np.ones(2),
-            lam=0.0,
-        )
+        loss, clamped = _loss(p=np.array([0.1]), C=np.array([0.0]), w=np.ones(1), lam=0.0)
         assert loss == 0.0
+        assert clamped.tolist() == [1.0]
 
     def test_class_weights_scale_the_ce_term(self):
-        P = np.array([[0.7, 0.3]])
-        Y = np.array([[0.0, 1.0]])
+        p = np.array([0.3])
         C = np.array([1.0])
-        base = loss_value(P, Y, C, np.array([1.0, 1.0]), lam=0.0)
-        double = loss_value(P, Y, C, np.array([1.0, 2.0]), lam=0.0)
+        base, _ = _loss(p, C, np.array([1.0]), lam=0.0)
+        double, _ = _loss(p, C, np.array([2.0]), lam=0.0)
         np.testing.assert_allclose(double, 2 * base)
 
 
@@ -266,7 +257,7 @@ class TestGradients:
             model.w3[:] = 0.0
             model.b3 = 40.0
             model.b2[:] = rng.choice([0.0, -40.0, -800.0], size=k)
-        Y = one_hot(rng.integers(0, k, size=n), k)
+        Y = np.eye(k)[rng.integers(0, k, size=n)]
         return model, rng.normal(size=(n, d)), Y
 
     def test_label_column_matches_the_dense_formula_bitwise(self):
@@ -308,7 +299,7 @@ class TestLabelIndices:
             np.array([0.0, 1.0]),
             np.array([True, False]),
             np.array([[0], [1]]),
-            one_hot(np.array([0, 1]), 3),
+            np.eye(3)[[0, 1]],
             np.array([0]),
             np.array([0, 1, 2]),
         ],
@@ -342,7 +333,7 @@ def out_of_place_train(dataset, rows, config):
     model = initialize_model(
         X.shape[1], config.hidden_size, n_classes, class_weights, config.lam, rng
     )
-    Y = one_hot(labels, n_classes)
+    Y = np.eye(n_classes)[labels]
     n = labels.size
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -379,12 +370,11 @@ class TestTrain:
     def test_loss_decreases_on_separable_data(self):
         rng = np.random.default_rng(6)
         X, y = separable_positives(100, rng)
-        Y = one_hot(y, 2)
+        Y = np.eye(2)[y]
         config = MinerConfig(hidden_size=16, epochs=8, learning_rate=0.3, seed=1)
 
         def full_loss(model):
-            P, C = forward(model, X)
-            return loss_value(P, Y, C, model.class_weights, model.lam)
+            return dense_loss_and_gradients(model, X, Y)[0]
 
         weights = 1.0 / np.bincount(y)
         initial = initialize_model(2, 16, 2, weights, config.lam, np.random.default_rng(1))
@@ -454,7 +444,12 @@ class TestTrain:
             fit(X, y, 2, config)
 
     def test_non_finite_final_loss_raises(self, monkeypatch):
-        monkeypatch.setattr(negatives, "loss_value", lambda *args: float("nan"))
+        def nan_confidence(model, X):
+            P, C = forward(model, X)
+            return P, np.full_like(C, np.nan)
+
+        # only the check after the last epoch calls forward
+        monkeypatch.setattr(negatives, "forward", nan_confidence)
         rng = np.random.default_rng(6)
         X, y = separable_positives(10, rng)
         config = MinerConfig(hidden_size=4, epochs=2, seed=1)
@@ -480,6 +475,26 @@ class TestTrain:
         config = MinerConfig(hidden_size=4, epochs=5, batch_size=4, seed=1)
         fit(X, y, 2, config)
         assert calls == {"forward": 1, "loss_and_gradients": 5 * math.ceil(22 / 4)}
+
+    def test_final_loss_is_the_dense_loss_over_every_row(self, monkeypatch):
+        losses = []
+
+        def recorded(*args):
+            loss, clamped = _loss(*args)
+            losses.append(loss)
+            return loss, clamped
+
+        monkeypatch.setattr(negatives, "_loss", recorded)
+        rng = np.random.default_rng(31)
+        # unequal classes in shuffled rows, so each row's weight and
+        # probability must come from its own label
+        y = rng.permutation(np.repeat(np.arange(5), [20, 12, 8, 5, 2]))
+        X = rng.normal(size=(y.size, 3))
+        config = MinerConfig(hidden_size=6, epochs=2, batch_size=16, lam=0.3, seed=4)
+        model = fit(X, y, 5, config)
+        assert len(losses) == 2 * math.ceil(47 / 16) + 1
+        expected, _ = dense_loss_and_gradients(model, X, np.eye(5)[y])
+        assert same_bytes(losses[-1], expected)
 
 
 class TestForwardInvariants:

@@ -169,6 +169,22 @@ class Dataset:
         """Rows without a label, in row order."""
         return np.flatnonzero(self.labels < 0)
 
+    def checked_rows(self, rows, labeled: bool = True, role: str = "record") -> np.ndarray:
+        """``rows`` as indices in [0, N), each labeled, or a negative if not ``labeled``."""
+        rows = np.asarray(rows)
+        # a boolean mask or a float would otherwise be read as indices
+        if rows.size and rows.dtype.kind not in "iu":
+            raise DatasetError(f"row indices must be integers, got {rows.dtype}")
+        rows = rows.astype(np.int64)
+        outside = rows[(rows < 0) | (rows >= len(self))]
+        if outside.size:
+            raise DatasetError(f"row index {outside[0]} is outside [0, {len(self)})")
+        wrong = rows[(self.labels[rows] >= 0) != labeled]
+        if wrong.size:
+            fault = "has no label" if labeled else "is not a negative"
+            raise DatasetError(f"{role} {self.ids[wrong[0]]!r} {fault}")
+        return rows
+
 
 def unbounded_rows(features: np.ndarray) -> tuple[np.ndarray, float]:
     """The rows of an N x d array that hold a NaN, an infinity or a value

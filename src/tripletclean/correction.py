@@ -154,9 +154,14 @@ def knn_vote(query_feature: np.ndarray, pool: Pool, config: CorrectionConfig) ->
     if not len(pool):
         return VoteResult(label=None)
     query = np.asarray(query_feature, dtype=np.float64)[None, :]
+    width = pool.features.shape[1]
+    if query.shape != (1, width):
+        raise DatasetError(f"a query must be one row of width {width}, got shape {query.shape[1:]}")
     k = min(config.k, len(pool))
     # density.screened_distances for one row
     q_sq = float(density._products(query, query)[0, 0])
+    if not math.isfinite(q_sq):
+        raise DatasetError("a query's features must be finite")
     approx = density._products(-2.0 * query, pool.features)[0]
     approx += q_sq
     approx += pool.sq_norms
@@ -203,16 +208,12 @@ def correct(
     otherwise (including when no vote was possible).  The ledger is
     ordered by record id.
     """
-    noisy = np.unique(np.asarray(noisy_rows, dtype=np.int64))
-    clean = np.unique(np.asarray(clean_rows, dtype=np.int64))
+    noisy = np.unique(dataset.checked_rows(noisy_rows, role="flagged record"))
+    clean = np.unique(dataset.checked_rows(clean_rows, role="clean record"))
     ids, labels = dataset.ids, dataset.labels
     overlap = np.intersect1d(noisy, clean)
     if overlap.size:
         raise DatasetError(f"ids flagged both noisy and clean: {[ids[r] for r in overlap[:5]]}")
-    for checked, role in ((clean, "clean"), (noisy, "flagged")):
-        unlabeled = checked[labels[checked] < 0]
-        if unlabeled.size:
-            raise DatasetError(f"{role} record {ids[unlabeled[0]]!r} has no label")
 
     pair_of = list(map(tuple, dataset.pairs.tolist()))
     members: dict[tuple[int, int], list[int]] = {}

@@ -339,9 +339,10 @@ def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarra
     bracket [lo, hi]: below lo when D̃ < lo − E, past hi when D̃ > hi + E.
     Only the rest are computed by ``exact_distances`` and placed by that
     value; so every count and entry is the one a scan of exact distances
-    gives.  The pass counts the entries below the bracket into their rows
-    and columns and keeps where each gathered one sits: no N x N array,
-    entry copy or second pass.
+    gives.  One mask per tile marks every entry below the bracket, whether
+    the screen or the exact value placed it, and one pair of reductions
+    counts it into its row and column.  The pass keeps where each gathered
+    entry sits: no N x N array, entry copy or second pass.
     """
     n = feats.shape[0]
     sq = squared_norms(feats)
@@ -360,22 +361,19 @@ def upper_ranks(feats: np.ndarray, rank: int, count: int = 1) -> tuple[np.ndarra
         undecided = approx > hi + bound
         undecided |= low
         np.logical_not(undecided, out=undecided)
-        height, width = approx.shape
         del approx
         if left == top:  # a tile on the diagonal counts only the entries right of it
-            upper = ~np.tri(height, width, dtype=bool)
+            upper = ~np.tri(*low.shape, dtype=bool)
             low &= upper
             undecided &= upper
-        near[rows_at] += np.add.reduce(low, axis=1, dtype=np.int32)
-        near[cols_at] += np.add.reduce(low, axis=0, dtype=np.int32)
-        rows, cols = np.divmod(np.flatnonzero(undecided), width)
+        rows, cols = np.divmod(np.flatnonzero(undecided), low.shape[1])
         rows += top
         cols += left
         exact = _pair_distances(feats, rows, cols)
         below = exact < lo
-        if below.any():
-            near[rows_at] += np.bincount(rows[below] - top, minlength=height)
-            near[cols_at] += np.bincount(cols[below] - left, minlength=width)
+        low[rows[below] - top, cols[below] - left] = True
+        near[rows_at] += np.add.reduce(low, axis=1, dtype=np.int32)
+        near[cols_at] += np.add.reduce(low, axis=0, dtype=np.int32)
         keep = exact <= hi
         keep ^= below
         gathered.append((rows[keep] * n + cols[keep], exact[keep]))
@@ -512,10 +510,8 @@ def detect_noisy_positives(
     guard, or degenerate under K-means, flag nothing.  The dataset's
     features are finite, so every distance is a number.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = dataset.checked_rows(rows)
     labels = dataset.labels[rows]
-    if np.any(labels < 0):
-        raise DatasetError(f"record {dataset.ids[rows[labels < 0][0]]!r} has no label")
     order = np.argsort(labels, kind="stable")
     rows, labels = rows[order], labels[order]
 

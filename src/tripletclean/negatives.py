@@ -71,6 +71,9 @@ class MinerConfig:
             th = self.thresholds[part]
             if th is not None and not (0.0 <= th <= 1.0):
                 raise DatasetError(f"threshold for {part.value} must be in [0, 1], got {th}")
+        for name, value in (("lambda", self.lam), ("learning_rate", self.learning_rate)):
+            if not np.isfinite(value):
+                raise DatasetError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise DatasetError("lambda must be non-negative")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_size < 1:
@@ -263,11 +266,10 @@ def train(dataset: Dataset, rows: np.ndarray, config: MinerConfig) -> Confidence
     epoch, or when the loss over all ``rows`` is non-finite after the last
     epoch.
     """
-    labels = dataset.labels[rows]
-    if labels.size == 0:
+    rows = dataset.checked_rows(rows)
+    if rows.size == 0:
         raise DatasetError("cannot train on empty positives")
-    if np.any(labels < 0):
-        raise DatasetError("cannot train on unlabeled rows")
+    labels = dataset.labels[rows]
     X = dataset.features[rows]
     n_classes = len(dataset.vocab)
 
@@ -333,10 +335,7 @@ def detect_noisy_negatives(
     frequency part of its predicted class; its pseudo label is that
     predicted class.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    labeled = rows[dataset.labels[rows] >= 0]
-    if labeled.size:
-        raise DatasetError(f"record {dataset.ids[labeled[0]]!r} is not a negative")
+    rows = dataset.checked_rows(rows, labeled=False)
     X = dataset.features[rows]
     if X.shape[1] != model.input_dim:
         raise DatasetError(

@@ -74,6 +74,10 @@ class SynthConfig:
                 f"feature_dim ({self.feature_dim}) must be at least n_classes "
                 f"({self.n_classes}) for the axis-aligned center layout"
             )
+        for name in ("imbalance", "cluster_spread", "class_separation"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise DatasetError(f"{name} must be finite, got {value}")
         if self.cluster_spread <= 0:
             raise DatasetError("cluster_spread must be positive")
         if self.class_separation < 0 or self.n_background < 0:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -101,6 +102,15 @@ def oracle_ledger(noisy_ids, dataset, clean_ids, config):
 
 
 class TestKnnVote:
+    @pytest.mark.parametrize("query", [[np.nan], [np.inf], [-np.inf], [1.0, 2.0], [[0.0]], []])
+    def test_a_query_not_one_finite_row_of_the_pools_width_is_rejected(self, query):
+        config = CorrectionConfig()
+        pool = Pool.build(["a", "b"], [0, 1], [[0.0], [1.0]], config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="^a query"):
+                knn_vote(np.array(query), pool, config)
+
     def test_k1_is_nearest_neighbor(self):
         pool = [rec("a", 7, [1.0]), rec("b", 2, [10.0]), rec("c", 4, [-3.0])]
         config = CorrectionConfig(k=1, kernel_c=50.0)

@@ -414,7 +414,7 @@ class TestTrain:
             fit(np.zeros((0, 2)), [], 2, MinerConfig())
 
     def test_unlabeled_row_rejected(self):
-        with pytest.raises(DatasetError, match="unlabeled"):
+        with pytest.raises(DatasetError, match="^record 'r001' has no label$"):
             fit(np.zeros((2, 2)), [0, NO_LABEL], 2, MinerConfig())
 
     def test_class_weights_are_reciprocal_counts(self):

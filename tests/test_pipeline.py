@@ -497,6 +497,21 @@ class TestConfigParsing:
             config_from_dict(raw)
 
     @pytest.mark.parametrize(
+        "section, field, name",
+        [
+            (MinerConfig, "lam", "lambda"),
+            (MinerConfig, "learning_rate", "learning_rate"),
+            (SynthConfig, "imbalance", "imbalance"),
+            (SynthConfig, "cluster_spread", "cluster_spread"),
+            (SynthConfig, "class_separation", "class_separation"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_rejected_in_python(self, section, field, name, value):
+        with pytest.raises(DatasetError, match=f"^{name} must be finite, got {value}$"):
+            section(**{field: value})
+
+    @pytest.mark.parametrize(
         "raw, message",
         [
             (
@@ -578,6 +593,46 @@ class TestReportValidation:
         )
         with pytest.raises(PipelineError, match="identities"):
             report.validate()
+
+
+# each stage called on the rows under test, with five valid rows where it takes a second set
+STAGE_CALLS = {
+    "train": lambda ds, model, rows, some: tripletclean.train(ds, rows, MinerConfig()),
+    "neg_nsd": lambda ds, model, rows, some: tripletclean.detect_noisy_negatives(
+        model, rows, ds, MinerConfig()
+    ),
+    "pos_nsd": lambda ds, model, rows, some: tripletclean.detect_noisy_positives(
+        ds, rows, tripletclean.DensityConfig()
+    ),
+    "nsc flagged": lambda ds, model, rows, some: tripletclean.correct(
+        rows, ds, some, tripletclean.CorrectionConfig()
+    ),
+    "nsc clean": lambda ds, model, rows, some: tripletclean.correct(
+        some, ds, rows, tripletclean.CorrectionConfig()
+    ),
+}
+
+
+class TestStageRows:
+    @pytest.mark.parametrize("stage", STAGE_CALLS)
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # -1 would otherwise wrap to the last record, r000059
+            ([-1], "row index -1 is outside [0, 60)"),
+            ([60], "row index 60 is outside [0, 60)"),
+            ([np.iinfo(np.int64).min], f"row index {np.iinfo(np.int64).min} is outside [0, 60)"),
+            # a mask would otherwise be read as the indices 0 and 1
+            (np.arange(60) % 2 == 1, "row indices must be integers, got bool"),
+            ([0.0], "row indices must be integers, got float64"),
+        ],
+    )
+    def test_rows_that_are_not_indices_of_the_dataset_are_rejected(self, stage, rows, message):
+        ds, _ = generate(SynthConfig(n_classes=3, feature_dim=4, samples_per_class=20, seed=1))
+        assert len(ds) == 60
+        model = tripletclean.train(ds, ds.positives(), MinerConfig(hidden_size=4, epochs=1))
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            STAGE_CALLS[stage](ds, model, np.array(rows), np.arange(5))
 
 
 class TestPackage:
